@@ -259,6 +259,23 @@ def ml_asymptotic_residual(alpha: float, lam: float, t_values):
     return np.abs(ml(alpha, 1.0, -xs) - lead) * xs ** 2
 
 
+def _relax_series(alpha, order, t, y):
+    """t^(order-1+a) sum_j (-y)^j / Gamma(a j + a + order) for small y = lam t^a.
+
+    The direct sum behind relax_primitive (order 1) and relax_antiderivative
+    (order 2), free of the 1 - E cancellation.
+    """
+    acc = np.zeros_like(y)
+    yk = np.ones_like(y)
+    for j in range(60):
+        term = yk * rgamma(alpha * j + alpha + order)
+        acc += term
+        yk *= -y
+        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+            break
+    return t ** (order - 1.0 + alpha) * acc
+
+
 def relax_primitive(alpha: float, lam: float, t):
     """int_0^t s^{a-1} E_{a,a}(-lam s^a) ds = (1 - E_{a,1}(-lam t^a))/lam.
 
@@ -278,17 +295,7 @@ def relax_primitive(alpha: float, lam: float, t):
     out = np.empty_like(t)
     small = y <= 0.5
     if small.any():
-        ts = t[small]
-        ys = y[small]
-        acc = np.zeros_like(ys)
-        yk = np.ones_like(ys)
-        for j in range(60):
-            term = yk * rgamma(alpha * j + alpha + 1.0)
-            acc += term
-            yk *= -ys
-            if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-                break
-        out[small] = ts ** alpha * acc
+        out[small] = _relax_series(alpha, 1, t[small], y[small])
     if (~small).any():
         out[~small] = (1.0 - ml(alpha, 1.0, -y[~small])) / lam
     return float(out[0]) if scalar else out.reshape(t_arr.shape)
@@ -312,17 +319,7 @@ def relax_antiderivative(alpha: float, lam: float, t):
     out = np.empty_like(t)
     small = y <= 0.5
     if small.any():
-        ts = t[small]
-        ys = y[small]
-        acc = np.zeros_like(ys)
-        yk = np.ones_like(ys)
-        for j in range(60):
-            term = yk * rgamma(alpha * j + alpha + 2.0)
-            acc += term
-            yk *= -ys
-            if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-                break
-        out[small] = ts ** (1.0 + alpha) * acc
+        out[small] = _relax_series(alpha, 2, t[small], y[small])
     if (~small).any():
         tb = t[~small]
         out[~small] = tb / lam * (1.0 - ml(alpha, 2.0, -y[~small]))

@@ -189,94 +189,64 @@ def _cosh_sinhc(musq):
     return c, s
 
 
-def _step_factors(q_samples: np.ndarray, lams: np.ndarray, h: float):
-    """Per-interval Magnus transfer-matrix entries, shape (n_lam, n_steps).
+def _cell_factors(qmid, slope, width, lams):
+    """Magnus transfer-matrix entries for cells given by (qmid, slope, width).
 
-    On each interval the potential is exactly linear, so the fourth-order
-    Magnus term only involves the interval mean and slope of lambda + q.
+    Shape (n_lam, n_cells).  On each cell the potential is exactly linear, so
+    the fourth-order Magnus term only involves the cell mean and slope of
+    lambda + q.
     """
-    qmid = 0.5 * (q_samples[:-1] + q_samples[1:])
-    slope = (q_samples[1:] - q_samples[:-1]) / h
     w2 = lams[:, None] + qmid[None, :]
-    a = slope * (h ** 3) / 12.0
-    musq = a[None, :] ** 2 - (h * h) * w2
+    a = slope * width ** 3 / 12.0
+    musq = a[None, :] ** 2 - (width * width) * w2
     c, s = _cosh_sinhc(musq)
     t00 = c + s * a[None, :]
-    t01 = s * h
-    t10 = -s * h * w2
+    t01 = s * width
+    t10 = -t01 * w2
     t11 = c - s * a[None, :]
     return t00, t01, t10, t11
 
 
-def _propagate(q_samples, v0, d0, lams, keep_trace=True):
-    """March the shooting solution across the grid for a batch of lambdas.
+def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
+    """March the shooting solution from 0 to x for a batch of lambdas.
 
-    Returns (values, derivs) of shape (n_lam, N+1) when keep_trace, else the
-    terminal pair of shape (n_lam,).
+    The full cells below x are followed by one part-cell ending at x, built by
+    the same Magnus factor with the part width.  Returns the pair at x of
+    shape (n_lam,), or with keep_trace the values and derivatives at every
+    marched node, shape (n_lam, n_cells + 1).
     """
     lams = np.atleast_1d(np.asarray(lams))
     if not np.iscomplexobj(lams):
         lams = lams.astype(float)
     N = q_samples.size - 1
     h = 1.0 / N
-    t00, t01, t10, t11 = _step_factors(q_samples, lams, h)
+    n_full = min(int(np.floor(x * N + 1e-12)), N)
+    part = x - n_full * h
+    has_part = part > 1e-14
+    n_cells = n_full + has_part
+    lo, hi = q_samples[:n_cells], q_samples[1:n_cells + 1]
+    qmid = 0.5 * (lo + hi)
+    slope = (hi - lo) / h
+    width = np.full(n_cells, h)
+    if has_part:
+        qmid[-1] = lo[-1] + slope[-1] * part / 2.0
+        width[-1] = part
+    t00, t01, t10, t11 = _cell_factors(qmid, slope, width, lams)
     dtype = t00.dtype
     v = np.full(lams.size, v0, dtype=dtype)
     d = np.full(lams.size, d0, dtype=dtype)
+    if keep_trace:
+        vals = np.empty((lams.size, n_cells + 1), dtype=dtype)
+        ders = np.empty((lams.size, n_cells + 1), dtype=dtype)
+        vals[:, 0] = v
+        ders[:, 0] = d
     with np.errstate(over="ignore", invalid="ignore"):
-        if keep_trace:
-            vals = np.empty((lams.size, N + 1), dtype=dtype)
-            ders = np.empty((lams.size, N + 1), dtype=dtype)
-            vals[:, 0] = v
-            ders[:, 0] = d
-            for i in range(N):
-                v, d = t00[:, i] * v + t01[:, i] * d, t10[:, i] * v + t11[:, i] * d
+        for i in range(n_cells):
+            v, d = t00[:, i] * v + t01[:, i] * d, t10[:, i] * v + t11[:, i] * d
+            if keep_trace:
                 vals[:, i + 1] = v
                 ders[:, i + 1] = d
-            return vals, ders
-        for i in range(N):
-            v, d = t00[:, i] * v + t01[:, i] * d, t10[:, i] * v + t11[:, i] * d
-        return v, d
-
-
-def _partial_step(q_samples, v, d, lams, x):
-    """Advance (v, d) from the last full node below x to x itself."""
-    N = q_samples.size - 1
-    h = 1.0 / N
-    i = min(int(np.floor(x * N + 1e-12)), N - 1)
-    delta = x - i * h
-    if delta <= 1e-14:
-        return v, d
-    lams = np.atleast_1d(np.asarray(lams))
-    q_lo = q_samples[i]
-    slope = (q_samples[i + 1] - q_samples[i]) / h
-    qmid = q_lo + slope * delta / 2.0
-    w2 = lams + qmid
-    a = slope * delta ** 3 / 12.0
-    musq = np.asarray(a ** 2 - delta * delta * w2)
-    c, s = _cosh_sinhc(musq)
-    return (c + s * a) * v + s * delta * d, -s * delta * w2 * v + (c - s * a) * d
-
-
-def _terminal(q_samples, v0, d0, lams, x=1.0):
-    """Shooting solution (value, derivative) at x for a batch of lambdas."""
-    N = q_samples.size - 1
-    if x >= 1.0 - 1e-14:
-        return _propagate(q_samples, v0, d0, lams, keep_trace=False)
-    i = min(int(np.floor(x * N + 1e-12)), N - 1)
-    if i == 0:
-        lams_arr = np.atleast_1d(np.asarray(lams))
-        dtype = complex if np.iscomplexobj(lams_arr) else float
-        v = np.full(lams_arr.size, v0, dtype=dtype)
-        d = np.full(lams_arr.size, d0, dtype=dtype)
-    else:
-        # prefix nodes 0..i span [0, i/N]; rescale that piece to unit length
-        scale = i / N
-        v, d = _propagate(q_samples[:i + 1] * scale ** 2, v0, d0 * scale,
-                          np.atleast_1d(np.asarray(lams)) * scale ** 2,
-                          keep_trace=False)
-        d = d / scale
-    return _partial_step(q_samples, v, d, lams, x)
+    return (vals, ders) if keep_trace else (v, d)
 
 
 def _check_finite(*arrays):
@@ -303,7 +273,7 @@ def solve_ivp_left(q: PotentialSpec, h: float, lam, grid_size: int | None = None
         raise DomainError("left Robin coefficient must be nonnegative")
     grid_size = _validate_ivp_args(q, grid_size)
     qs = q.resampled(grid_size).samples
-    vals, ders = _propagate(qs, 1.0, h, [lam])
+    vals, ders = _propagate(qs, 1.0, h, [lam], keep_trace=True)
     _check_finite(vals, ders)
     return SolutionTrace(lam=lam, values=vals[0], derivs=ders[0], side="left")
 
@@ -317,7 +287,7 @@ def solve_ivp_right(q: PotentialSpec, H: float, lam, grid_size: int | None = Non
         raise DomainError("right Robin coefficient must be nonnegative")
     grid_size = _validate_ivp_args(q, grid_size)
     qs = q.resampled(grid_size).samples[::-1].copy()
-    vals, ders = _propagate(qs, 1.0, H, [lam])
+    vals, ders = _propagate(qs, 1.0, H, [lam], keep_trace=True)
     _check_finite(vals, ders)
     return SolutionTrace(lam=lam, values=vals[0, ::-1].copy(),
                          derivs=-ders[0, ::-1].copy(), side="right")
@@ -327,7 +297,7 @@ def char_delta(q: PotentialSpec, robin: RobinPair, lam, grid_size: int | None = 
     """Characteristic function Delta(lambda) = -phi'(1) - H phi(1); zero at eigenvalues."""
     grid_size = _validate_ivp_args(q, grid_size)
     qs = q.resampled(grid_size).samples
-    v, d = _terminal(qs, 1.0, robin.h, [lam])
+    v, d = _propagate(qs, 1.0, robin.h, [lam])
     _check_finite(v, d)
     out = -(d + robin.H * v)
     return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
@@ -347,7 +317,7 @@ class _ShootingProblem:
         self.q_mean = float(np.mean(self.q))
 
     def char(self, lams):
-        v, d = _propagate(self.q, self.v0, self.d0, lams, keep_trace=False)
+        v, d = _propagate(self.q, self.v0, self.d0, lams)
         return -(self.cd * d + self.cv * v)
 
     def angle_excess(self, lams):
@@ -356,7 +326,7 @@ class _ShootingProblem:
         Zero exactly at eigenvalues; the n-th eigenvalue solves G_0 = n pi.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        vals, ders = _propagate(self.q, self.v0, self.d0, lams)
+        vals, ders = _propagate(self.q, self.v0, self.d0, lams, keep_trace=True)
         omega = np.sqrt(np.maximum(lams + self.q_mean, 1.0))
         theta = np.unwrap(np.arctan2(omega[:, None] * vals, ders), axis=1)
         target = np.arctan2(omega * self.cd, -self.cv)
@@ -368,19 +338,30 @@ class _ShootingProblem:
 
         When guesses (previous eigenvalues of a nearby problem) are supplied,
         small winding-verified brackets around them are tried first; any
-        failure falls back to the global bracketing path.
+        failure falls back to the global bracketing path.  Raises DomainError
+        when the grid is too coarse to count the windings of n_max + 1 modes.
         """
         n_modes = n_max + 1
         targets = np.arange(n_modes) * np.pi
+        qmax = self.q.max()
+        lam_hi = (n_max + 2.0) ** 2 * np.pi ** 2 + max(0.0, -self.q.min()) + 10.0
+        # np.unwrap drops a winding once the angle turns by pi within one cell;
+        # the scaled Pruefer angle turns at most at rate max(omega, k^2/omega)
+        omega = np.sqrt(max(lam_hi + self.q_mean, 1.0))
+        rate = max(omega, (lam_hi + qmax) / omega)
+        n_cells = self.q.size - 1
+        if rate >= np.pi * n_cells:
+            raise DomainError(
+                f"{n_modes} modes need grid_size >= {int(rate / np.pi) + 1} "
+                f"(got {n_cells}): the Pruefer angle would turn by pi or more "
+                "across one grid cell")
         if guesses is not None and len(guesses) == n_modes:
             result = self._solve_warm(np.asarray(guesses, dtype=float),
                                       targets, residual_tol)
             if result is not None:
                 return result
-        qmax = self.q.max()
         lo = np.full(n_modes, min(0.0, -qmax) - 1.0)
-        hi = np.full(n_modes, (n_max + 2.0) ** 2 * np.pi ** 2
-                     + max(0.0, -self.q.min()) + 10.0)
+        hi = np.full(n_modes, lam_hi)
         g_lo = self.angle_excess(lo) - targets
         for _ in range(60):
             bad = g_lo >= 0
@@ -507,7 +488,7 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
     problem = _ShootingProblem(qs, 1.0, robin.h, robin.H, 1.0)
     lambdas, residuals = problem.solve(n_max, guesses=lambda_guess)
 
-    vals, ders = _propagate(qs, 1.0, robin.h, lambdas)
+    vals, ders = _propagate(qs, 1.0, robin.h, lambdas, keep_trace=True)
     _check_finite(vals, ders)
     h = 1.0 / grid_size
     beta = _corrected_trapezoid(vals ** 2, 2.0 * vals * ders, h)
@@ -529,7 +510,7 @@ def eval_modes_at(es: EigenSystem, x: float):
     if not (0.0 <= x <= 1.0):
         raise DomainError("x must lie in [0, 1]")
     qs = es.q.samples
-    v, d = _terminal(qs, 1.0, es.robin.h, es.lambdas, x=x)
+    v, d = _propagate(qs, 1.0, es.robin.h, es.lambdas, x=x)
     root_beta = np.sqrt(es.beta)
     return np.real(v) / root_beta, np.real(d) / root_beta
 

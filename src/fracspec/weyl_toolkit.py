@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteBlowup,
     ZeroEigenvalue,
 )
-from .sl_core import PotentialSpec, _check_finite, _terminal
+from .sl_core import PotentialSpec, _check_finite, _propagate
 
 RAY_SQRT_CAP = 40.0
 POLE_GUARD = 1e-10
@@ -108,7 +108,7 @@ class ExponentFit:
 # ---------------------------------------------------------------------------
 
 def _left_terminal(q: PotentialSpec, h: float, lams, x: float):
-    v, d = _terminal(q.samples, 1.0, h, lams, x=x)
+    v, d = _propagate(q.samples, 1.0, h, lams, x=x)
     _check_finite(v, d)
     return v, d
 
@@ -255,10 +255,6 @@ class DecayScan:
     f_magnitudes: np.ndarray
     slope: float
     decreasing_trend: bool
-
-    def rows(self):
-        for y, m in zip(self.y_values, self.f_magnitudes):
-            yield 0.0, y, m
 
 
 def f_decay_scan(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,

@@ -204,6 +204,29 @@ class TestEigenSystem:
             assert abs(v[n] - np.sqrt(2) * np.cos(n * np.pi * x0)) < 1e-9
             assert abs(dv[n] + np.sqrt(2) * n * np.pi * np.sin(n * np.pi * x0)) < 1e-7
 
+    # first cell, mid-cell, on a node, right end: the part-cell carries the slope
+    @pytest.mark.parametrize("x", [0.4 / 512, 0.37, 0.5, 1.0])
+    def test_eval_modes_at_sloped_potential(self, x, linear_left_solution):
+        kappa, h = 8.0, 0.5
+        q = PotentialSpec.from_callable(lambda s: -kappa * s, 512)
+        es = eigen_system(q, RobinPair(h, 1.0), 8)
+        v, dv = eval_modes_at(es, x)
+        phi, dphi = linear_left_solution(kappa, h, es.lambdas, x)
+        root_beta = np.sqrt(es.beta)
+        assert np.max(np.abs(v - phi / root_beta)) < 1e-9 * np.max(np.abs(v))
+        assert np.max(np.abs(dv - dphi / root_beta)) < 1e-9 * np.max(np.abs(dv))
+
+    def test_too_many_modes_for_grid(self):
+        for n_max, grid in ((150, 128), (500, 256)):
+            q = PotentialSpec.constant(0.0, grid)
+            with pytest.raises(DomainError, match=f"grid_size >= {n_max + 3}"):
+                eigen_system(q, FREE, n_max)
+            with pytest.raises(DomainError, match="grid_size"):
+                split_spectra(q, 0.4, FREE, n_max)
+        es = eigen_system(PotentialSpec.constant(0.0, 128), FREE, 124)
+        exact = (np.arange(125) * np.pi) ** 2
+        assert np.max(np.abs(es.lambdas - exact) / (1.0 + exact)) < 1e-12
+
 
 class TestSplitSpectra:
     def test_reference_left(self):

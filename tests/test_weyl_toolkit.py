@@ -137,6 +137,21 @@ class TestWronskian:
             ref = (q1(x) - q2(x)) * p1 * p2
             assert abs(du - ref) < 1e-6 * (1.0 + abs(ref))
 
+    # first cell, mid-cell, on a node, right end: the part-cell carries the slope
+    @pytest.mark.parametrize("x", [0.4 / 512, 0.37, 0.5, 1.0])
+    def test_sloped_potential_closed_form(self, x, linear_left_solution):
+        kappa = 8.0
+        q1 = PotentialSpec.from_callable(lambda s: -kappa * s, 512)
+        q2 = PotentialSpec.constant(-2.0, 512)
+        for lam in (5.0, 60.0, 3.0 + 4.0j):
+            v1, d1 = linear_left_solution(kappa, 0.2, lam, x)
+            k = np.sqrt(lam - 2.0 + 0j)
+            v2 = np.cos(k * x) + 0.9 * np.sin(k * x) / k
+            d2 = -k * np.sin(k * x) + 0.9 * np.cos(k * x)
+            ref = v1 * d2 - v2 * d1
+            u = wronskian_U(q1, q2, 0.2, 0.9, lam, x)
+            assert abs(u - ref) < 1e-9 * (1.0 + abs(ref))
+
     def test_boundary_kill_at_common_eigenvalue(self):
         # lambda = pi^2 is an eigenvalue of both q = 0 and q = 3 pi^2 problems
         # (free Robin pair); the Robin rows become proportional at x = 1
