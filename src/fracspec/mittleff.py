@@ -166,23 +166,6 @@ def _asymptotic(alpha, beta, x, kmax=40):
     return total
 
 
-def _mp_fallback(alpha, beta, x):
-    """Arbitrary-beta midrange evaluation via high-precision Laplace inversion."""
-    import mpmath as mp
-
-    out = np.empty(np.shape(x))
-    flat = np.atleast_1d(np.asarray(x, dtype=float))
-    res = np.empty(flat.size)
-    with mp.workdps(30):
-        a, b = mp.mpf(alpha), mp.mpf(beta)
-        for i, xi in enumerate(flat):
-            t = mp.mpf(xi) ** (1 / a)
-            F = lambda s: s ** (a - b) / (s ** a + 1)
-            res[i] = float(t ** (1 - b) * mp.invertlaplace(F, t, method="talbot"))
-    out.reshape(-1)[:] = res
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
@@ -191,9 +174,9 @@ def ml(alpha: float, beta: float, z):
     """E_{alpha,beta}(z) for z <= 0, alpha in (0, 1], relative error <= 1e-10.
 
     beta in {1, alpha, 2} is first-class; other positive beta are evaluated
-    best-effort (series/asymptotic in double precision, high-precision Laplace
-    inversion in between).  At alpha = 1 the exponential closed forms are used
-    for beta in {1, 2}.
+    only where the series or the asymptotic expansion holds, and raise
+    DomainError in between.  At alpha = 1 the exponential closed forms are
+    used for beta in {1, 2}.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError("alpha must lie in (0, 1]")
@@ -236,10 +219,11 @@ def ml(alpha: float, beta: float, z):
         mid_idx = np.empty(0, dtype=int)
     mid_all = np.concatenate([np.flatnonzero(mid), mid_idx])
     if mid_all.size:
-        if first_class:
-            out[mid_all] = _integral(alpha, beta, x[mid_all])
-        else:
-            out[mid_all] = _mp_fallback(alpha, beta, x[mid_all])
+        if not first_class:
+            raise DomainError(
+                f"beta = {beta:g} is evaluated only where the series holds or "
+                f"-z >= {Z_BIG:g}; between them beta must be 1, alpha or 2")
+        out[mid_all] = _integral(alpha, beta, x[mid_all])
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
 

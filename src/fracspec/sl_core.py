@@ -6,14 +6,14 @@ The spatial operator is
     u'(0) - h u(0) = 0,      u'(1) + H u(1) = 0,
 
 with a continuous potential q represented by piecewise-linear samples on a
-uniform grid.  Initial-value solutions are propagated by a fourth-order Magnus
-transfer matrix per grid interval (exact for interval-wise linear q + lambda),
-which keeps the phase error bounded uniformly in lambda and vectorizes over
-batches of spectral parameters.  Eigenvalues are bracketed by the winding of a
-scaled Pruefer angle, whose integer part counts interior zeros of the shooting
-solution, so mode indices cannot be skipped; roots of the characteristic
-function Delta(lambda) = -phi'(1) - H phi(1) are then polished inside each
-bracket.
+uniform grid.  Initial-value solutions are propagated by a Magnus transfer
+matrix per grid interval (fourth-order, lambda-uniform), which keeps the phase
+error bounded uniformly in lambda and vectorizes over batches of spectral
+parameters.  Eigenvalues are isolated by the winding of a scaled Pruefer
+angle, whose integer part counts interior zeros of the shooting solution, so
+mode indices cannot be skipped; roots of the characteristic function
+Delta(lambda) = -phi'(1) - H phi(1) are then polished inside each isolating
+bracket until they meet a residual test.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
 
 DEFAULT_GRID_SIZE = 2048
 _OVERFLOW_GUARD = 1e250
+_RESIDUAL_TOL = 1e-9  # relative |Delta| that accepts a root whose bracket stayed wide
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +322,35 @@ class _ShootingProblem:
         return -(self.cd * d + self.cv * v)
 
     def angle_excess(self, lams):
-        """G_0(lambda): Pruefer winding minus the first right-condition angle.
+        """G_0(lambda) and Delta(lambda) from one traced march per distinct lambda.
 
-        Zero exactly at eigenvalues; the n-th eigenvalue solves G_0 = n pi.
+        G_0 is the Pruefer winding minus the first right-condition angle; the
+        n-th eigenvalue solves G_0 = n pi.
         """
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        lams, inverse = np.unique(np.asarray(lams, dtype=float), return_inverse=True)
         vals, ders = _propagate(self.q, self.v0, self.d0, lams, keep_trace=True)
         omega = np.sqrt(np.maximum(lams + self.q_mean, 1.0))
         theta = np.unwrap(np.arctan2(omega[:, None] * vals, ders), axis=1)
         target = np.arctan2(omega * self.cd, -self.cv)
         target = np.where(target <= 1e-12, target + np.pi, target)
-        return theta[:, -1] - target
+        delta = -(self.cd * ders[:, -1] + self.cv * vals[:, -1])
+        return (theta[:, -1] - target)[inverse], delta[inverse]
 
-    def solve(self, n_max, residual_tol=1e-9, guesses=None):
-        """Eigenvalues 0..n_max by winding bisection then Illinois polish.
+    def solve(self, n_max, guesses=None):
+        """Eigenvalues 0..n_max by winding isolation then Illinois polish.
 
         When guesses (previous eigenvalues of a nearby problem) are supplied,
-        small winding-verified brackets around them are tried first; any
-        failure falls back to the global bracketing path.  Raises DomainError
-        when the grid is too coarse to count the windings of n_max + 1 modes.
+        small brackets around them are tried first; unless every one of them
+        isolates its root, the global brackets are bisected instead.  Raises
+        DomainError when the grid is too coarse to count the windings of
+        n_max + 1 modes.
         """
         n_modes = n_max + 1
         targets = np.arange(n_modes) * np.pi
         qmax = self.q.max()
+        # Rayleigh bounds with nonnegative Robin data: -max q < lambda_0 and
+        # lambda_n_max below its Dirichlet value (n_max + 1)^2 pi^2 - min q
+        lam_lo = min(0.0, -qmax) - 1.0
         lam_hi = (n_max + 2.0) ** 2 * np.pi ** 2 + max(0.0, -self.q.min()) + 10.0
         # np.unwrap drops a winding once the angle turns by pi within one cell;
         # the scaled Pruefer angle turns at most at rate max(omega, k^2/omega)
@@ -356,107 +363,89 @@ class _ShootingProblem:
                 f"(got {n_cells}): the Pruefer angle would turn by pi or more "
                 "across one grid cell")
         if guesses is not None and len(guesses) == n_modes:
-            result = self._solve_warm(np.asarray(guesses, dtype=float),
-                                      targets, residual_tol)
-            if result is not None:
-                return result
-        lo = np.full(n_modes, min(0.0, -qmax) - 1.0)
-        hi = np.full(n_modes, lam_hi)
-        g_lo = self.angle_excess(lo) - targets
-        for _ in range(60):
-            bad = g_lo >= 0
-            if not bad.any():
-                break
-            lo[bad] = lo[bad] * 2.0 - 10.0
-            g_lo[bad] = self.angle_excess(lo[bad]) - targets[bad]
-        g_hi = self.angle_excess(hi) - targets
-        for _ in range(60):
-            bad = g_hi <= 0
-            if not bad.any():
-                break
-            hi[bad] = hi[bad] * 1.5 + 10.0
-            g_hi[bad] = self.angle_excess(hi[bad]) - targets[bad]
-        if (g_lo >= 0).any() or (g_hi <= 0).any():
+            guesses = np.asarray(guesses, dtype=float)
+            for widen in (0.5, 8.0):
+                half = widen * (1.0 + 1e-3 * np.abs(guesses))
+                lo, hi = guesses - half, guesses + half
+                g, f = self.angle_excess(np.concatenate([lo, hi]))
+                g_lo, g_hi = g[:n_modes] - targets, g[n_modes:] - targets
+                f_lo, f_hi = f[:n_modes], f[n_modes:]
+                if _isolated(g_lo, g_hi, f_lo, f_hi).all():
+                    return self._illinois(lo, hi, f_lo, f_hi)
+
+        g, f = self.angle_excess([lam_lo, lam_hi])
+        if not (g[0] < 0.0 and g[1] > targets[-1]):
             raise BracketFailure("could not establish winding brackets")
-
-        # bisect until each bracket is well inside one spectral gap
+        lo = np.full(n_modes, lam_lo)
+        hi = np.full(n_modes, lam_hi)
+        g_lo, g_hi = g[0] - targets, g[1] - targets
+        f_lo, f_hi = np.full(n_modes, f[0]), np.full(n_modes, f[1])
+        # bisect each bracket until it holds root n alone
         for _ in range(80):
-            width = hi - lo
-            tol = 1e-5 * (1.0 + np.abs(lo))
-            if np.all(width <= tol):
+            todo = np.flatnonzero(~_isolated(g_lo, g_hi, f_lo, f_hi))
+            if todo.size == 0:
                 break
-            mid = 0.5 * (lo + hi)
-            g_mid = self.angle_excess(mid) - targets
-            takes_hi = g_mid > 0
-            hi = np.where(takes_hi, mid, hi)
-            lo = np.where(takes_hi, lo, mid)
+            mid = 0.5 * (lo[todo] + hi[todo])
+            g_mid, f_mid = self.angle_excess(mid)
+            g_mid -= targets[todo]
+            up = g_mid > 0
+            i, j = todo[up], todo[~up]
+            hi[i], g_hi[i], f_hi[i] = mid[up], g_mid[up], f_mid[up]
+            lo[j], g_lo[j], f_lo[j] = mid[~up], g_mid[~up], f_mid[~up]
         else:
-            raise BracketFailure("winding bisection failed to converge")
+            raise BracketFailure("winding bisection failed to isolate every root")
+        return self._illinois(lo, hi, f_lo, f_hi)
 
-        f_lo = self.char(lo)
-        f_hi = self.char(hi)
-        if np.any(f_lo * f_hi > 0):
-            raise BracketFailure(
-                "characteristic function does not change sign inside a bracket")
-        return self._illinois(lo, hi, f_lo, f_hi, residual_tol)
-
-    def _illinois(self, lo, hi, f_lo, f_hi, residual_tol):
-        # Illinois (modified regula falsi), vectorized across modes: keeps the
-        # bracket while converging superlinearly on the simple root.  One
-        # endpoint can stall, so convergence is judged on the best residual
-        # against the local secant slope rather than on the bracket width.
+    def _illinois(self, lo, hi, f_lo, f_hi):
+        # Illinois (modified regula falsi), vectorized across the modes still
+        # active: keeps the bracket while converging superlinearly on the
+        # simple root.  One endpoint can stall, so a mode leaves the batch for
+        # good once its best residual is at the rounding level of the slope
+        # between the true endpoint values (ta, tb; fa, fb carry the Illinois
+        # halvings), or its bracket is a few ulps wide.
         a, b, fa, fb = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+        ta, tb = fa.copy(), fb.copy()
         best = np.where(np.abs(fa) < np.abs(fb), a, b)
         f_best = np.where(np.abs(fa) < np.abs(fb), fa, fb)
+        active = np.ones(a.size, dtype=bool)
+        moved = np.zeros(a.size, dtype=np.int8)  # +1: b moved last, -1: a
         for _ in range(40):
             width = b - a
-            slope = np.abs(fb - fa) / np.maximum(width, 1e-300)
-            done = (width <= 4e-16 * (1.0 + np.abs(b))) | \
-                   (np.abs(f_best) <= 2e-15 * slope * (1.0 + np.abs(best)))
-            if done.all():
+            slope = np.abs(tb - ta) / np.maximum(width, 1e-300)
+            active &= (width > 4e-16 * (1.0 + np.abs(b))) & \
+                      (np.abs(f_best) > 2e-15 * slope * (1.0 + np.abs(best)))
+            i = np.flatnonzero(active)
+            if i.size == 0:
                 break
-            denom = np.where(fb == fa, np.inf, fb - fa)
-            x = b - fb * (b - a) / denom
-            x = np.clip(x, a + 1e-3 * width, b - 1e-3 * width)
-            x = np.where(done, best, x)
+            denom = np.where(fb[i] == fa[i], np.inf, fb[i] - fa[i])
+            x = b[i] - fb[i] * width[i] / denom
+            x = np.clip(x, a[i] + 1e-3 * width[i], b[i] - 1e-3 * width[i])
             fx = self.char(x)
-            improve = np.abs(fx) < np.abs(f_best)
-            best = np.where(improve, x, best)
-            f_best = np.where(improve, fx, f_best)
-            keep_left = fa * fx <= 0  # root in [a, x]
-            b, fb, fa = (np.where(keep_left, x, b),
-                         np.where(keep_left, fx, fb),
-                         np.where(keep_left, 0.5 * fa, fa))
-            a, fa, fb = (np.where(keep_left, a, x),
-                         np.where(keep_left, fa, fx),
-                         np.where(keep_left, fb, 0.5 * fb))
+            improve = np.abs(fx) < np.abs(f_best[i])
+            best[i[improve]], f_best[i[improve]] = x[improve], fx[improve]
+            left = fa[i] * fx <= 0  # root in [a, x]
+            il, ir = i[left], i[~left]
+            # halve the kept endpoint when the same side moves twice running
+            fa[il[moved[il] == 1]] *= 0.5
+            fb[ir[moved[ir] == -1]] *= 0.5
+            b[il], fb[il], tb[il] = x[left], fx[left], fx[left]
+            a[ir], fa[ir], ta[ir] = x[~left], fx[~left], fx[~left]
+            moved[il], moved[ir] = 1, -1
         res = np.abs(f_best)
         # a shrunken bracket certifies the root even when Delta is steep and
         # |Delta(root)| floors at slope * ulp(lambda)
         width_ok = (b - a) <= 1e-9 * (1.0 + np.abs(best))
-        res_ok = res <= residual_tol * (1.0 + np.abs(best))
+        res_ok = res <= _RESIDUAL_TOL * (1.0 + np.abs(best))
         if np.any(~width_ok & ~res_ok):
             raise ResidualTooLarge(
                 f"max characteristic residual {res.max():.3e} after refinement")
         return best, res
 
-    def _solve_warm(self, guesses, targets, residual_tol):
-        """Polish inside small brackets around prior eigenvalues; None on failure."""
-        for widen in (0.5, 8.0):
-            half = widen * (1.0 + 1e-3 * np.abs(guesses))
-            lo = guesses - half
-            hi = guesses + half
-            g_lo = self.angle_excess(lo) - targets
-            g_hi = self.angle_excess(hi) - targets
-            if np.all(g_lo < 0) and np.all(g_hi > 0):
-                break
-        else:
-            return None
-        f_lo = self.char(lo)
-        f_hi = self.char(hi)
-        if np.any(f_lo * f_hi > 0):
-            return None
-        return self._illinois(lo, hi, f_lo, f_hi, residual_tol)
+
+def _isolated(g_lo, g_hi, f_lo, f_hi):
+    """Brackets whose winding holds root n alone and across which Delta changes sign."""
+    return ((-np.pi < g_lo) & (g_lo < 0.0) & (0.0 < g_hi) & (g_hi < np.pi)
+            & (f_lo * f_hi <= 0.0))
 
 
 def _corrected_trapezoid(f, f_prime, h):
@@ -476,7 +465,7 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
     indices cannot be skipped, then refined on Delta.  e_n = phi_n/sqrt(beta_n)
     with e_n(0) > 0; k_n = 1/phi_n(1); beta_n by endpoint-corrected trapezoid
     on the solver grid.  lambda_guess (eigenvalues of a nearby problem) seeds
-    winding-verified warm brackets.
+    warm brackets, used when every one of them isolates its root.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")

@@ -84,6 +84,11 @@ class TestML:
         ref, ok = _series(0.5, 1.5, np.array([0.5]))
         assert ok[0] and abs(val - ref[0]) < 1e-12
 
+    def test_exotic_beta_mid_range_rejected(self):
+        assert np.isfinite(ml(0.5, 1.5, -60.0))
+        with pytest.raises(DomainError, match="beta must be 1, alpha or 2"):
+            ml(0.5, 1.5, -20.0)
+
     def test_complete_monotonicity_samples(self):
         x = np.linspace(0.0, 100.0, 401)
         for alpha in (0.3, 0.5, 0.7, 0.9):

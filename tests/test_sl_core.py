@@ -6,6 +6,7 @@ from fracspec.errors import DomainError, InsufficientModes, NonFiniteBlowup
 from fracspec.sl_core import (
     PotentialSpec,
     RobinPair,
+    _ShootingProblem,
     char_delta,
     eigen_system,
     eval_modes_at,
@@ -22,6 +23,23 @@ LAM0_H1 = 0.7401738843949670422
 Q0 = PotentialSpec.constant(0.0, 512)
 QM1 = PotentialSpec.constant(-1.0, 512)
 FREE = RobinPair(0.0, 0.0)
+
+
+def cos2_well(depth, grid_size):
+    return PotentialSpec.from_callable(
+        lambda x: -depth * np.cos(2 * np.pi * (x - 0.5)) ** 2, grid_size)
+
+
+def count_calls(monkeypatch, name):
+    """Record the batch size of every _ShootingProblem.<name> call."""
+    sizes = []
+    original = getattr(_ShootingProblem, name)
+
+    def counted(self, lams):
+        sizes.append(np.size(lams))
+        return original(self, lams)
+    monkeypatch.setattr(_ShootingProblem, name, counted)
+    return sizes
 
 
 def corrected_gram(es):
@@ -226,6 +244,39 @@ class TestEigenSystem:
         es = eigen_system(PotentialSpec.constant(0.0, 128), FREE, 124)
         exact = (np.arange(125) * np.pi) ** 2
         assert np.max(np.abs(es.lambdas - exact) / (1.0 + exact)) < 1e-12
+
+    def test_polish_stops_on_its_residual_test(self, monkeypatch):
+        # every mode leaves the batch on its own stopping test after a dozen
+        # or so passes, far below the 40-pass cap
+        sizes = count_calls(monkeypatch, "char")
+        es = eigen_system(cos2_well(2.0, 2048), RobinPair(1.0, 1.0), 64,
+                          grid_size=2048)
+        assert len(sizes) <= 20
+        assert sizes[0] == 65 and sizes[-1] < 65
+        assert np.all(np.diff(es.lambdas) > 0)
+
+    def test_warm_start_matches_cold(self, monkeypatch):
+        q, robin = cos2_well(2.0, 512), RobinPair(1.0, 1.0)
+        cold = eigen_system(q, robin, 24)
+        shift = np.where(np.arange(25) % 2 == 0, 0.3, -0.3)
+        sizes = count_calls(monkeypatch, "angle_excess")
+        warm = eigen_system(q, robin, 24, lambda_guess=cold.lambdas + shift)
+        assert sizes == [50]  # one winding pass over both ends of the warm brackets
+        rel = np.abs(warm.lambdas - cold.lambdas) / np.abs(cold.lambdas)
+        assert rel.max() <= 1e-13
+
+    def test_warm_bracket_holding_a_neighbour_falls_back(self, monkeypatch):
+        # lambda_0 = 0 and lambda_1 = pi^2: a guess of 3 for mode 0 misses at
+        # the small width, and the wide bracket [-5.0, 11.0] holds both roots
+        exact = (np.arange(13) * np.pi) ** 2
+        guess = exact.copy()
+        guess[0] = 3.0
+        sizes = count_calls(monkeypatch, "angle_excess")
+        es = eigen_system(Q0, FREE, 12, lambda_guess=guess)
+        assert sizes[:3] == [26, 26, 2]  # two warm tries, then the global brackets
+        assert abs(es.lambdas[0]) < 1e-10
+        assert np.max(np.abs(es.efuncs[0] - 1.0)) < 1e-12
+        assert np.max(np.abs(es.lambdas[1:] - exact[1:]) / exact[1:]) < 1e-10
 
 
 class TestSplitSpectra:
