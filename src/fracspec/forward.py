@@ -21,7 +21,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import polygamma
 
 from .errors import (
@@ -33,6 +33,8 @@ from .errors import (
 from .mittleff import l1_weights, relax_antiderivative, relax_primitive
 from .sl_core import EigenSystem, PotentialSpec, RobinPair, eval_modes_at
 
+
+_BLOCK_POINTS = 1 << 18  # most (mode, time) points in one relaxation call
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -51,8 +53,10 @@ class DriveSignal:
         self.values = np.asarray(self.values, dtype=float)
         if self.t_grid.size != self.values.size:
             raise DomainError("t_grid and values must have the same length")
-        if self.t_grid[0] != 0.0 or np.any(np.diff(self.t_grid) <= 0):
+        if self.t_grid[0] != 0.0 or not np.all(np.diff(self.t_grid) > 0):
             raise DomainError("t_grid must increase from 0")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("drive values must be finite")
         if self.values[0] != 0.0:
             raise DomainError("drive must start at zero (eta(0) = 0)")
 
@@ -95,11 +99,11 @@ class SpaceTimeField:
             raise DomainError("field values must be finite")
 
     def at_x(self, x: float) -> np.ndarray:
-        """Time series at spatial location x (linear interpolation in x)."""
-        out = np.empty_like(self.t_grid)
-        for j in range(self.t_grid.size):
-            out[j] = np.interp(x, self.x_grid, self.values[:, j])
-        return out
+        """Time series at x, linear in x and clamped outside x_grid like np.interp."""
+        pos = np.interp(x, self.x_grid, np.arange(self.x_grid.size, dtype=float))
+        j = min(int(pos), self.x_grid.size - 2)  # -1 on a one-point grid
+        w = pos - j
+        return (1.0 - w) * self.values[j] + w * self.values[j + 1]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -125,11 +129,17 @@ class KernelTrace:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _lam_nonneg(lam: float) -> float:
+def _lam_nonneg(lams: np.ndarray) -> np.ndarray:
     """Clamp roundoff-level negatives of the degenerate lam = 0 mode."""
-    if lam < -1e-9:
-        raise DomainError(f"negative eigenvalue {lam:.3e}: relaxation undefined")
-    return max(lam, 0.0)
+    if np.any(lams < -1e-9):
+        raise DomainError(f"negative eigenvalue {lams.min():.3e}: relaxation undefined")
+    return np.maximum(lams, 0.0)
+
+
+def _mode_blocks(n_modes: int, points_per_mode: int):
+    """Slices of the mode axis of at most _BLOCK_POINTS points (or one mode)."""
+    step = max(1, _BLOCK_POINTS // max(points_per_mode, 1))
+    return [slice(i, i + step) for i in range(0, n_modes, step)]
 
 
 def _mode_tail_bound(es: EigenSystem, n_used: int, drive_sup: float) -> float:
@@ -174,6 +184,7 @@ def _exact_convolutions(es, alpha, eta, t_grid, n_used):
     slopes = np.diff(eta.values) / np.diff(tau)
     t_grid = np.asarray(t_grid, dtype=float)
     out = np.empty((n_used, t_grid.size))
+    lams = _lam_nonneg(es.lambdas[:n_used])
 
     dt_eta = np.diff(tau)
     uniform = (np.allclose(dt_eta, dt_eta[0], rtol=1e-12, atol=1e-15)
@@ -184,26 +195,21 @@ def _exact_convolutions(es, alpha, eta, t_grid, n_used):
         uniform &= bool(np.all(np.abs(ratio - np.round(ratio)) < 1e-9))
     if uniform:
         # Toeplitz structure: S only needed at integer multiples of the step
-        step = dt_eta[0]
         kmax = int(round(t_grid[-1] / step))
         grid_k = np.arange(kmax + 1) * step
         idx_t = np.round(t_grid / step).astype(int)
-        for n in range(n_used):
-            S = relax_antiderivative(alpha, _lam_nonneg(float(es.lambdas[n])), grid_k)
-            dS = np.empty(kmax + 1)
-            dS[0] = 0.0
-            dS[1:] = S[1:] - S[:-1]
-            full = np.convolve(slopes[:kmax], dS)[:kmax + 1]
-            out[n] = full[idx_t]
+        for blk in _mode_blocks(n_used, kmax + 1):
+            S = relax_antiderivative(alpha, lams[blk, None], grid_k)
+            dS = np.diff(S, axis=1, prepend=0.0)  # S(0) = 0
+            for n, dS_n in enumerate(dS, start=blk.start):
+                out[n] = np.convolve(slopes[:kmax], dS_n)[:kmax + 1][idx_t]
         return out
 
-    offs_lo = np.maximum(t_grid[:, None] - tau[None, 1:], 0.0)
-    offs_hi = np.maximum(t_grid[:, None] - tau[None, :-1], 0.0)
-    for n in range(n_used):
-        lam = _lam_nonneg(float(es.lambdas[n]))
-        S_hi = relax_antiderivative(alpha, lam, offs_hi)
-        S_lo = relax_antiderivative(alpha, lam, offs_lo)
-        out[n] = ((S_hi - S_lo) * slopes[None, :]).sum(axis=1)
+    # S at every knot offset; S_hi and S_lo are adjacent column slices
+    offs = np.maximum(t_grid[:, None] - tau[None, :], 0.0)
+    for blk in _mode_blocks(n_used, offs.size):
+        S = relax_antiderivative(alpha, lams[blk, None, None], offs)
+        out[blk] = ((S[:, :, :-1] - S[:, :, 1:]) * slopes).sum(axis=2)
     return out
 
 
@@ -253,10 +259,11 @@ def kernel_K(es: EigenSystem, alpha: float, x: float, t_grid,
         raise DomainError("n_modes exceeds the computed eigensystem")
     t_grid = np.asarray(t_grid, dtype=float)
     e_x = _modes_at_points(es, np.asarray([x], dtype=float), n_modes)[:, 0]
-    e_1 = es.efuncs[:n_modes, -1]
+    coef = e_x * es.efuncs[:n_modes, -1]
+    lams = _lam_nonneg(es.lambdas[:n_modes])
     vals = np.zeros_like(t_grid)
-    for n in range(n_modes):
-        vals += e_x[n] * e_1[n] * relax_primitive(alpha, _lam_nonneg(float(es.lambdas[n])), t_grid)
+    for blk in _mode_blocks(n_modes, t_grid.size):
+        vals += coef[blk] @ relax_primitive(alpha, lams[blk, None], t_grid)
     tail = _mode_tail_bound(es, n_modes, 1.0)
     return KernelTrace(x=float(x), t_grid=t_grid, values=vals,
                        n_modes=n_modes, tail_bound=tail)
@@ -282,22 +289,15 @@ def duhamel_residual(field: SpaceTimeField, kernel: KernelTrace,
     dt = np.diff(t)
     lhs = np.concatenate([[0.0], np.cumsum(0.5 * dt * (u[1:] + u[:-1]))])
 
+    # cell j of row i pairs K on [t_j, t_{j+1}] with eta at t_i - t_j and
+    # t_i - t_{j+1}; E[i-1, j] = eta(t_i - t_j), row i >= 1 uses cells j < i
     K = kernel.values
-    resid = 0.0
-    for i in range(t.size):
-        if i == 0:
-            rhs = 0.0
-        else:
-            ta = t[i] - t[:i]
-            tb = t[i] - t[1:i + 1]
-            ea = eta(ta)
-            eb = eta(tb)
-            ka = K[:i]
-            kb = K[1:i + 1]
-            cells = dt[:i] / 6.0 * (2 * ka * ea + ka * eb + kb * ea + 2 * kb * eb)
-            rhs = cells.sum()
-        resid = max(resid, abs(lhs[i] - rhs))
-    return float(resid)
+    E = eta(t[1:, None] - t[None, :])
+    a = dt / 6.0 * (2.0 * K[:-1] + K[1:])
+    b = dt / 6.0 * (K[:-1] + 2.0 * K[1:])
+    cells = np.tril(E[:, :-1] * a + E[:, 1:] * b)
+    rhs = np.concatenate([[0.0], cells.sum(axis=1)])
+    return float(np.abs(lhs - rhs).max())
 
 
 def solve_l1_fd(q: PotentialSpec, robin: RobinPair, alpha: float,
@@ -322,15 +322,18 @@ def solve_l1_fd(q: PotentialSpec, robin: RobinPair, alpha: float,
     b = l1_weights(alpha, tau, nt).weights
     c_hist = b[:-1] - b[1:]  # c_hist[j] = b_j - b_{j+1} > 0
 
-    # banded (b0 I - A): A u = u_xx + q u with ghost-node Robin rows
-    ab = np.zeros((3, nx + 1))
-    ab[0, 1:] = -1.0 / dx ** 2                      # superdiagonal
-    ab[2, :-1] = -1.0 / dx ** 2                     # subdiagonal
-    ab[1, :] = b[0] + 2.0 / dx ** 2 - qv            # diagonal
-    ab[0, 1] = -2.0 / dx ** 2
-    ab[1, 0] = b[0] + 2.0 * (1.0 + dx * robin.h) / dx ** 2 - qv[0]
-    ab[2, nx - 1] = -2.0 / dx ** 2
-    ab[1, nx] = b[0] + 2.0 * (1.0 + dx * robin.H) / dx ** 2 - qv[nx]
+    # tridiagonal (b0 I - A): A u = u_xx + q u with ghost-node Robin rows;
+    # the matrix is the same at every step, so it is factored once
+    sub = np.full(nx, -1.0 / dx ** 2)
+    sup = np.full(nx, -1.0 / dx ** 2)
+    diag = b[0] + 2.0 / dx ** 2 - qv
+    sup[0] = -2.0 / dx ** 2
+    diag[0] = b[0] + 2.0 * (1.0 + dx * robin.h) / dx ** 2 - qv[0]
+    sub[nx - 1] = -2.0 / dx ** 2
+    diag[nx] = b[0] + 2.0 * (1.0 + dx * robin.H) / dx ** 2 - qv[nx]
+    *lu, info = dgttrf(sub, diag, sup)
+    if info != 0:
+        raise LinearSolveFailure(f"singular implicit step matrix (dgttrf info {info})")
 
     U = np.zeros((nt + 1, nx + 1))
     for m in range(1, nt + 1):
@@ -339,10 +342,9 @@ def solve_l1_fd(q: PotentialSpec, robin: RobinPair, alpha: float,
             # history sum_{k=1}^{m-1} (b_{m-k-1} - b_{m-k}) u^k
             rhs += U[1:m].T @ c_hist[m - 2::-1]
         rhs[nx] += 2.0 * eta_nodes[m] / dx
-        try:
-            U[m] = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise LinearSolveFailure(str(exc)) from exc
+        U[m], info = dgttrs(*lu, rhs)
+        if info != 0:  # pragma: no cover
+            raise LinearSolveFailure(f"dgttrs info {info} at step {m}")
         if not np.all(np.isfinite(U[m])):
             raise LinearSolveFailure(f"non-finite state at step {m}")
     return SpaceTimeField(x_grid=x_nodes, t_grid=t_nodes, values=U.T.copy(),

@@ -99,7 +99,7 @@ def _series(alpha, beta, x, guard=SERIES_GUARD, max_terms=400):
 
 @lru_cache(maxsize=32)
 def _integral_nodes(alpha: float):
-    """Log-grid quadrature nodes for the spectral integral at a given alpha."""
+    """Log-grid nodes rho and the weight vectors weights/D and rho*weights/D."""
     if alpha > 0.95:
         h = 0.005
     elif alpha > 0.85:
@@ -108,43 +108,43 @@ def _integral_nodes(alpha: float):
         h = 0.05
     s = np.arange(-46.0, 40.0 + h, h)
     w = np.exp(s)
-    weights = w * h
     D = w * w + 2.0 * np.cos(np.pi * alpha) * w + 1.0
     rho = w ** (1.0 / alpha)
-    pref = np.sin(np.pi * alpha) / (np.pi * alpha)
-    return w, weights, D, rho, pref
+    wd = w * h / D
+    return rho, wd, rho * wd, np.sin(np.pi * alpha) / (np.pi * alpha)
 
 
 def _integral(alpha, beta, x):
-    """Spectral-integral branch for beta in {1, alpha, 2}; x > 0."""
+    """Spectral-integral branch for beta in {1, alpha, 2}; 1-D x > 0.
+
+    Per 256-row chunk: the outer product e = -x^{1/a} rho, exp(e) (expm1(e)/e
+    for beta = 2), then a mat-vec with the cached weights.  exp underflows to
+    exactly 0 and expm1(e)/e is accurate at small |e|, so no guards are needed.
+    """
     x = np.asarray(x, dtype=float)
-    w, weights, D, rho, pref = _integral_nodes(float(alpha))
-    out = np.empty_like(x)
-    flat = x.reshape(-1)
-    res = np.empty_like(flat)
-    t = flat ** (1.0 / alpha)
-    for i0 in range(0, flat.size, 256):
-        sl = slice(i0, min(i0 + 256, flat.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            expo = rho[None, :] * t[sl, None]
-            if beta == 2.0:
-                ratio = np.where(expo < 1e-8, 1.0 - 0.5 * expo,
-                                 -np.expm1(-np.minimum(expo, 700.0))
-                                 / np.where(expo == 0.0, 1.0, expo))
-                res[sl] = (ratio / D[None, :] * weights[None, :]).sum(axis=1)
-            else:
-                E = np.where(expo > 690.0, 0.0,
-                             np.exp(-np.minimum(expo, 690.0)))
-                if beta == 1.0:
-                    res[sl] = (E / D[None, :] * weights[None, :]).sum(axis=1)
-                else:  # beta == alpha
-                    res[sl] = (E * rho[None, :] / D[None, :]
-                               * weights[None, :]).sum(axis=1)
+    rho, wd, rwd, pref = _integral_nodes(float(alpha))
+    vec = rwd if beta == alpha else wd
+    neg_t = -(x ** (1.0 / alpha))
+    res = np.empty_like(x)
+    buf = np.empty((min(256, x.size), rho.size))
+    for i0 in range(0, x.size, 256):
+        tc = neg_t[i0:i0 + 256]
+        e = np.multiply.outer(tc, rho, out=buf[:tc.size])
+        if beta == 2.0:
+            res[i0:i0 + 256] = np.divide(np.expm1(e), e, out=e) @ vec
+        else:
+            res[i0:i0 + 256] = np.exp(e, out=e) @ vec
     res *= pref
     if beta == alpha:
-        res *= flat ** ((1.0 - alpha) / alpha)
-    out.reshape(-1)[:] = res
-    return out
+        res *= x ** ((1.0 - alpha) / alpha)
+    return res
+
+
+@lru_cache(maxsize=64)
+def _asymptotic_coeffs(alpha: float, beta: float, kmax: int):
+    """-(-1)^k / Gamma(beta - alpha k) for k = 1 .. kmax - 1."""
+    k = np.arange(1, kmax)
+    return -((-1.0) ** k) * rgamma(beta - alpha * k)
 
 
 def _asymptotic(alpha, beta, x, kmax=40):
@@ -154,8 +154,8 @@ def _asymptotic(alpha, beta, x, kmax=40):
     xk = 1.0 / x
     last_mag = np.full_like(x, np.inf)
     dead = np.zeros(x.shape, dtype=bool)
-    for k in range(1, kmax):
-        term = -((-1.0) ** k) * xk * rgamma(beta - alpha * k)
+    for c in _asymptotic_coeffs(float(alpha), float(beta), kmax):
+        term = xk * c
         mag = np.abs(term)
         dead |= (mag > last_mag) & (mag > 0)
         term = np.where(dead, 0.0, term)
@@ -185,8 +185,10 @@ def ml(alpha: float, beta: float, z):
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr > 0.0):
         raise DomainError("argument must be nonpositive")
+    if np.isnan(z_arr).any():
+        raise DomainError("argument z must not be NaN")
     scalar = z_arr.ndim == 0
-    x = np.atleast_1d(-z_arr).astype(float)
+    x = -z_arr.reshape(-1)
     out = np.empty_like(x)
 
     if alpha == 1.0:
@@ -243,71 +245,67 @@ def ml_asymptotic_residual(alpha: float, lam: float, t_values):
     return np.abs(ml(alpha, 1.0, -xs) - lead) * xs ** 2
 
 
-def _relax_series(alpha, order, t, y):
-    """t^(order-1+a) sum_j (-y)^j / Gamma(a j + a + order) for small y = lam t^a.
+def _relax(alpha, order, lam, t):
+    """Body of relax_primitive (order 1) and relax_antiderivative (order 2).
 
-    The direct sum behind relax_primitive (order 1) and relax_antiderivative
-    (order 2), free of the 1 - E cancellation.
+    Small y = lam t^a: t^(order-1+a) sum_j (-y)^j / Gamma(a j + a + order), free
+    of the 1 - E cancellation; otherwise t^(order-1) (1 - E_{a,order}(-y)) / lam
+    with one ml call for all points.
     """
-    acc = np.zeros_like(y)
-    yk = np.ones_like(y)
-    for j in range(60):
-        term = yk * rgamma(alpha * j + alpha + order)
-        acc += term
-        yk *= -y
-        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-            break
-    return t ** (order - 1.0 + alpha) * acc
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError("alpha must lie in (0, 1]")
+    lam = np.asarray(lam, dtype=float)
+    if np.isnan(lam).any():
+        raise DomainError("lambda must not be NaN")
+    if np.any(lam < 0):
+        raise DomainError("lambda must be nonnegative")
+    t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise DomainError("t must not be NaN")
+    if order == 1 and np.any(t < 0):
+        raise DomainError("t must be nonnegative")
+    lam, t = np.broadcast_arrays(lam, np.maximum(t, 0.0))
+    y = lam * t ** alpha
+    out = np.empty_like(y)
+    small = y <= 0.5
+    if small.any():
+        ys = y[small]
+        acc = np.zeros_like(ys)
+        yk = np.ones_like(ys)
+        for j in range(60):
+            term = yk * rgamma(alpha * j + alpha + order)
+            acc += term
+            yk *= -ys
+            if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+                break
+        out[small] = t[small] ** (order - 1.0 + alpha) * acc
+    big = ~small
+    if big.any():
+        E = ml(alpha, float(order), -y[big])
+        if order == 1:
+            out[big] = (1.0 - E) / lam[big]
+        else:
+            out[big] = t[big] / lam[big] * (1.0 - E)
+    return out if out.ndim else float(out)
 
 
-def relax_primitive(alpha: float, lam: float, t):
+def relax_primitive(alpha: float, lam, t):
     """int_0^t s^{a-1} E_{a,a}(-lam s^a) ds = (1 - E_{a,1}(-lam t^a))/lam.
 
     Continuous in lam at 0 with value t^a/Gamma(a+1); the small lam*t^a regime
-    is summed directly to avoid the 1 - E cancellation.
+    is summed directly to avoid the 1 - E cancellation.  lam broadcasts against t.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("t must be nonnegative")
-    scalar = t_arr.ndim == 0
-    t = np.atleast_1d(t_arr).astype(float)
-    y = lam * t ** alpha
-    out = np.empty_like(t)
-    small = y <= 0.5
-    if small.any():
-        out[small] = _relax_series(alpha, 1, t[small], y[small])
-    if (~small).any():
-        out[~small] = (1.0 - ml(alpha, 1.0, -y[~small])) / lam
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
+    return _relax(alpha, 1, lam, t)
 
 
-def relax_antiderivative(alpha: float, lam: float, t):
+def relax_antiderivative(alpha: float, lam, t):
     """int_0^t relax_primitive(alpha, lam, s) ds = (t/lam)(1 - E_{a,2}(-lam t^a)).
 
     Exact time integral of the relaxation primitive, used to integrate the
-    solution kernel exactly against piecewise-linear drives.
+    solution kernel exactly against piecewise-linear drives; t < 0 counts as 0
+    and lam broadcasts against t.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t = np.atleast_1d(t_arr).astype(float)
-    t = np.maximum(t, 0.0)
-    y = lam * t ** alpha
-    out = np.empty_like(t)
-    small = y <= 0.5
-    if small.any():
-        out[small] = _relax_series(alpha, 2, t[small], y[small])
-    if (~small).any():
-        tb = t[~small]
-        out[~small] = tb / lam * (1.0 - ml(alpha, 2.0, -y[~small]))
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
+    return _relax(alpha, 2, lam, t)
 
 
 def ml_laplace_residual(alpha: float, lam: float, zeta: float,

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from fracspec import forward
 from fracspec.errors import DomainError, IncompatibleGrids, TruncationTooCoarse
 from fracspec.forward import (
     DriveSignal,
     SpaceTimeField,
+    _exact_convolutions,
     duhamel_residual,
     kernel_K,
     solve_l1_fd,
     solve_spectral,
 )
+from fracspec.mittleff import relax_antiderivative
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
 
 Q0 = PotentialSpec.constant(0.0, 1024)
@@ -37,6 +40,12 @@ class TestDriveSignal:
             DriveSignal(np.array([0.0, 0.5, 0.4]), np.zeros(3))
         with pytest.raises(DomainError):
             DriveSignal(np.array([0.1, 0.5]), np.zeros(2))
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(DomainError, match="drive values must be finite"):
+            DriveSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(DomainError, match="drive values must be finite"):
+            DriveSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, np.inf]))
 
     def test_csv_roundtrip_header(self, ramp):
         text = ramp.to_csv()
@@ -107,6 +116,38 @@ class TestSolveSpectral:
                 assert abs(uv - f_fast.values[0, j]) < 1e-12
 
 
+class TestBatchedConvolutions:
+    @pytest.mark.parametrize("n_knots", [5, 240])
+    def test_general_drive_matches_per_mode_loop(self, es_free, n_knots):
+        rng = np.random.default_rng(n_knots)
+        tau = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n_knots - 2)]))
+        eta = DriveSignal(tau, np.sin(3.0 * tau) ** 2 + tau)
+        t = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 41)]))
+        n_used = es_free.n_max + 1
+        if n_knots > 5:  # enough points per mode to split the mode axis
+            assert n_used * t.size * n_knots > forward._BLOCK_POINTS
+        conv = _exact_convolutions(es_free, 0.7, eta, t, n_used)
+        slopes = np.diff(eta.values) / np.diff(tau)
+        offs_lo = np.maximum(t[:, None] - tau[None, 1:], 0.0)
+        offs_hi = np.maximum(t[:, None] - tau[None, :-1], 0.0)
+        ref = np.empty_like(conv)
+        for n in range(n_used):
+            lam = max(float(es_free.lambdas[n]), 0.0)
+            S_hi = relax_antiderivative(0.7, lam, offs_hi)
+            S_lo = relax_antiderivative(0.7, lam, offs_lo)
+            ref[n] = ((S_hi - S_lo) * slopes[None, :]).sum(axis=1)
+        assert np.abs(conv - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_negative_eigenvalue_rejected(self, ramp):
+        q = PotentialSpec.constant(2.0, 256)
+        es = eigen_system(q, FREE, 6, grid_size=256, allow_inadmissible=True)
+        assert es.lambdas[0] < -1.0
+        with pytest.raises(DomainError, match="negative eigenvalue .*relaxation undefined"):
+            solve_spectral(es, 0.5, ramp, np.array([0.5]), ramp.t_grid, trunc_tol=1.0)
+        with pytest.raises(DomainError, match="negative eigenvalue .*relaxation undefined"):
+            kernel_K(es, 0.5, 0.5, ramp.t_grid, 7)
+
+
 class TestKernel:
     def test_zero_at_origin(self, es_free):
         ker = kernel_K(es_free, 0.5, 0.4, np.linspace(0, 1, 33), 40)
@@ -154,6 +195,21 @@ class TestDuhamel:
             ker = kernel_K(es_free, 0.5, 0.3, eta.t_grid, 49)
             res[nt] = duhamel_residual(f, ker, eta)
         assert res[256] <= 0.55 * res[128]
+
+    def test_matches_product_integration_loop(self, es_free):
+        eta = DriveSignal(np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 33) ** 1.5)
+        t = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(0, 1, 60)]))
+        f = solve_spectral(es_free, 0.5, eta, np.array([0.3]), t)
+        ker = kernel_K(es_free, 0.5, 0.3, t, 49)
+        u, K, dt = f.values[0], ker.values, np.diff(t)
+        lhs = np.concatenate([[0.0], np.cumsum(0.5 * dt * (u[1:] + u[:-1]))])
+        ref = 0.0
+        for i in range(1, t.size):
+            ea, eb = eta(t[i] - t[:i]), eta(t[i] - t[1:i + 1])
+            ka, kb = K[:i], K[1:i + 1]
+            rhs = (dt[:i] / 6.0 * (2 * ka * ea + ka * eb + kb * ea + 2 * kb * eb)).sum()
+            ref = max(ref, abs(lhs[i] - rhs))
+        assert abs(duhamel_residual(f, ker, eta) - ref) <= 1e-14 * np.abs(lhs).max()
 
     def test_grid_mismatch_rejected(self, es_free, ramp):
         f = solve_spectral(es_free, 0.5, ramp, np.array([0.3]), ramp.t_grid)
@@ -220,3 +276,12 @@ class TestSpaceTimeField:
         f = solve_spectral(es_free, 0.5, ramp, np.array([0.2, 0.4]), ramp.t_grid)
         mid = f.at_x(0.3)
         assert np.allclose(mid, 0.5 * (f.values[0] + f.values[1]))
+
+    def test_at_x_matches_columnwise_interp(self, ramp):
+        fd = solve_l1_fd(Q0, FREE, 0.5, ramp, 64, 64)
+        scale = np.abs(fd.values).max()
+        for x in (-0.2, 0.0, 0.123, 0.5, 1.0 - 1e-9, 1.0, 1.5):
+            ref = np.array([np.interp(x, fd.x_grid, col) for col in fd.values.T])
+            assert np.abs(fd.at_x(x) - ref).max() <= 1e-15 * scale
+        one = SpaceTimeField(np.array([0.4]), fd.t_grid, fd.values[:1], "l1fd")
+        assert np.array_equal(one.at_x(0.9), fd.values[0])

@@ -67,6 +67,12 @@ class TestML:
         out = ml(0.5, 1.0, z)
         assert out.shape == z.shape
 
+    def test_two_dimensional_argument(self):
+        z = -np.linspace(0.0, 60.0, 12).reshape(3, 4)
+        out = ml(0.5, 2.0, z)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out.ravel(), ml(0.5, 2.0, z.ravel()))
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             ml(0.5, 1.0, 0.5)
@@ -76,6 +82,13 @@ class TestML:
             ml(0.5, -1.0, -1.0)
         with pytest.raises(DomainError):
             MLQuery(0.0, 1.0, -1.0)
+
+    def test_nan_argument_rejected(self):
+        with pytest.raises(DomainError, match="z must not be NaN"):
+            ml(0.5, 1.0, np.nan)
+        with pytest.raises(DomainError, match="z must not be NaN"):
+            ml(0.5, 2.0, np.array([-1.0, np.nan]))
+        assert ml(0.5, 1.0, -np.inf) == 0.0
 
     def test_exotic_beta_best_effort(self):
         # E_{1/2, 3/2}(-x) = (1 - exp(x^2) erfc(x)) / (x sqrt(pi) / sqrt(pi))...
@@ -101,7 +114,7 @@ class TestML:
         # overlap window below the switch point, restricted to points where
         # the cancellation guard still trusts the double-precision series
         x = np.linspace(2.5, 5.0, 26)
-        for alpha in (0.6, 0.7, 0.8):
+        for alpha in (0.6, 0.7, 0.8, 0.93, 0.97):
             for beta in (1.0, alpha, 2.0):
                 ser, ok = _series(alpha, beta, x)
                 assert ok.any()
@@ -110,7 +123,7 @@ class TestML:
 
     def test_branch_agreement_integral_asymptotic(self):
         x = np.linspace(45.0, 55.0, 11)
-        for alpha in (0.3, 0.5, 0.7, 0.9):
+        for alpha in (0.3, 0.5, 0.7, 0.9, 0.93, 0.97):
             for beta in (1.0, alpha, 2.0):
                 integ = _integral(alpha, beta, x)
                 asym = _asymptotic(alpha, beta, x)
@@ -176,6 +189,34 @@ class TestRelaxPrimitive:
                    - relax_antiderivative(alpha, lam, t - dt)) / (2 * dt)
             ref = relax_primitive(alpha, lam, t)
             assert abs(num - ref) < 1e-7 * abs(ref)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.97, 1.0])
+    def test_array_lambda_matches_scalar_calls(self, alpha):
+        lams = np.array([0.0, 1e-6, 0.7, 40.0, 3e3, 2e5])
+        t = np.concatenate([[-0.3, 0.0], np.geomspace(1e-8, 3.0, 40)])
+        for fn, ts in ((relax_antiderivative, t), (relax_primitive, t[1:])):
+            batch = fn(alpha, lams[:, None], ts[None, :])
+            assert batch.shape == (lams.size, ts.size)
+            ref = np.array([fn(alpha, lam, ts) for lam in lams])
+            assert np.all(np.abs(batch - ref) <= 1e-15 * np.abs(ref))
+        # a clamped negative time is time zero; a scalar pair stays a float
+        assert relax_antiderivative(alpha, lams[:, None], t[None, :])[:, 0].max() == 0.0
+        assert isinstance(relax_primitive(alpha, np.float64(2.0), 1.0), float)
+
+    def test_array_lambda_domain_errors(self):
+        with pytest.raises(DomainError, match="lambda must be nonnegative"):
+            relax_antiderivative(0.5, np.array([[1.0], [-2.0]]), np.ones(3))
+        with pytest.raises(DomainError, match="t must be nonnegative"):
+            relax_primitive(0.5, np.array([[1.0], [2.0]]), np.array([0.5, -1.0]))
+
+    def test_nan_rejected(self):
+        for fn in (relax_primitive, relax_antiderivative):
+            with pytest.raises(DomainError, match="lambda must not be NaN"):
+                fn(0.5, np.nan, 1.0)
+            with pytest.raises(DomainError, match="lambda must not be NaN"):
+                fn(0.5, np.array([[1.0], [np.nan]]), np.ones(3))
+            with pytest.raises(DomainError, match="t must not be NaN"):
+                fn(0.5, 1.0, np.array([0.5, np.nan]))
 
     def test_antiderivative_zero_lambda(self):
         assert abs(relax_antiderivative(0.5, 0.0, 1.0) - 1.0 / gamma(2.5)) < 1e-13
