@@ -17,7 +17,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,48 +37,191 @@ from .sl_core import PotentialSpec, RobinPair, eigen_system
 # configuration schema
 # ---------------------------------------------------------------------------
 
-COMMANDS = ("eigensolve", "forward", "kernel", "weyl-scan", "counting",
-            "region-map", "reconstruct", "distinguish", "verify-all")
+_REQUIRED = object()  # the default of a field every config must give
 
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _check_q(obj, path, errors):
-    if not isinstance(obj, dict):
-        errors.append(f"{path}: expected an object describing the potential")
-        return
-    kind = obj.get("type")
-    if kind == "constant":
-        if not _is_num(obj.get("value")):
-            errors.append(f"{path}.value: number required")
-        extra = set(obj) - {"type", "value"}
-    elif kind == "bump":
-        for key in ("depth", "width"):
-            if not _is_num(obj.get(key)):
-                errors.append(f"{path}.{key}: number required")
-        extra = set(obj) - {"type", "depth", "width"}
-    elif kind == "cosine":
-        for key in ("mean", "amplitude", "frequency"):
-            if not _is_num(obj.get(key)):
-                errors.append(f"{path}.{key}: number required")
-        extra = set(obj) - {"type", "mean", "amplitude", "frequency"}
-    elif kind == "samples":
-        if not isinstance(obj.get("samples"), list):
-            errors.append(f"{path}.samples: list required")
-        if not isinstance(obj.get("grid_size"), int):
-            errors.append(f"{path}.grid_size: integer required")
-        extra = set(obj) - {"type", "samples", "grid_size"}
-    else:
-        errors.append(f"{path}.type: one of constant|bump|cosine|samples")
-        return
-    for key in sorted(extra):
+def _is_finite_num(v):
+    return _is_num(v) and abs(v) <= sys.float_info.max
+
+
+@dataclass(frozen=True)
+class _Num:
+    """A finite number in [lo, hi]; an integer, or > 0, when flagged."""
+
+    lo: float | None = None
+    hi: float | None = None
+    integer: bool = False
+    positive: bool = False
+    default: object = _REQUIRED
+
+    def check(self, v, path, obj, errors):
+        if self.integer and not isinstance(v, int):
+            errors.append(f"{path}: integer required")
+        elif not _is_num(v) or (self.positive and not v > 0):
+            errors.append(f"{path}: {'positive ' * self.positive}number required")
+        elif not _is_finite_num(v):
+            errors.append(f"{path}: finite number required")
+        elif self.lo is not None and v < self.lo:
+            errors.append(f"{path}: must be >= {self.lo}")
+        elif self.hi is not None and v > self.hi:
+            errors.append(f"{path}: must be <= {self.hi}")
+
+
+@dataclass(frozen=True)
+class _Choice:
+    options: tuple
+    default: object = _REQUIRED
+
+    def check(self, v, path, obj, errors):
+        if v not in self.options:
+            errors.append(f"{path}: one of {'|'.join(self.options)}")
+
+
+@dataclass(frozen=True)
+class _List:
+    """A list of finite numbers; of obj[size_key] + 1 of them when given."""
+
+    size_key: str | None = None
+    default: object = _REQUIRED
+
+    def check(self, v, path, obj, errors):
+        if not isinstance(v, list):
+            errors.append(f"{path}: list required")
+            return
+        bad = [i for i, x in enumerate(v) if not _is_finite_num(x)]
+        size = obj.get(self.size_key)
+        if not v:
+            errors.append(f"{path}: non-empty list required")
+        elif bad:
+            errors.append(f"{path}[{bad[0]}]: finite number required")
+        elif isinstance(size, int) and len(v) != size + 1:
+            errors.append(f"{path}: {self.size_key} + 1 = {size + 1} values "
+                          f"required, got {len(v)}")
+
+
+@dataclass(frozen=True)
+class _Kinds:
+    """An object whose "type" tag picks the fields of the rest of it."""
+
+    noun: str
+    kinds: dict
+    default: object = _REQUIRED
+
+    def check(self, v, path, obj, errors):
+        if not isinstance(v, dict):
+            errors.append(f"{path}: expected an object describing the {self.noun}")
+        elif not isinstance(v.get("type"), str) or v["type"] not in self.kinds:
+            errors.append(f"{path}.type: one of {'|'.join(self.kinds)}")
+        else:
+            _check_fields({k: x for k, x in v.items() if k != "type"},
+                          self.kinds[v["type"]], path, errors)
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """Density certificate {A, B} of region-map; null means none."""
+
+    default: object = None
+
+    def check(self, v, path, obj, errors):
+        if v is not None and not (isinstance(v, dict)
+                                  and _is_finite_num(v.get("A"))
+                                  and _is_finite_num(v.get("B"))):
+            errors.append(f"{path}: object with numeric A and B required")
+        elif v is not None:
+            _check_fields(v, {"A": _Num(), "B": _Num()}, path, errors)
+
+
+def _check_fields(obj, fields, path, errors):
+    for key in sorted(set(obj) - set(fields)):
         errors.append(f"{path}.{key}: unknown key")
+    for key, field in fields.items():
+        if key in obj:
+            field.check(obj[key], f"{path}.{key}", obj, errors)
+        elif field.default is _REQUIRED:
+            errors.append(f"{path}.{key}: missing")
 
 
-def _build_q(obj, grid_size=1024) -> PotentialSpec:
-    kind = obj["type"]
+_Q = _Kinds("potential", {
+    "constant": {"value": _Num()},
+    "bump": {"depth": _Num(), "width": _Num(positive=True)},
+    "cosine": {"mean": _Num(), "amplitude": _Num(), "frequency": _Num()},
+    "samples": {"samples": _List(size_key="grid_size"),
+                "grid_size": _Num(integer=True)},
+})
+_ETA = _Kinds("drive", {
+    "ramp": {},
+    "ramp-hold": {"t1": _Num(positive=True)},
+    "poly": {"power": _Num(positive=True)},
+    "samples": {"t": _List(), "values": _List()},
+})
+_HELD_RAMP = replace(_ETA, default={"type": "ramp-hold", "t1": 1.0})
+_ROBIN = _Num(lo=0.0)
+_ALPHA = _Num(lo=1e-9, hi=1.0)
+_T = _Num(lo=1e-12)
+_UNIT = _Num(lo=0.0, hi=1.0)
+_OPEN_UNIT = _Num(lo=1e-9, hi=1.0 - 1e-9)
+
+# The parameters of each command in the order validate reports them: type,
+# bounds and default (_REQUIRED: the config must give it).
+SCHEMA = {
+    "eigensolve": {
+        "q": _Q, "h": _ROBIN, "H": _ROBIN, "n_max": _Num(lo=0, integer=True),
+        # None: solve on the potential's own grid
+        "grid_size": _Num(lo=16, integer=True, default=None)},
+    "forward": {
+        "q": _Q, "h": _ROBIN, "H": _ROBIN, "alpha": _ALPHA, "eta": _ETA,
+        "T": _T, "nt": _Num(lo=32, integer=True),
+        "nx": _Num(lo=32, integer=True),
+        "method": _Choice(("spectral", "l1fd", "both"), default="both"),
+        "n_max": _Num(lo=0, integer=True, default=64)},
+    "kernel": {
+        "q": _Q, "h": _ROBIN, "H": _ROBIN, "alpha": _ALPHA, "T": _T,
+        "nt": _Num(lo=32, integer=True), "x": _UNIT,
+        "n_modes": _Num(lo=1, integer=True),
+        # None: worked out from n_modes by the runner
+        "n_max": _Num(lo=0, integer=True, default=None)},
+    "weyl-scan": {
+        "q": _Q, "h": _ROBIN, "x": _Num(lo=1e-9, hi=1.0),
+        "mag_lo": _Num(lo=1e-9),
+        "mag_hi": _Num(lo=1e-9, hi=weyl.RAY_SQRT_CAP ** 2),
+        "count": _Num(lo=3, integer=True),
+        "direction": _Choice(("imaginary-axis", "sector"),
+                             default="imaginary-axis"),
+        "angle": _Num(lo=0.0, hi=np.pi, default=np.pi / 2)},
+    "counting": {
+        "x0": _UNIT, "n_modes": _Num(lo=10, integer=True),
+        "s_lo": _Num(lo=1e-9), "s_hi": _Num(lo=1e-9),
+        "s_count": _Num(lo=4, integer=True), "A": _Num(lo=1e-9, default=None)},
+    "region-map": {
+        "resolution": _Num(lo=10, integer=True), "certificate": _Certificate()},
+    "reconstruct": {
+        "alpha": _ALPHA, "d": _OPEN_UNIT, "x0": _UNIT, "h_true": _ROBIN, "H": _ROBIN,
+        "truth": _Q, "M": _Num(lo=0, hi=16, integer=True),
+        "gamma": _Num(lo=0.0), "noise_level": _Num(lo=0.0), "T": _T,
+        "n_samples": _Num(lo=4, integer=True), "eta": _HELD_RAMP,
+        "n_max": _Num(lo=1, integer=True, default=24),
+        "grid_size": _Num(lo=16, integer=True, default=512),
+        "max_iter": _Num(lo=1, integer=True, default=40),
+        "data_nx": _Num(lo=32, integer=True, default=256),
+        "data_nt": _Num(lo=32, integer=True, default=512)},
+    "distinguish": {
+        "n_pairs": _Num(lo=1, integer=True), "d": _OPEN_UNIT, "x0": _UNIT,
+        "alpha": _ALPHA, "H": _ROBIN, "T": _T,
+        "n_samples": _Num(lo=4, integer=True), "eta": _HELD_RAMP},
+    "verify-all": {},
+}
+COMMANDS = tuple(SCHEMA)
+
+
+def _build_q(obj, grid_size=None) -> PotentialSpec:
+    """The potential obj describes: samples keep their own grid, the
+    analytic kinds are sampled on grid_size cells (1024 when None)."""
+    kind, grid_size = obj["type"], grid_size or 1024
     if kind == "constant":
         return PotentialSpec.constant(float(obj["value"]), grid_size)
     if kind == "bump":
@@ -94,39 +237,13 @@ def _build_q(obj, grid_size=1024) -> PotentialSpec:
                          int(obj["grid_size"]))
 
 
-def _check_eta(obj, path, errors):
-    if not isinstance(obj, dict):
-        errors.append(f"{path}: expected an object describing the drive")
-        return
-    kind = obj.get("type")
-    if kind == "ramp":
-        extra = set(obj) - {"type"}
-    elif kind == "ramp-hold":
-        if not _is_num(obj.get("t1")) or obj.get("t1", 0) <= 0:
-            errors.append(f"{path}.t1: positive number required")
-        extra = set(obj) - {"type", "t1"}
-    elif kind == "poly":
-        if not _is_num(obj.get("power")) or obj.get("power", 0) <= 0:
-            errors.append(f"{path}.power: positive number required")
-        extra = set(obj) - {"type", "power"}
-    elif kind == "samples":
-        for key in ("t", "values"):
-            if not isinstance(obj.get(key), list):
-                errors.append(f"{path}.{key}: list required")
-        extra = set(obj) - {"type", "t", "values"}
-    else:
-        errors.append(f"{path}.type: one of ramp|ramp-hold|poly|samples")
-        return
-    for key in sorted(extra):
-        errors.append(f"{path}.{key}: unknown key")
-
-
 def _build_eta(obj, T: float, nt: int = 512) -> fwd.DriveSignal:
     kind = obj["type"]
-    if kind == "ramp":
+    # a ramp held from t1 >= T on is the plain ramp over [0, T]
+    if kind == "ramp" or (kind == "ramp-hold" and obj["t1"] >= T):
         return fwd.DriveSignal(np.array([0.0, T]), np.array([0.0, T]))
     if kind == "ramp-hold":
-        t1 = min(float(obj["t1"]), T)
+        t1 = float(obj["t1"])
         return fwd.DriveSignal(np.array([0.0, t1, T]), np.array([0.0, t1, t1]))
     if kind == "poly":
         return fwd.DriveSignal.from_callable(
@@ -135,161 +252,26 @@ def _build_eta(obj, T: float, nt: int = 512) -> fwd.DriveSignal:
                            np.asarray(obj["values"], dtype=float))
 
 
-def _num_field(params, key, errors, lo=None, hi=None, required=True,
-               integer=False, prefix="parameters"):
-    if key not in params:
-        if required:
-            errors.append(f"{prefix}.{key}: missing")
-        return
-    v = params[key]
-    if integer and not isinstance(v, int):
-        errors.append(f"{prefix}.{key}: integer required")
-        return
-    if not _is_num(v):
-        errors.append(f"{prefix}.{key}: number required")
-        return
-    if lo is not None and v < lo:
-        errors.append(f"{prefix}.{key}: must be >= {lo}")
-    if hi is not None and v > hi:
-        errors.append(f"{prefix}.{key}: must be <= {hi}")
-
-
-_COMMON_KEYS = {
-    "eigensolve": {"q", "h", "H", "n_max", "grid_size"},
-    "forward": {"q", "h", "H", "alpha", "eta", "T", "nt", "nx", "n_max",
-                "method"},
-    "kernel": {"q", "h", "H", "alpha", "x", "T", "nt", "n_modes", "n_max"},
-    "weyl-scan": {"q", "h", "x", "mag_lo", "mag_hi", "count", "direction",
-                  "angle"},
-    "counting": {"x0", "n_modes", "s_lo", "s_hi", "s_count", "A"},
-    "region-map": {"resolution", "certificate"},
-    "reconstruct": {"alpha", "d", "x0", "h_true", "H", "truth", "M", "gamma",
-                    "noise_level", "T", "n_samples", "eta", "n_max",
-                    "grid_size", "max_iter", "data_nx", "data_nt"},
-    "distinguish": {"n_pairs", "d", "x0", "alpha", "H", "T", "n_samples",
-                    "eta"},
-    "verify-all": set(),
-}
-
-
 def validate(config_text: str) -> list[str]:
     """Schema errors for a JSON configuration; empty list means valid."""
-    errors: list[str] = []
     try:
         cfg = json.loads(config_text)
     except json.JSONDecodeError as exc:
         return [f"$: invalid JSON ({exc.msg} at line {exc.lineno})"]
     if not isinstance(cfg, dict):
         return ["$: top-level object required"]
-    for key in sorted(set(cfg) - {"command", "parameters", "output_dir", "seed"}):
-        errors.append(f"{key}: unknown key")
+    errors = [f"{key}: unknown key" for key in
+              sorted(set(cfg) - {"command", "parameters", "output_dir", "seed"})]
     command = cfg.get("command")
     if command not in COMMANDS:
         errors.append(f"command: one of {'|'.join(COMMANDS)} required")
         return errors
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        errors.append("seed: integer required")
+    if "seed" in cfg:
+        _Num(integer=True).check(cfg["seed"], "seed", cfg, errors)
     params = cfg.get("parameters", {})
     if not isinstance(params, dict):
         return errors + ["parameters: object required"]
-    for key in sorted(set(params) - _COMMON_KEYS[command]):
-        errors.append(f"parameters.{key}: unknown key")
-
-    if command == "eigensolve":
-        if "q" in params:
-            _check_q(params["q"], "parameters.q", errors)
-        else:
-            errors.append("parameters.q: missing")
-        _num_field(params, "h", errors, lo=0.0)
-        _num_field(params, "H", errors, lo=0.0)
-        _num_field(params, "n_max", errors, lo=0, integer=True)
-        _num_field(params, "grid_size", errors, lo=16, integer=True,
-                   required=False)
-    elif command in ("forward", "kernel"):
-        if "q" in params:
-            _check_q(params["q"], "parameters.q", errors)
-        else:
-            errors.append("parameters.q: missing")
-        _num_field(params, "h", errors, lo=0.0)
-        _num_field(params, "H", errors, lo=0.0)
-        _num_field(params, "alpha", errors, lo=1e-9, hi=1.0)
-        if "eta" in params:
-            _check_eta(params["eta"], "parameters.eta", errors)
-        else:
-            errors.append("parameters.eta: missing")
-        _num_field(params, "T", errors, lo=1e-12)
-        _num_field(params, "nt", errors, lo=32, integer=True)
-        if command == "forward":
-            _num_field(params, "nx", errors, lo=32, integer=True)
-            method = params.get("method", "both")
-            if method not in ("spectral", "l1fd", "both"):
-                errors.append("parameters.method: one of spectral|l1fd|both")
-            _num_field(params, "n_max", errors, lo=0, integer=True,
-                       required=False)
-        else:
-            _num_field(params, "x", errors, lo=0.0, hi=1.0)
-            _num_field(params, "n_modes", errors, lo=1, integer=True)
-            _num_field(params, "n_max", errors, lo=0, integer=True,
-                       required=False)
-    elif command == "weyl-scan":
-        if "q" in params:
-            _check_q(params["q"], "parameters.q", errors)
-        else:
-            errors.append("parameters.q: missing")
-        _num_field(params, "h", errors, lo=0.0)
-        _num_field(params, "x", errors, lo=1e-9, hi=1.0)
-        _num_field(params, "mag_lo", errors, lo=1e-9)
-        _num_field(params, "mag_hi", errors, lo=1e-9, hi=weyl.RAY_SQRT_CAP ** 2)
-        _num_field(params, "count", errors, lo=3, integer=True)
-        if "direction" in params and params["direction"] not in (
-                "imaginary-axis", "sector"):
-            errors.append("parameters.direction: one of imaginary-axis|sector")
-        _num_field(params, "angle", errors, lo=0.0, hi=np.pi, required=False)
-    elif command == "counting":
-        _num_field(params, "x0", errors, lo=0.0, hi=1.0)
-        _num_field(params, "n_modes", errors, lo=10, integer=True)
-        _num_field(params, "s_lo", errors, lo=1e-9)
-        _num_field(params, "s_hi", errors, lo=1e-9)
-        _num_field(params, "s_count", errors, lo=4, integer=True)
-        _num_field(params, "A", errors, lo=1e-9, required=False)
-    elif command == "region-map":
-        _num_field(params, "resolution", errors, lo=10, integer=True)
-        cert = params.get("certificate")
-        if cert is not None:
-            if not (isinstance(cert, dict) and _is_num(cert.get("A"))
-                    and _is_num(cert.get("B"))):
-                errors.append("parameters.certificate: object with numeric "
-                              "A and B required")
-    elif command == "reconstruct":
-        _num_field(params, "alpha", errors, lo=1e-9, hi=1.0)
-        _num_field(params, "d", errors, lo=1e-9, hi=1.0 - 1e-9)
-        _num_field(params, "x0", errors, lo=0.0, hi=1.0)
-        _num_field(params, "h_true", errors, lo=0.0)
-        _num_field(params, "H", errors, lo=0.0)
-        if "truth" in params:
-            _check_q(params["truth"], "parameters.truth", errors)
-        else:
-            errors.append("parameters.truth: missing")
-        _num_field(params, "M", errors, lo=0, hi=16, integer=True)
-        _num_field(params, "gamma", errors, lo=0.0)
-        _num_field(params, "noise_level", errors, lo=0.0)
-        _num_field(params, "T", errors, lo=1e-12)
-        _num_field(params, "n_samples", errors, lo=4, integer=True)
-        if "eta" in params:
-            _check_eta(params["eta"], "parameters.eta", errors)
-        for key, lo in (("n_max", 1), ("grid_size", 16), ("max_iter", 1),
-                        ("data_nx", 32), ("data_nt", 32)):
-            _num_field(params, key, errors, lo=lo, integer=True, required=False)
-    elif command == "distinguish":
-        _num_field(params, "n_pairs", errors, lo=1, integer=True)
-        _num_field(params, "d", errors, lo=1e-9, hi=1.0 - 1e-9)
-        _num_field(params, "x0", errors, lo=0.0, hi=1.0)
-        _num_field(params, "alpha", errors, lo=1e-9, hi=1.0)
-        _num_field(params, "H", errors, lo=0.0)
-        _num_field(params, "T", errors, lo=1e-12)
-        _num_field(params, "n_samples", errors, lo=4, integer=True)
-        if "eta" in params:
-            _check_eta(params["eta"], "parameters.eta", errors)
+    _check_fields(params, SCHEMA[command], "parameters", errors)
     return errors
 
 
@@ -369,10 +351,10 @@ def _csv_text(header: list[str], rows) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_eigensolve(params, writer, seed):
-    q = _build_q(params["q"], params.get("grid_size", 1024))
+    q = _build_q(params["q"], params["grid_size"])
     rb = RobinPair(float(params["h"]), float(params["H"]))
     es = eigen_system(q, rb, int(params["n_max"]),
-                      grid_size=params.get("grid_size"),
+                      grid_size=params["grid_size"],
                       allow_inadmissible=not q.admissible)
     rows = [(int(n), float(es.lambdas[n]), float(es.k[n]), float(es.beta[n]),
              float(es.residuals[n])) for n in range(es.n_max + 1)]
@@ -401,8 +383,8 @@ def _run_forward(params, writer, seed):
     alpha = float(params["alpha"])
     T, nt, nx = float(params["T"]), int(params["nt"]), int(params["nx"])
     eta = _build_eta(params["eta"], T, nt)
-    method = params.get("method", "both")
-    n_max = int(params.get("n_max", 64))
+    method = params["method"]
+    n_max = int(params["n_max"])
     t_grid = np.linspace(0.0, T, nt + 1)
     x_grid = np.linspace(0.0, 1.0, nx + 1)
     checks = []
@@ -437,7 +419,8 @@ def _run_kernel(params, writer, seed):
     alpha = float(params["alpha"])
     T, nt = float(params["T"]), int(params["nt"])
     n_modes = int(params["n_modes"])
-    n_max = int(params.get("n_max", max(n_modes - 1, 8)))
+    n_max = (max(n_modes - 1, 8) if params["n_max"] is None
+             else int(params["n_max"]))
     es = eigen_system(q, rb, max(n_max, n_modes - 1), grid_size=grid,
                       allow_inadmissible=not q.admissible)
     t_grid = np.linspace(0.0, T, nt + 1)
@@ -456,8 +439,7 @@ def _run_weyl_scan(params, writer, seed):
     q = _build_q(params["q"], 1024)
     mags = np.geomspace(float(params["mag_lo"]), float(params["mag_hi"]),
                         int(params["count"]))
-    ray = weyl.ComplexRay(mags, params.get("direction", "imaginary-axis"),
-                          float(params.get("angle", np.pi / 2)))
+    ray = weyl.ComplexRay(mags, params["direction"], float(params["angle"]))
     fit = weyl.m_asymptotic_scan(q, float(params["h"]), float(params["x"]), ray)
     lams = ray.points()
     rows = []
@@ -489,7 +471,7 @@ def _run_counting(params, writer, seed):
     writer.write_text("counting.csv", _csv_text(["s", "count", "bound"], rows))
     checks = [{"name": "counting-bound", "passed": bool(bound.passed),
                "detail": f"x0={x0}"}]
-    if "A" in params:
+    if params["A"] is not None:
         dens = uniq.density_criterion(lam, float(params["A"]), s_grid)
         writer.write_text("density.json", json.dumps(
             {"liminf_estimate": dens.liminf_estimate,
@@ -501,7 +483,7 @@ def _run_counting(params, writer, seed):
 
 
 def _run_region_map(params, writer, seed):
-    cert = params.get("certificate")
+    cert = params["certificate"]
     certificate = (cert["A"], cert["B"]) if cert else None
     res = int(params["resolution"])
     verdicts = uniq.region_map(res, certificate)
@@ -524,24 +506,24 @@ def _run_reconstruct(params, writer, seed):
                     float(params["x0"]))
     h_true, H = float(params["h_true"]), float(params["H"])
     T = float(params["T"])
-    grid = int(params.get("grid_size", 512))
+    grid = int(params["grid_size"])
     q_true = _build_q(params["truth"], grid)
-    eta = _build_eta(params.get("eta", {"type": "ramp-hold", "t1": 1.0}), T)
+    eta = _build_eta(params["eta"], T)
     t_samples = np.linspace(0.0, T, int(params["n_samples"]) + 1)[1:]
     noise = float(params["noise_level"])
     data = inv.synthesize_data(q_true, h_true, H, alpha, eta, x0, t_samples,
-                               noise, seed, nx=int(params.get("data_nx", 256)),
-                               nt=int(params.get("data_nt", 512)))
+                               noise, seed, nx=int(params["data_nx"]),
+                               nt=int(params["data_nt"]))
     tail = PotentialSpec.from_callable(
         lambda x: q_true(x) if x >= d else q_true(d), grid)
     spec = inv.InverseProblemSpec(alpha=alpha, x0=x0, d=d, q_tail=tail, H=H,
                                   eta=eta, data=data, noise_level=noise,
-                                  n_max=int(params.get("n_max", 24)),
+                                  n_max=int(params["n_max"]),
                                   grid_size=grid)
     init = inv.CandidateParam(np.zeros(int(params["M"])), 0.1)
     floor = inv.estimate_solver_floor(spec, init)
     res = inv.reconstruct(spec, init, gamma=float(params["gamma"]),
-                          max_iter=int(params.get("max_iter", 40)),
+                          max_iter=int(params["max_iter"]),
                           lm_damping=True, floor_stop=2.0 * floor,
                           q_truth=q_true, h_truth=h_true)
     writer.write_text("result.json", res.to_json() + "\n")
@@ -566,7 +548,7 @@ def _run_distinguish(params, writer, seed):
                     float(params["x0"]))
     H, T = float(params["H"]), float(params["T"])
     n_pairs = int(params["n_pairs"])
-    eta = _build_eta(params.get("eta", {"type": "ramp-hold", "t1": 1.0}), T)
+    eta = _build_eta(params["eta"], T)
     t_samples = np.linspace(0.0, T, int(params["n_samples"]) + 1)[1:]
     rng = np.random.default_rng(seed)
     pairs = []
@@ -719,8 +701,12 @@ def run(config: ExperimentConfig) -> RunManifest:
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     writer = _Writer(config.output_dir)
     status = "ok"
+    # the runners see the table's defaults; config_hash sees the user's dict
+    params = {key: field.default for key, field in SCHEMA[config.command].items()
+              if field.default is not _REQUIRED}
+    params.update(config.parameters)
     try:
-        checks = _RUNNERS[config.command](config.parameters, writer, config.seed)
+        checks = _RUNNERS[config.command](params, writer, config.seed)
     except FracspecError as exc:
         checks = [{"name": "execution", "passed": False,
                    "detail": f"{type(exc).__name__}: {exc}"}]
@@ -750,6 +736,10 @@ def plot(csv_path, plot_spec: dict) -> str:
         rows = list(reader)
         columns = reader.fieldnames or []
     kind = plot_spec.get("kind", "line")
+    need = ("x", "y", "value") if kind == "heatmap" else ("x", "y")
+    lacking = [key for key in need if key not in plot_spec]
+    if lacking:
+        raise MissingColumn(f"plot spec names no {'/'.join(lacking)} column")
     if not rows:
         raise EmptyData(f"{csv_path}: no data rows")
 
@@ -804,25 +794,28 @@ def main(argv=None) -> int:
     pp.add_argument("--spec", required=True)
     pp.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    path = args.spec if args.subcommand == "plot" else args.config
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return 2
 
     if args.subcommand == "validate":
-        text = Path(args.config).read_text(encoding="utf-8")
         errors = validate(text)
         for err in errors:
             print(err)
         return 2 if errors else 0
 
     if args.subcommand == "plot":
-        spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         try:
-            svg = plot(args.csv, spec)
-        except (MissingColumn, EmptyData) as exc:
+            svg = plot(args.csv, json.loads(text))
+        except (OSError, json.JSONDecodeError, MissingColumn, EmptyData) as exc:
             print(f"plot error: {exc}", file=sys.stderr)
             return 2
         Path(args.out).write_text(svg, encoding="utf-8")
         return 0
 
-    text = Path(args.config).read_text(encoding="utf-8")
     errors = validate(text)
     if errors:
         for err in errors:

@@ -62,7 +62,7 @@ class DivergenceDetected(FracspecError):
 
 
 class MissingColumn(FracspecError):
-    """CSV column named in a plot spec does not exist."""
+    """CSV column named in a plot spec does not exist, or the spec names none."""
 
 
 class EmptyData(FracspecError):

@@ -380,9 +380,12 @@ class _ShootingProblem:
         hi = np.full(n_modes, lam_hi)
         g_lo, g_hi = g[0] - targets, g[1] - targets
         f_lo, f_hi = np.full(n_modes, f[0]), np.full(n_modes, f[1])
-        # bisect each bracket until it holds root n alone
+        # bisect each bracket until it holds root n alone, or until it is a
+        # few ulps wide (the winding and Delta can then sit at rounding level
+        # on both ends) and the polish's width test certifies it
         for _ in range(80):
-            todo = np.flatnonzero(~_isolated(g_lo, g_hi, f_lo, f_hi))
+            todo = np.flatnonzero(~_isolated(g_lo, g_hi, f_lo, f_hi)
+                                  & (hi - lo > 4e-16 * (1.0 + np.abs(hi))))
             if todo.size == 0:
                 break
             mid = 0.5 * (lo[todo] + hi[todo])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fracspec.cli import ExperimentConfig, main, plot, run, validate
+from fracspec.cli import COMMANDS, ExperimentConfig, main, plot, run, validate
 from fracspec.errors import EmptyData, MissingColumn
 
 
@@ -45,6 +45,140 @@ class TestValidate:
 
     def test_unknown_command(self):
         assert validate(json.dumps({"command": "nope"})) != []
+
+
+# one valid config per command, small enough to run in well under a second;
+# reconstruct and distinguish keep the default drive, a ramp held from
+# t1 = 1 = T on
+Q_ZERO = {"type": "constant", "value": 0.0}
+MINIMAL = {
+    "eigensolve": MINIMAL_EIGEN,
+    "forward": {"q": Q_ZERO, "h": 0.0, "H": 0.0, "alpha": 0.5,
+                "eta": {"type": "ramp"}, "T": 1.0, "nt": 32, "nx": 32,
+                "n_max": 48},
+    "kernel": {"q": Q_ZERO, "h": 0.0, "H": 0.0, "alpha": 0.5, "x": 0.4,
+               "T": 1.0, "nt": 32, "n_modes": 8},
+    "weyl-scan": {"q": Q_ZERO, "h": 0.0, "x": 0.5, "mag_lo": 100.0,
+                  "mag_hi": 900.0, "count": 4},
+    "counting": {"x0": 0.5, "n_modes": 100, "s_lo": 100.0, "s_hi": 1e4,
+                 "s_count": 5},
+    "region-map": {"resolution": 10},
+    "reconstruct": {"alpha": 0.5, "d": 0.5, "x0": 0.6, "h_true": 0.5,
+                    "H": 1.0, "truth": {"type": "constant", "value": -0.3},
+                    "M": 1, "gamma": 1e-8, "noise_level": 0.0, "T": 1.0,
+                    "n_samples": 4, "n_max": 6, "grid_size": 64,
+                    "max_iter": 1, "data_nx": 32, "data_nt": 32},
+    "distinguish": {"n_pairs": 1, "d": 0.5, "x0": 0.6, "alpha": 0.5,
+                    "H": 1.0, "T": 1.0, "n_samples": 8},
+    "verify-all": {},
+}
+
+
+def with_params(base, **changes):
+    """base with keys changed; a value of None deletes the key."""
+    params = {k: v for k, v in base.items() if k not in changes}
+    params.update({k: v for k, v in changes.items() if v is not None})
+    return params
+
+
+SAMPLES_Q = {"type": "samples", "samples": [0.0] * 17, "grid_size": 16}
+NAN, INF = float("nan"), float("inf")
+
+# (command, parameters, seed, the exact validate() output)
+VALIDATION_CASES = [
+    ("kernel", MINIMAL["kernel"], 0, []),
+    ("kernel", with_params(MINIMAL["kernel"], x=None), 0,
+     ["parameters.x: missing"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, h="0"), 0,
+     ["parameters.h: number required"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, n_max=2.0), 0,
+     ["parameters.n_max: integer required"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, grid_size=8), 0,
+     ["parameters.grid_size: must be >= 16"]),
+    ("counting", with_params(MINIMAL["counting"], x0=1.5), 0,
+     ["parameters.x0: must be <= 1.0"]),
+    ("forward", with_params(MINIMAL["forward"], method="exact"), 0,
+     ["parameters.method: one of spectral|l1fd|both"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, q={"type": "gauss"}), 0,
+     ["parameters.q.type: one of constant|bump|cosine|samples"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, bogus=1), 0,
+     ["parameters.bogus: unknown key"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, q={"type": "constant"}), 0,
+     ["parameters.q.value: missing"]),
+    ("forward", with_params(MINIMAL["forward"],
+                            eta={"type": "poly", "power": 2, "t1": 1}), 0,
+     ["parameters.eta.t1: unknown key"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, H=INF), 0,
+     ["parameters.H: finite number required"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, h=NAN), 0,
+     ["parameters.h: finite number required"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, q=dict(
+        SAMPLES_Q, samples=[0.0] * 16 + ["x"])), 0,
+     ["parameters.q.samples[16]: finite number required"]),
+    ("forward", with_params(MINIMAL["forward"], eta={
+        "type": "samples", "t": [0.0, "1"], "values": [0.0, 1.0]}), 0,
+     ["parameters.eta.t[1]: finite number required"]),
+    ("forward", with_params(MINIMAL["forward"], eta={
+        "type": "samples", "t": [0.0, 1.0], "values": [0.0, None]}), 0,
+     ["parameters.eta.values[1]: finite number required"]),
+    ("forward", with_params(MINIMAL["forward"], eta={
+        "type": "samples", "t": [], "values": []}), 0,
+     ["parameters.eta.t: non-empty list required",
+      "parameters.eta.values: non-empty list required"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, q=dict(
+        SAMPLES_Q, samples=[0.0] * 16)), 0,
+     ["parameters.q.samples: grid_size + 1 = 17 values required, got 16"]),
+    ("eigensolve", MINIMAL_EIGEN, True, ["seed: number required"]),
+    ("region-map", {"resolution": 10,
+                    "certificate": {"A": 0.9, "B": 0.2, "C": 1.0}}, 0,
+     ["parameters.certificate.C: unknown key"]),
+]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_minimal_config_runs_from_the_command_line(self, command,
+                                                       tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg_text(command, MINIMAL[command]))
+        assert validate(cfg_file.read_text()) == []
+        assert main([command, "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")]) in (0, 1)
+
+    @pytest.mark.parametrize("command,params,seed,expected", VALIDATION_CASES)
+    def test_validation_messages(self, command, params, seed, expected):
+        assert validate(cfg_text(command, params, seed)) == expected
+
+    def test_run_fills_defaults_but_hashes_the_given_parameters(self, tmp_path):
+        bare = run(ExperimentConfig("weyl-scan", MINIMAL["weyl-scan"],
+                                    tmp_path / "a"))
+        full = run(ExperimentConfig("weyl-scan", dict(
+            MINIMAL["weyl-scan"], direction="imaginary-axis",
+            angle=np.pi / 2), tmp_path / "b"))
+        assert bare.config_hash != full.config_hash
+        assert ({f["path"]: f["sha256"] for f in bare.files}
+                == {f["path"]: f["sha256"] for f in full.files})
+
+    def test_file_and_plot_spec_errors_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("t,y\n0,1\n1,2\n")
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        no_y = tmp_path / "no_y.json"
+        no_y.write_text(json.dumps({"kind": "line", "x": "t"}))
+        missing = str(tmp_path / "missing.json")
+        out = str(tmp_path / "out")
+        for argv in (["eigensolve", "--config", missing, "--out", out],
+                     ["validate", "--config", missing],
+                     ["plot", "--csv", str(csv_path), "--spec", missing,
+                      "--out", out],
+                     ["plot", "--csv", str(csv_path), "--spec", str(bad_json),
+                      "--out", out],
+                     ["plot", "--csv", str(csv_path), "--spec", str(no_y),
+                      "--out", out]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestRun:

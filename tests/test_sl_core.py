@@ -214,6 +214,20 @@ class TestEigenSystem:
         es = eigen_system(q_pos, FREE, 2, allow_inadmissible=True)
         assert es.lambdas[0] < 0  # shifted down by the positive potential
 
+    def test_positive_constant_spectrum(self):
+        # for q = 5 the mode-2 bracket collapses onto the root with the winding
+        # and Delta at rounding level on both ends; the bisection must hand it
+        # to the polish instead of failing to isolate it
+        for value in (3.0, 5.0, 7.0, 11.0):
+            for grid in (256, 512, 1024):
+                q = PotentialSpec.constant(value, grid)
+                for n_max in (6, 12, 20):
+                    es = eigen_system(q, FREE, n_max, grid_size=grid,
+                                      allow_inadmissible=True)
+                    exact = (np.arange(n_max + 1) * np.pi) ** 2 - value
+                    rel = np.abs(es.lambdas - exact) / np.abs(exact)
+                    assert rel.max() <= 1e-13
+
     def test_eval_modes_at_off_grid(self):
         es = eigen_system(Q0, FREE, 6)
         x0 = 1.0 / np.sqrt(2.0)
