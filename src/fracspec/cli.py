@@ -83,9 +83,14 @@ class _Choice:
 
 @dataclass(frozen=True)
 class _List:
-    """A list of finite numbers; of obj[size_key] + 1 of them when given."""
+    """A list of finite numbers: of obj[size_key] + 1 of them, or as many as
+    the list obj[length_of], when given; starting at 0 when zero_start and
+    strictly increasing when increasing."""
 
     size_key: str | None = None
+    length_of: str | None = None
+    zero_start: bool = False
+    increasing: bool = False
     default: object = _REQUIRED
 
     def check(self, v, path, obj, errors):
@@ -94,6 +99,7 @@ class _List:
             return
         bad = [i for i, x in enumerate(v) if not _is_finite_num(x)]
         size = obj.get(self.size_key)
+        other = obj.get(self.length_of)
         if not v:
             errors.append(f"{path}: non-empty list required")
         elif bad:
@@ -101,6 +107,13 @@ class _List:
         elif isinstance(size, int) and len(v) != size + 1:
             errors.append(f"{path}: {self.size_key} + 1 = {size + 1} values "
                           f"required, got {len(v)}")
+        elif isinstance(other, list) and len(v) != len(other):
+            errors.append(f"{path}: {len(other)} values required (as many as "
+                          f"{self.length_of}), got {len(v)}")
+        elif self.zero_start and v[0] != 0:
+            errors.append(f"{path}[0]: must be 0")
+        elif self.increasing and any(a >= b for a, b in zip(v, v[1:])):
+            errors.append(f"{path}: must increase")
 
 
 @dataclass(frozen=True)
@@ -151,13 +164,14 @@ _Q = _Kinds("potential", {
     "bump": {"depth": _Num(), "width": _Num(positive=True)},
     "cosine": {"mean": _Num(), "amplitude": _Num(), "frequency": _Num()},
     "samples": {"samples": _List(size_key="grid_size"),
-                "grid_size": _Num(integer=True)},
+                "grid_size": _Num(lo=16, integer=True)},
 })
 _ETA = _Kinds("drive", {
     "ramp": {},
     "ramp-hold": {"t1": _Num(positive=True)},
     "poly": {"power": _Num(positive=True)},
-    "samples": {"t": _List(), "values": _List()},
+    "samples": {"t": _List(zero_start=True, increasing=True),
+                "values": _List(length_of="t", zero_start=True)},
 })
 _HELD_RAMP = replace(_ETA, default={"type": "ramp-hold", "t1": 1.0})
 _ROBIN = _Num(lo=0.0)
@@ -731,6 +745,8 @@ def run(config: ExperimentConfig) -> RunManifest:
 
 def plot(csv_path, plot_spec: dict) -> str:
     """Render a CSV as a polyline or heatmap SVG (deterministic bytes)."""
+    if not isinstance(plot_spec, dict):
+        raise ValueError("plot spec must be a JSON object")
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -748,9 +764,15 @@ def plot(csv_path, plot_spec: dict) -> str:
             raise MissingColumn(f"column {name!r} not in {columns}")
         return [row[name] for row in rows]
 
+    def nums(name):
+        try:
+            return [float(v) for v in col(name)]
+        except ValueError:
+            raise ValueError(f"column {name!r} holds a non-number") from None
+
     if kind == "heatmap":
-        xs = [float(v) for v in col(plot_spec["x"])]
-        ys = [float(v) for v in col(plot_spec["y"])]
+        xs = nums(plot_spec["x"])
+        ys = nums(plot_spec["y"])
         raw = col(plot_spec["value"])
         try:
             values = [float(v) for v in raw]
@@ -764,8 +786,8 @@ def plot(csv_path, plot_spec: dict) -> str:
     y_names = plot_spec["y"]
     if isinstance(y_names, str):
         y_names = [y_names]
-    xs = [float(v) for v in col(x_name)]
-    series = {name: (xs, [float(v) for v in col(name)]) for name in y_names}
+    xs = nums(x_name)
+    series = {name: (xs, nums(name)) for name in y_names}
     return svgplot.render_line(series, title=plot_spec.get("title", ""),
                                x_label=x_name, y_label=",".join(y_names),
                                logx=bool(plot_spec.get("logx", False)),
@@ -810,7 +832,7 @@ def main(argv=None) -> int:
     if args.subcommand == "plot":
         try:
             svg = plot(args.csv, json.loads(text))
-        except (OSError, json.JSONDecodeError, MissingColumn, EmptyData) as exc:
+        except (OSError, ValueError, MissingColumn, EmptyData) as exc:
             print(f"plot error: {exc}", file=sys.stderr)
             return 2
         Path(args.out).write_text(svg, encoding="utf-8")

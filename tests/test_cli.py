@@ -132,6 +132,21 @@ VALIDATION_CASES = [
     ("region-map", {"resolution": 10,
                     "certificate": {"A": 0.9, "B": 0.2, "C": 1.0}}, 0,
      ["parameters.certificate.C: unknown key"]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, q=dict(
+        SAMPLES_Q, samples=[0.0], grid_size=0)), 0,
+     ["parameters.q.grid_size: must be >= 16"]),
+    ("forward", with_params(MINIMAL["forward"], eta={
+        "type": "samples", "t": [0.5, 1.0], "values": [0.0, 1.0]}), 0,
+     ["parameters.eta.t[0]: must be 0"]),
+    ("forward", with_params(MINIMAL["forward"], eta={
+        "type": "samples", "t": [0.0, 1.0, 1.0], "values": [0.0, 1.0, 2.0]}), 0,
+     ["parameters.eta.t: must increase"]),
+    ("forward", with_params(MINIMAL["forward"], eta={
+        "type": "samples", "t": [0.0, 1.0], "values": [0.0, 1.0, 2.0]}), 0,
+     ["parameters.eta.values: 2 values required (as many as t), got 3"]),
+    ("forward", with_params(MINIMAL["forward"], eta={
+        "type": "samples", "t": [0.0, 1.0], "values": [1.0, 1.0]}), 0,
+     ["parameters.eta.values[0]: must be 0"]),
 ]
 
 
@@ -166,6 +181,12 @@ class TestSchema:
         bad_json.write_text("{not json")
         no_y = tmp_path / "no_y.json"
         no_y.write_text(json.dumps({"kind": "line", "x": "t"}))
+        not_object = tmp_path / "list.json"
+        not_object.write_text("[]")
+        line = tmp_path / "line.json"
+        line.write_text(json.dumps({"kind": "line", "x": "t", "y": "y"}))
+        text_cell = tmp_path / "text.csv"
+        text_cell.write_text("t,y\n0,a\n")
         missing = str(tmp_path / "missing.json")
         out = str(tmp_path / "out")
         for argv in (["eigensolve", "--config", missing, "--out", out],
@@ -175,6 +196,10 @@ class TestSchema:
                      ["plot", "--csv", str(csv_path), "--spec", str(bad_json),
                       "--out", out],
                      ["plot", "--csv", str(csv_path), "--spec", str(no_y),
+                      "--out", out],
+                     ["plot", "--csv", str(csv_path), "--spec",
+                      str(not_object), "--out", out],
+                     ["plot", "--csv", str(text_cell), "--spec", str(line),
                       "--out", out]):
             assert main(argv) == 2
             err = capsys.readouterr().err

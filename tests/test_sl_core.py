@@ -7,6 +7,8 @@ from fracspec.sl_core import (
     PotentialSpec,
     RobinPair,
     _ShootingProblem,
+    _cell_factors,
+    _propagate,
     char_delta,
     eigen_system,
     eval_modes_at,
@@ -15,6 +17,7 @@ from fracspec.sl_core import (
     split_spectra,
     verify_asymptotics,
 )
+from fracspec.weyl_toolkit import wronskian_U
 
 # frozen oracle: lowest root of s*tan(s) = 1 (q=0, h=0, H=1), lam = s^2,
 # computed by high-precision bisection on the closed-form characteristic
@@ -50,6 +53,38 @@ def corrected_gram(es):
     fp = de[:, None, :] * e[None, :, :] + e[:, None, :] * de[None, :, :]
     t = h * (f.sum(-1) - 0.5 * (f[..., 0] + f[..., -1]))
     return t - (h * h / 12.0) * (fp[..., -1] - fp[..., 0])
+
+
+def sequential_march(q_samples, v0, d0, lams, x=1.0):
+    """Oracle for _propagate: one transfer-matrix step per cell, in order.
+
+    Returns the node trace (values, derivatives), shape (n_lam, n_cells + 1).
+    """
+    lams = np.atleast_1d(np.asarray(lams))
+    if not np.iscomplexobj(lams):
+        lams = lams.astype(float)
+    N = q_samples.size - 1
+    h = 1.0 / N
+    n_full = min(int(np.floor(x * N + 1e-12)), N)
+    part = x - n_full * h
+    n_cells = n_full + (part > 1e-14)
+    lo, hi = q_samples[:n_cells], q_samples[1:n_cells + 1]
+    qmid = 0.5 * (lo + hi)
+    slope = (hi - lo) / h
+    width = np.full(n_cells, h)
+    if part > 1e-14:
+        qmid[-1] = lo[-1] + slope[-1] * part / 2.0
+        width[-1] = part
+    t00, t01, t10, t11 = _cell_factors(qmid, slope, width, lams)
+    vals = np.empty((lams.size, n_cells + 1), dtype=t00.dtype)
+    ders = np.empty_like(vals)
+    vals[:, 0], ders[:, 0] = v0, d0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_cells):
+            v, d = vals[:, i], ders[:, i]
+            vals[:, i + 1] = t00[:, i] * v + t01[:, i] * d
+            ders[:, i + 1] = t10[:, i] * v + t11[:, i] * d
+    return vals, ders
 
 
 class TestIVP:
@@ -101,6 +136,84 @@ class TestIVP:
     def test_grid_size_validation(self):
         with pytest.raises(DomainError):
             solve_ivp_left(Q0, 0.0, 1.0, grid_size=8)
+
+
+def march_potential(grid_size):
+    return cos2_well(3.0, grid_size).samples - 2.0 * np.linspace(0.0, 1.0, grid_size + 1)
+
+
+class TestBlockedMarch:
+    """_propagate against the sequential per-cell march it replaces."""
+
+    @pytest.mark.parametrize("grid_size", [16, 512, 2048, 2560])
+    @pytest.mark.parametrize("x", [0.0, 1e-5, 0.37, 0.4, 1.0])
+    def test_matches_sequential_march(self, grid_size, x):
+        qs = march_potential(grid_size)
+        for lams in ([-200.0, 3.0, 250.0], [2.0 + 5.0j, 40.0j], [3.0]):
+            ref_v, ref_d = sequential_march(qs, 1.0, 0.7, lams, x=x)
+            scale = np.maximum(np.abs(ref_v).max(axis=1), np.abs(ref_d).max(axis=1))
+            vals, ders = _propagate(qs, 1.0, 0.7, lams, keep_trace=True, x=x)
+            assert vals.shape == ref_v.shape and ders.shape == ref_d.shape
+            assert np.all(np.abs(vals - ref_v).max(axis=1) <= 1e-12 * scale)
+            assert np.all(np.abs(ders - ref_d).max(axis=1) <= 1e-12 * scale)
+            v, d = _propagate(qs, 1.0, 0.7, lams, x=x)
+            assert np.all(np.abs(v - ref_v[:, -1]) <= 1e-12 * scale)
+            assert np.all(np.abs(d - ref_d[:, -1]) <= 1e-12 * scale)
+
+    def test_dirichlet_start(self):
+        qs = march_potential(512)
+        lams = np.linspace(-50.0, 4e4, 65)
+        ref_v, ref_d = sequential_march(qs, 0.0, 1.0, lams)
+        scale = np.abs(ref_d).max(axis=1)
+        vals, ders = _propagate(qs, 0.0, 1.0, lams, keep_trace=True)
+        assert np.all(np.abs(vals - ref_v).max(axis=1) <= 1e-12 * scale)
+        assert np.all(np.abs(ders - ref_d).max(axis=1) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("lam", [7.3, 400.0 + 100.0j, -50.0, 120.0j])
+    def test_wronskian_matches_sequential_march(self, lam):
+        # criterion 9's pair; U cancels two products, so the error is judged
+        # against the larger of them
+        d, grid = 0.4, 2560
+        q1 = PotentialSpec.from_callable(
+            lambda x: -0.8 * max(0.0, 1 - x / d) ** 2, grid)
+        q2 = PotentialSpec.from_callable(
+            lambda x: -0.3 * max(0.0, 1 - (x / d) ** 2) if x <= d else 0.0, grid)
+        for x in (0.4, 0.73, 1.0):
+            v1, d1 = sequential_march(q1.samples, 1.0, 0.2, [lam], x=x)
+            v2, d2 = sequential_march(q2.samples, 1.0, 0.9, [lam], x=x)
+            p, r = v1[0, -1] * d2[0, -1], v2[0, -1] * d1[0, -1]
+            u = wronskian_U(q1, q2, 0.2, 0.9, lam, x)
+            assert abs(u - (p - r)) <= 1e-12 * max(abs(p), abs(r))
+
+    @pytest.mark.parametrize("lam", [-3.0e5, -3.2e5, -3.3e5, -3.6e5])
+    def test_overflow_guard_trips_as_sequential_march(self, lam):
+        # on q = 0 the guard sits near lambda = -570^2: phi'(1) ~ e^rho rho / 2
+        vals, ders = sequential_march(Q0.samples, 1.0, 0.0, [lam])
+        trips = not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ders))
+                     and max(np.abs(vals).max(), np.abs(ders).max()) <= 1e250)
+        assert trips == (lam < -3.25e5)
+        for call in (lambda: solve_ivp_left(Q0, 0.0, lam),
+                     lambda: char_delta(Q0, FREE, lam)):
+            if trips:
+                with pytest.raises(NonFiniteBlowup):
+                    call()
+            else:
+                call()
+
+    def test_one_sign_factors_match_masked_path(self):
+        # oscillatory cells (mu^2 < 0) plus zero-width ones (mu^2 = 0) take
+        # the unmasked path; one positive mu^2 sends the batch down the masked
+        # one, which must give the same bits cell by cell
+        qs = march_potential(512)
+        qmid = np.concatenate([0.5 * (qs[:-1] + qs[1:]), np.zeros(17)])
+        slope = np.concatenate([np.diff(qs) * 512, np.zeros(17)])
+        width = np.concatenate([np.full(512, 1.0 / 512), np.zeros(17)])
+        lams = np.linspace(10.0, 4e4, 65)
+        one_sign = _cell_factors(qmid, slope, width, lams)
+        mixed = _cell_factors(qmid, slope, width, np.append(lams, -1e3))
+        for f, g in zip(one_sign, mixed):
+            assert np.array_equal(f, g[:-1])
+        assert all(np.all(f[:, -17:] == e) for f, e in zip(one_sign, (1, 0, 0, 1)))
 
 
 class TestCharDelta:
