@@ -454,14 +454,12 @@ def _run_weyl_scan(params, writer, seed):
     mags = np.geomspace(float(params["mag_lo"]), float(params["mag_hi"]),
                         int(params["count"]))
     ray = weyl.ComplexRay(mags, params["direction"], float(params["angle"]))
-    fit = weyl.m_asymptotic_scan(q, float(params["h"]), float(params["x"]), ray)
+    h, x = float(params["h"]), float(params["x"])
+    fit = weyl.m_asymptotic_scan(q, h, x, ray)
     lams = ray.points()
-    rows = []
-    for lam in lams:
-        m = weyl.weyl_m_minus(q, float(params["h"]), complex(lam),
-                              float(params["x"]))
-        rows.append((float(lam.real), float(lam.imag), float(np.real(m)),
-                     float(np.imag(m)), float(abs(m))))
+    ms = weyl.weyl_m_minus(q, h, lams, x)
+    rows = [(float(lam.real), float(lam.imag), float(m.real), float(m.imag),
+             float(abs(m))) for lam, m in zip(lams, ms)]
     writer.write_text("scan.csv", _csv_text(
         ["re_lambda", "im_lambda", "re_value", "im_value", "magnitude"], rows))
     writer.write_text("fit.json", fit.to_json() + "\n")
@@ -628,12 +626,12 @@ def _run_verify_all(params, writer, seed):
     q1 = PotentialSpec.constant(0.0, 1024)
     q2 = PotentialSpec.from_callable(
         lambda x: -0.5 * max(0.0, 1 - x / d) ** 2, 1024)
+    lams = np.array([5.0, 60.0, 200.0])
+    u1 = weyl.wronskian_U(q1, q2, 0.0, 0.0, lams, 1.0)
     worst = 0.0
-    for lam in (5.0, 60.0, 200.0):
-        u1 = weyl.wronskian_U(q1, q2, 0.0, 0.0, lam, 1.0)
-        for xq in (0.45, 0.7, 0.9):
-            u = weyl.wronskian_U(q1, q2, 0.0, 0.0, lam, xq)
-            worst = max(worst, abs(u - u1) / (1.0 + abs(u1)))
+    for xq in (0.45, 0.7, 0.9):
+        u = weyl.wronskian_U(q1, q2, 0.0, 0.0, lams, xq)
+        worst = max(worst, float(np.max(np.abs(u - u1) / (1.0 + np.abs(u1)))))
     checks.append({"name": "wronskian-constancy", "passed": worst <= 1e-8,
                    "detail": f"max={worst:.2e}"})
 
@@ -786,6 +784,8 @@ def plot(csv_path, plot_spec: dict) -> str:
     y_names = plot_spec["y"]
     if isinstance(y_names, str):
         y_names = [y_names]
+    if not (isinstance(y_names, list) and all(isinstance(n, str) for n in y_names)):
+        raise ValueError("plot spec 'y' must be a column name or a list of them")
     xs = nums(x_name)
     series = {name: (xs, nums(name)) for name in y_names}
     return svgplot.render_line(series, title=plot_spec.get("title", ""),

@@ -248,7 +248,7 @@ def ml_asymptotic_residual(alpha: float, lam: float, t_values):
 def _relax(alpha, order, lam, t):
     """Body of relax_primitive (order 1) and relax_antiderivative (order 2).
 
-    Small y = lam t^a: t^(order-1+a) sum_j (-y)^j / Gamma(a j + a + order), free
+    Small y = lam t^a: t^(order-1+a) E_{a,a+order}(-y) by its power series, free
     of the 1 - E cancellation; otherwise t^(order-1) (1 - E_{a,order}(-y)) / lam
     with one ml call for all points.
     """
@@ -269,15 +269,7 @@ def _relax(alpha, order, lam, t):
     out = np.empty_like(y)
     small = y <= 0.5
     if small.any():
-        ys = y[small]
-        acc = np.zeros_like(ys)
-        yk = np.ones_like(ys)
-        for j in range(60):
-            term = yk * rgamma(alpha * j + alpha + order)
-            acc += term
-            yk *= -ys
-            if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-                break
+        acc, _ = _series(alpha, alpha + order, y[small])
         out[small] = t[small] ** (order - 1.0 + alpha) * acc
     big = ~small
     if big.any():

@@ -35,6 +35,7 @@ from .sl_core import PotentialSpec, _check_finite, _propagate
 RAY_SQRT_CAP = 40.0
 POLE_GUARD = 1e-10
 EIG_GUARD = 1e-8
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -108,24 +109,33 @@ class ExponentFit:
 # ---------------------------------------------------------------------------
 
 def _left_terminal(q: PotentialSpec, h: float, lams, x: float):
+    if not (0.0 < x <= 1.0):
+        raise DomainError("x must lie in (0, 1]")
     v, d = _propagate(q.samples, 1.0, h, lams, x=x)
     _check_finite(v, d)
     return v, d
 
 
+def _shaped(out: np.ndarray, lam):
+    """A Python scalar for a scalar lambda, else an array of lambda's shape."""
+    if np.ndim(lam) == 0:
+        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
+    return out.reshape(np.shape(lam))
+
+
 def weyl_m_minus(q: PotentialSpec, h: float, lam, x: float):
     """m_-(x, lambda) = -phi'(x; lambda)/phi(x; lambda) from the left solution.
 
-    Raises NearPole when |phi(x)| falls under the pole guard (lambda close to
-    a Dirichlet eigenvalue of the truncated interval).
+    lam is a scalar or an array.  Raises NearPole, naming the lambda, when
+    |phi(x)| falls under the pole guard (lambda close to a Dirichlet
+    eigenvalue of the truncated interval).
     """
-    if not (0.0 < x <= 1.0):
-        raise DomainError("x must lie in (0, 1]")
-    v, d = _left_terminal(q, h, [lam], x)
-    if abs(v[0]) < POLE_GUARD * max(1.0, abs(d[0])):
-        raise NearPole(f"|phi({x}; {lam})| below pole guard")
-    out = -d[0] / v[0]
-    return complex(out) if np.iscomplexobj(out) else float(out)
+    lams = np.ravel(lam)
+    v, d = _left_terminal(q, h, lams, x)
+    bad = np.abs(v) < POLE_GUARD * np.maximum(1.0, np.abs(d))
+    if bad.any():
+        raise NearPole(f"|phi({x}; {lams[bad][0]})| below pole guard")
+    return _shaped(-d / v, lam)
 
 
 def m_asymptotic_scan(q: PotentialSpec, h: float, x: float,
@@ -138,11 +148,7 @@ def m_asymptotic_scan(q: PotentialSpec, h: float, x: float,
     i.e. exponent +1/2 on the imaginary axis.
     """
     lams = ray.points()
-    v, d = _left_terminal(q, h, lams, x)
-    bad = np.abs(v) < POLE_GUARD * np.maximum(1.0, np.abs(d))
-    if bad.any():
-        raise NearPole("scan point within pole guard distance")
-    mags = np.abs(-d / v)
+    mags = np.abs(weyl_m_minus(q, h, lams, x))
     if np.any(mags <= 0) or lams.size < 3:
         raise FitFailure("degenerate scan data")
     lx = np.log(np.abs(lams))
@@ -160,46 +166,40 @@ def m_asymptotic_scan(q: PotentialSpec, h: float, x: float,
 
 def wronskian_U(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,
                 lam, x: float):
-    """U(x; lambda) = phi_1 phi_2' - phi_2 phi_1' for the two left solutions."""
-    v1, d1 = _left_terminal(q1, h1, [lam], x)
-    v2, d2 = _left_terminal(q2, h2, [lam], x)
-    out = v1[0] * d2[0] - v2[0] * d1[0]
-    return complex(out) if np.iscomplexobj(out) else float(out)
+    """U(x; lambda) = phi_1 phi_2' - phi_2 phi_1' for the two left solutions.
+
+    lam is a scalar or an array; all of it is marched at once.
+    """
+    lams = np.ravel(lam)
+    v1, d1 = _left_terminal(q1, h1, lams, x)
+    v2, d2 = _left_terminal(q2, h2, lams, x)
+    return _shaped(v1 * d2 - v2 * d1, lam)
+
+
+def _log_product(retained: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """log g(lambda) = sum_n log(1 - lambda/lambda_n) for each lambda.
+
+    Complex, so the real part is log|g| (overflow-free) and the imaginary part
+    carries the phase; a real lambda past lambda_n adds +i pi per factor.  An
+    exact eigenvalue gives -inf.
+    """
+    with np.errstate(divide="ignore"):
+        return np.log1p(lams[:, None] / -retained + 0j).sum(axis=1)
 
 
 def product_eval(spec: ProductSpec, lam):
-    """Truncated product prod (1 - lambda/lambda_n), ascending index order.
+    """Truncated product prod (1 - lambda/lambda_n) at a scalar or array lambda.
 
-    Accumulated with decimal-exponent rescaling so intermediate magnitudes
-    never overflow; raises ZeroEigenvalue when the retained set contains 0.
+    Summed in the log domain; a real lambda gives a real value whose sign comes
+    from the factors.  Raises NonFiniteBlowup when |g| exceeds double range and
+    ZeroEigenvalue when the retained set contains 0.
     """
-    lams = spec.retained()
-    prod = complex(1.0)
-    exp10 = 0
-    for lam_n in lams:
-        prod *= 1.0 - lam / lam_n
-        mag = abs(prod)
-        if mag > 1e150:
-            prod *= 1e-150
-            exp10 += 150
-        elif 0 < mag < 1e-150:
-            prod *= 1e150
-            exp10 -= 150
-    if exp10 != 0:
-        with np.errstate(over="raise"):
-            try:
-                prod = prod * 10.0 ** exp10
-            except FloatingPointError as exc:
-                raise NonFiniteBlowup("spectral product overflow") from exc
-    if isinstance(lam, complex) or np.iscomplexobj(np.asarray(lam)):
-        return complex(prod)
-    return prod.real if prod.imag == 0 else complex(prod)
-
-
-def _log_abs_product(lams_retained: np.ndarray, lam_points: np.ndarray):
-    """log|g(lambda)| for many lambda at once (magnitude only, overflow-free)."""
-    ratio = 1.0 - lam_points[:, None] / lams_retained[None, :]
-    return np.sum(np.log(np.abs(ratio)), axis=1)
+    log_g = _log_product(spec.retained(), np.ravel(lam))
+    if np.any(log_g.real > _LOG_MAX):
+        raise NonFiniteBlowup(f"spectral product overflow: log|g| = "
+                              f"{log_g.real.max():.4g} exceeds {_LOG_MAX:.4g}")
+    g = np.exp(log_g)
+    return _shaped(g if np.iscomplexobj(lam) else g.real, lam)
 
 
 def _check_matched_tail(q1: PotentialSpec, q2: PotentialSpec, d: float):
@@ -220,30 +220,29 @@ def F_eval(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,
     """F(lambda) = U(d; lambda) / g^2(lambda) at each requested lambda.
 
     Points within guard distance of a retained eigenvalue raise
-    NearZeroDenominator, or with near_eigenvalue="fit" are evaluated by a
-    local quadratic fit of F off the eigenvalue (removable-singularity path).
+    NearZeroDenominator before any point is marched, or with
+    near_eigenvalue="fit" are evaluated by a local quadratic fit of F off the
+    eigenvalue (removable-singularity path).
     """
     _check_matched_tail(q1, q2, d)
     retained = product.retained()
     lams = np.atleast_1d(np.asarray(lambda_set, dtype=complex))
+    dist = np.abs(lams[:, None] - retained) / (1.0 + retained)
+    near = (dist < EIG_GUARD).any(axis=1)
+    if near.any() and near_eigenvalue != "fit":
+        raise NearZeroDenominator(f"lambda = {lams[near][0]} within guard "
+                                  "distance of a retained eigenvalue")
     out = np.empty(lams.size, dtype=complex)
-    for i, lam in enumerate(lams):
-        dist = np.min(np.abs(lam - retained) / (1.0 + retained))
-        if dist < EIG_GUARD:
-            if near_eigenvalue != "fit":
-                raise NearZeroDenominator(
-                    f"lambda = {lam} within guard distance of a retained eigenvalue")
-            n_star = int(np.argmin(np.abs(lam - retained) / (1.0 + retained)))
-            lam_star = retained[n_star]
-            delta = 1e-3 * (1.0 + abs(lam_star))
-            stencil = lam_star + delta * np.array([-3, -2, -1, 1, 2, 3])
-            fvals = F_eval(q1, q2, h1, h2, d, stencil, product)
-            coef = np.polyfit(stencil - lam_star, fvals, 2)
-            out[i] = np.polyval(coef, lam - lam_star)
-        else:
-            U = wronskian_U(q1, q2, h1, h2, complex(lam), d)
-            g = product_eval(product, complex(lam))
-            out[i] = U / g ** 2
+    far = lams[~near]
+    out[~near] = (wronskian_U(q1, q2, h1, h2, far, d)
+                  * np.exp(-2.0 * _log_product(retained, far)))
+    for i in np.flatnonzero(near):
+        lam_star = retained[np.argmin(dist[i])]
+        delta = 1e-3 * (1.0 + abs(lam_star))
+        stencil = lam_star + delta * np.array([-3, -2, -1, 1, 2, 3])
+        fvals = F_eval(q1, q2, h1, h2, d, stencil, product)
+        coef = np.polyfit(stencil - lam_star, fvals, 2)
+        out[i] = np.polyval(coef, lams[i] - lam_star)
     return out
 
 
@@ -259,19 +258,15 @@ class DecayScan:
 
 def f_decay_scan(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,
                  d: float, product: ProductSpec, y_values) -> DecayScan:
-    """Magnitude scan of F(iy) over increasing y (log-domain, overflow-free)."""
-    y = np.asarray(y_values, dtype=float)
-    if np.any(np.diff(y) <= 0) or y[0] <= 0:
-        raise DomainError("y_values must be positive increasing")
-    if np.sqrt(y[-1]) > RAY_SQRT_CAP:
-        raise DomainError(f"|lambda|^(1/2) capped at {RAY_SQRT_CAP}")
+    """Magnitude scan of F(iy) over y_values, which pass ComplexRay's checks
+    (log-domain, overflow-free)."""
+    ray = ComplexRay(y_values)
     _check_matched_tail(q1, q2, d)
     retained = product.retained()
-    lams = 1j * y
-    v1, d1 = _left_terminal(q1, h1, lams, d)
-    v2, d2 = _left_terminal(q2, h2, lams, d)
-    U = v1 * d2 - v2 * d1
-    log_f = np.log(np.abs(U) + 1e-300) - 2.0 * _log_abs_product(retained, lams)
+    lams = ray.points()
+    U = wronskian_U(q1, q2, h1, h2, lams, d)
+    log_f = np.log(np.abs(U) + 1e-300) - 2.0 * _log_product(retained, lams).real
+    y = ray.magnitudes
     mags = np.exp(log_f)
     A = np.vstack([np.ones_like(y), np.log(y)]).T
     coef, _, _, _ = np.linalg.lstsq(A, log_f, rcond=None)

@@ -185,6 +185,8 @@ class TestSchema:
         not_object.write_text("[]")
         line = tmp_path / "line.json"
         line.write_text(json.dumps({"kind": "line", "x": "t", "y": "y"}))
+        y_number = tmp_path / "y5.json"
+        y_number.write_text(json.dumps({"x": "t", "y": 5}))
         text_cell = tmp_path / "text.csv"
         text_cell.write_text("t,y\n0,a\n")
         missing = str(tmp_path / "missing.json")
@@ -200,6 +202,8 @@ class TestSchema:
                      ["plot", "--csv", str(csv_path), "--spec",
                       str(not_object), "--out", out],
                      ["plot", "--csv", str(text_cell), "--spec", str(line),
+                      "--out", out],
+                     ["plot", "--csv", str(csv_path), "--spec", str(y_number),
                       "--out", out]):
             assert main(argv) == 2
             err = capsys.readouterr().err
