@@ -455,9 +455,9 @@ def _run_weyl_scan(params, writer, seed):
                         int(params["count"]))
     ray = weyl.ComplexRay(mags, params["direction"], float(params["angle"]))
     h, x = float(params["h"]), float(params["x"])
-    fit = weyl.m_asymptotic_scan(q, h, x, ray)
     lams = ray.points()
     ms = weyl.weyl_m_minus(q, h, lams, x)
+    fit = weyl.m_exponent_fit(lams, ms)
     rows = [(float(lam.real), float(lam.imag), float(m.real), float(m.imag),
              float(abs(m))) for lam, m in zip(lams, ms)]
     writer.write_text("scan.csv", _csv_text(

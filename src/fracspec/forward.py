@@ -46,7 +46,6 @@ class DriveSignal:
 
     t_grid: np.ndarray
     values: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float)
@@ -61,11 +60,11 @@ class DriveSignal:
             raise DomainError("drive must start at zero (eta(0) = 0)")
 
     @classmethod
-    def from_callable(cls, fn, T: float, nt: int, description: str = "") -> "DriveSignal":
+    def from_callable(cls, fn, T: float, nt: int) -> "DriveSignal":
         t = np.linspace(0.0, T, nt + 1)
         vals = np.asarray([fn(ti) for ti in t], dtype=float)
         vals[0] = 0.0
-        return cls(t, vals, description)
+        return cls(t, vals)
 
     def __call__(self, t):
         return np.interp(t, self.t_grid, self.values)

@@ -25,10 +25,13 @@ import numpy as np
 from .errors import DivergenceDetected, DomainError, FracspecError
 from .forward import DriveSignal, solve_l1_fd, solve_spectral
 from .sl_core import EigenSystem, PotentialSpec, RobinPair, eigen_system, eval_modes_at
-from .uniqueness import classify_region
+from .uniqueness import TRACE_TAU, classify_region
 
 DEFAULT_INV_GRID = 512
 DEFAULT_INV_MODES = 32
+FD_REL_STEP = 1e-6  # Jacobian column step, relative to max(|theta_i|, 0.1)
+GRAD_TOL = 1e-8     # Gauss-Newton stops when |2 J^T r| falls below this
+STEP_TOL = 1e-10    # ... or when |step| < STEP_TOL (1 + |theta|)
 
 
 @dataclass
@@ -134,13 +137,22 @@ class ReconstructionResult:
 # candidate geometry and forward map
 # ---------------------------------------------------------------------------
 
+def _head(spec: InverseProblemSpec):
+    """Grid nodes and the mask of the unknown head [0, d], d's node included."""
+    x = np.linspace(0.0, 1.0, spec.grid_size + 1)
+    return x, x <= spec.d + 1e-15
+
+
+def _project_h(theta) -> np.ndarray:
+    """A copy of the parameter vector with h, its last entry, projected onto h >= 0."""
+    return np.append(theta[:-1], max(theta[-1], 0.0))
+
+
 def candidate_potential(spec: InverseProblemSpec, candidate: CandidateParam,
                         project_q: bool = False) -> PotentialSpec:
     """Glue the parameterized head onto the known tail (continuous at d)."""
-    gs = spec.grid_size
-    x = np.linspace(0.0, 1.0, gs + 1)
+    x, head = _head(spec)
     samples = spec.q_tail(x)
-    head = x <= spec.d + 1e-15
     anchor = float(spec.q_tail(spec.d))
     vals = np.full(head.sum(), anchor)
     for m, c in enumerate(candidate.coeffs):
@@ -148,17 +160,21 @@ def candidate_potential(spec: InverseProblemSpec, candidate: CandidateParam,
     samples[head] = vals
     if project_q:
         samples = np.minimum(samples, 0.0)
-    return PotentialSpec(samples, gs)
+    return PotentialSpec(samples, spec.grid_size)
 
 
-def _forward_observation(spec: InverseProblemSpec, q_full: PotentialSpec,
-                         h: float, lambda_guess=None):
-    es = eigen_system(q_full, RobinPair(max(h, 0.0), spec.H), spec.n_max,
-                      grid_size=spec.grid_size, allow_inadmissible=True,
-                      lambda_guess=lambda_guess)
-    f = solve_spectral(es, spec.alpha, spec.eta, np.asarray([spec.x0]),
-                       spec.data.t, trunc_tol=np.inf)
-    return f.values[0], es.lambdas
+def _observation(q: PotentialSpec, robin: RobinPair, alpha: float,
+                 eta: DriveSignal, x0: float, t, n_max: int, grid_size: int,
+                 cache: dict | None = None) -> np.ndarray:
+    """u(x0, t) by the spectral solve on modes 0..n_max of (q, robin); a cache
+    dict warm-starts the eigensolve and keeps its eigenvalues for the next."""
+    guess = cache.get("lambdas") if cache is not None else None
+    es = eigen_system(q, robin, n_max, grid_size=grid_size,
+                      allow_inadmissible=True, lambda_guess=guess)
+    f = solve_spectral(es, alpha, eta, np.asarray([x0]), t, trunc_tol=np.inf)
+    if cache is not None:
+        cache["lambdas"] = es.lambdas
+    return f.values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,61 +202,54 @@ def synthesize_data(q_true: PotentialSpec, h_true: float, H: float,
                              seed=rng_seed)
 
 
+def _residual_vector(theta, spec, gamma, project_q, cache=None):
+    """Data residuals, then sqrt(gamma) coeffs, at theta with h projected to h >= 0."""
+    cand = CandidateParam.from_vector(_project_h(theta))
+    q = candidate_potential(spec, cand, project_q)
+    pred = _observation(q, RobinPair(cand.h, spec.H), spec.alpha, spec.eta,
+                        spec.x0, spec.data.t, spec.n_max, spec.grid_size, cache)
+    return np.concatenate([pred - spec.data.u, np.sqrt(gamma) * cand.coeffs])
+
+
 def misfit(candidate: CandidateParam, spec: InverseProblemSpec,
            gamma: float = 0.0, project_q: bool = False) -> float:
     """Sum of squared data residuals plus the Tikhonov penalty gamma |coeffs|^2."""
-    q_full = candidate_potential(spec, candidate, project_q)
-    pred, _ = _forward_observation(spec, q_full, candidate.h)
-    r = pred - spec.data.u
-    return float(np.dot(r, r) + gamma * np.dot(candidate.coeffs, candidate.coeffs))
-
-
-def _residual_vector(theta, spec, gamma, project_q, cache=None):
-    cand = CandidateParam.from_vector(theta)
-    cand.h = max(cand.h, 0.0)
-    q_full = candidate_potential(spec, cand, project_q)
-    guess = cache.get("lambdas") if cache is not None else None
-    pred, lambdas = _forward_observation(spec, q_full, cand.h, guess)
-    if cache is not None:
-        cache["lambdas"] = lambdas
-    data_res = pred - spec.data.u
-    pen = np.sqrt(gamma) * cand.coeffs
-    return np.concatenate([data_res, pen])
+    r = _residual_vector(candidate.as_vector(), spec, gamma, project_q)
+    return float(r @ r)
 
 
 def estimate_solver_floor(spec: InverseProblemSpec, candidate: CandidateParam,
-                          nx: int = 256, nt: int = 512,
-                          project_q: bool = False) -> float:
+                          nx: int = 256, nt: int = 512) -> float:
     """Solver-disagreement floor: squared gap between the spectral and FD
     observations of the same candidate.  Data misfits below this level carry
     no parameter information (discrepancy level for FD-generated data)."""
-    q_full = candidate_potential(spec, candidate, project_q)
-    pred, _ = _forward_observation(spec, q_full, candidate.h)
-    fd = solve_l1_fd(q_full, RobinPair(max(candidate.h, 0.0), spec.H),
-                     spec.alpha, spec.eta, nx, nt)
+    cand = CandidateParam.from_vector(_project_h(candidate.as_vector()))
+    q = candidate_potential(spec, cand)
+    robin = RobinPair(cand.h, spec.H)
+    pred = _observation(q, robin, spec.alpha, spec.eta, spec.x0, spec.data.t,
+                        spec.n_max, spec.grid_size)
+    fd = solve_l1_fd(q, robin, spec.alpha, spec.eta, nx, nt)
     u_fd = np.interp(spec.data.t, fd.t_grid, fd.at_x(spec.x0))
     return float(np.sum((pred - u_fd) ** 2))
 
 
 def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
                 gamma: float = 1e-10, project_q: bool = False,
-                max_iter: int = 200, fd_rel_step: float = 1e-6,
-                grad_tol: float = 1e-8, step_tol: float = 1e-10,
-                lm_damping: bool = False, floor_stop: float | None = None,
-                gamma_path=None, fix_h: bool = False,
-                q_truth: PotentialSpec | None = None,
-                h_truth: float | None = None,
-                verbose: bool = False) -> ReconstructionResult:
+                max_iter: int = 200, lm_damping: bool = False,
+                floor_stop: float | None = None, gamma_path=None,
+                fix_h: bool = False, q_truth: PotentialSpec | None = None,
+                h_truth: float | None = None) -> ReconstructionResult:
     """Gauss-Newton output least squares over (coeffs, h).
 
-    Finite-difference Jacobian with relative step fd_rel_step, Tikhonov term
+    Finite-difference Jacobian with relative step FD_REL_STEP, Tikhonov term
     gamma |coeffs|^2, step-halving line search, projection of h onto h >= 0
-    (and of q onto q <= 0 when project_q).  Terminates on gradient norm,
-    relative step size, the iteration cap, or -- when floor_stop is given --
-    on reaching the solver-disagreement floor below which the data carry no
-    information.  lm_damping adds adaptive Levenberg damping on top of the
-    line search; gamma_path runs a warm-started continuation ending at gamma.
-    Supplies error metrics when the truth is given.
+    (and of q onto q <= 0 when project_q).  Terminates on gradient norm
+    (GRAD_TOL), relative step size (STEP_TOL), the iteration cap, or -- when
+    floor_stop is given -- on reaching the solver-disagreement floor below
+    which the data carry no information.  lm_damping adds adaptive Levenberg
+    damping on top of the line search; gamma_path runs a warm-started
+    continuation ending at gamma.  Supplies error metrics when the truth is
+    given, rel_L2_q over the head nodes that candidate_potential glues.
 
     Identifiability caveat: observation at a single interior point is
     severely ill-posed; the data-map singular values decay roughly
@@ -250,17 +259,13 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
     data-equivalent parameter sets; estimate_solver_floor provides the
     discrepancy level at which to stop.
     """
-    verdict = classify_region(spec.d, min(spec.x0, 1.0))
-    region_note = verdict.verdict
-    theta = init.as_vector().copy()
-    theta[-1] = max(theta[-1], 0.0)
+    region_note = classify_region(spec.d, spec.x0).verdict
+    theta = _project_h(init.as_vector())
     n_par = theta.size
     free = list(range(n_par - 1)) + ([] if fix_h else [n_par - 1])
     cache: dict = {}
 
     gammas = list(gamma_path) + [gamma] if gamma_path else [gamma]
-    history = []
-    termination = "max_iterations"
     cond_max = 0.0
     rank_warnings = 0
     consecutive_fail = 0
@@ -280,12 +285,9 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
         termination = "max_iterations"
         for _ in range(max(iters_per_gamma, 1)):
             iterations += 1
-            J = np.empty((r.size, n_par))
-            for i in range(n_par):
-                if i not in free:
-                    J[:, i] = 0.0
-                    continue
-                step = fd_rel_step * max(abs(theta[i]), 0.1)
+            J = np.zeros((r.size, n_par))
+            for i in free:
+                step = FD_REL_STEP * max(abs(theta[i]), 0.1)
                 tp = theta.copy()
                 tp[i] += step
                 J[:, i] = (_residual_vector(tp, spec, gamma_now, project_q,
@@ -301,7 +303,7 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
                 np.vstack([J, np.sqrt(gamma_eff + damping) * np.eye(n_par)]),
                 np.concatenate([-r, np.zeros(n_par)]), rcond=None)
             grad = 2.0 * J.T @ r
-            if np.linalg.norm(grad) < grad_tol:
+            if np.linalg.norm(grad) < GRAD_TOL:
                 termination = "gradient"
                 break
 
@@ -310,8 +312,7 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
             accepted = False
             scale = 1.0
             for _ in range(25):
-                trial = theta + scale * delta
-                trial[-1] = max(trial[-1], 0.0)
+                trial = _project_h(theta + scale * delta)
                 try:
                     r_trial = _residual_vector(trial, spec, gamma_now,
                                                project_q, cache)
@@ -337,29 +338,27 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
             r = r_trial
             phi = phi_trial
             history.append(phi)
-            if verbose:
-                print(f"iter {iterations}: misfit={phi:.6e} step={step_norm:.2e}")
             if floor_stop is not None and gamma_now == gammas[-1] \
                     and phi <= floor_stop:
                 termination = "solver_floor"
                 break
-            if step_norm < step_tol * (1.0 + np.linalg.norm(theta)):
+            if step_norm < STEP_TOL * (1.0 + np.linalg.norm(theta)):
                 termination = "step_size"
                 break
-        if termination in ("solver_floor",):
+        if termination == "solver_floor":
             break
 
+    # every accepted theta has h >= 0 already
     cand = CandidateParam.from_vector(theta)
-    cand.h = max(cand.h, 0.0)
     q_hat = candidate_potential(spec, cand, project_q)
     metrics = None
     if q_truth is not None:
-        x = np.linspace(0.0, 1.0, spec.grid_size + 1)
-        head = x <= spec.d
-        dq = q_hat(x[head]) - q_truth(x[head])
-        ref = q_truth(x[head])
-        rel = float(np.sqrt(np.trapezoid(dq ** 2, x[head])
-                            / max(np.trapezoid(ref ** 2, x[head]), 1e-300)))
+        x, head = _head(spec)
+        xh = x[head]
+        ref = q_truth(xh)
+        dq = q_hat(xh) - ref
+        rel = float(np.sqrt(np.trapezoid(dq ** 2, xh)
+                            / max(np.trapezoid(ref ** 2, xh), 1e-300)))
         metrics = {"rel_L2_q": rel}
         if h_truth is not None:
             metrics["abs_err_h"] = abs(cand.h - h_truth)
@@ -403,15 +402,9 @@ def distinguishability_scan(pairs, x0: float, alpha: float, eta: DriveSignal,
     t_samples = np.asarray(t_samples, dtype=float)
     out = []
     for idx, (q1, h1, q2, h2) in enumerate(pairs):
-        gaps = []
-        for q, h in ((q1, h1), (q2, h2)):
-            es = eigen_system(q, RobinPair(h, H), n_max, grid_size=grid_size,
-                              allow_inadmissible=True)
-            f = solve_spectral(es, alpha, eta, np.asarray([x0]), t_samples,
-                               trunc_tol=np.inf)
-            gaps.append(f.values[0])
-        gap = float(np.abs(gaps[0] - gaps[1]).max())
-        out.append({"pair": idx, "gap": gap})
+        u1, u2 = (_observation(q, RobinPair(h, H), alpha, eta, x0, t_samples,
+                               n_max, grid_size) for q, h in ((q1, h1), (q2, h2)))
+        out.append({"pair": idx, "gap": float(np.abs(u1 - u2).max())})
     return out
 
 
@@ -434,13 +427,13 @@ class MatchAuditReport:
 
 
 def spectral_match_audit(es1: EigenSystem, es2: EigenSystem, x0: float,
-                         tol: float, trace_tau: float = 1e-6) -> MatchAuditReport:
+                         tol: float) -> MatchAuditReport:
     """Pair up eigenvalues and boundary-observation trace products.
 
-    For every mode n of es1 with |e_n(x0)| above the relative threshold, a
-    match m requires |lam_1n - lam_2m| <= tol (1 + |lam_1n|) and agreement of
-    the sign-convention-free products e(1) e(x0) to tol; the report diagnoses
-    why two parameter sets produce (nearly) identical observations.
+    For every mode n of es1 with |e_n(x0)| > TRACE_TAU max_x |e_n(x)|, a match
+    m requires |lam_1n - lam_2m| <= tol and agreement of the sign-convention-
+    free products e(1) e(x0) to tol; the report diagnoses why two parameter
+    sets produce (nearly) identical observations.
     """
     if es1.n_max != es2.n_max:
         raise DomainError("both systems must be computed to the same n_max")
@@ -451,7 +444,7 @@ def spectral_match_audit(es1: EigenSystem, es2: EigenSystem, x0: float,
     scale1 = np.abs(es1.efuncs).max(axis=1)
     entries = []
     for n in range(es1.n_max + 1):
-        if abs(v1[n]) <= trace_tau * scale1[n]:
+        if abs(v1[n]) <= TRACE_TAU * scale1[n]:
             continue
         lam_gap = np.abs(es2.lambdas - es1.lambdas[n])
         m = int(np.argmin(lam_gap))

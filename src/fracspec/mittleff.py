@@ -40,6 +40,8 @@ from .errors import DomainError, QuadratureNonConvergence
 Z_SWITCH = 5.0     # series attempted below this |z|
 Z_BIG = 50.0       # asymptotic expansion beyond this |z|
 SERIES_GUARD = 1e4  # max-term / result ratio tolerated in double precision
+SERIES_TERMS = 400  # most power-series terms summed
+ASYMPTOTIC_TERMS = 40  # the algebraic expansion sums k = 1 .. ASYMPTOTIC_TERMS - 1
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class L1Weights:
 # branches
 # ---------------------------------------------------------------------------
 
-def _series(alpha, beta, x, guard=SERIES_GUARD, max_terms=400):
+def _series(alpha, beta, x):
     """Power series at z = -x; returns (values, trustworthy)."""
     x = np.asarray(x, dtype=float)
     total = np.zeros_like(x)
@@ -82,7 +84,7 @@ def _series(alpha, beta, x, guard=SERIES_GUARD, max_terms=400):
     maxterm = np.zeros_like(x)
     done = np.zeros(x.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max_terms):
+        for k in range(SERIES_TERMS):
             term = np.where(done, 0.0, zk * rgamma(alpha * k + beta))
             y = term - comp
             t = total + y
@@ -93,7 +95,7 @@ def _series(alpha, beta, x, guard=SERIES_GUARD, max_terms=400):
             done |= (k > 2) & (np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300))
             if done.all():
                 break
-    ok = done & np.isfinite(total) & (maxterm <= guard * np.abs(total))
+    ok = done & np.isfinite(total) & (maxterm <= SERIES_GUARD * np.abs(total))
     return total, ok
 
 
@@ -141,20 +143,20 @@ def _integral(alpha, beta, x):
 
 
 @lru_cache(maxsize=64)
-def _asymptotic_coeffs(alpha: float, beta: float, kmax: int):
-    """-(-1)^k / Gamma(beta - alpha k) for k = 1 .. kmax - 1."""
-    k = np.arange(1, kmax)
+def _asymptotic_coeffs(alpha: float, beta: float):
+    """-(-1)^k / Gamma(beta - alpha k) for k = 1 .. ASYMPTOTIC_TERMS - 1."""
+    k = np.arange(1, ASYMPTOTIC_TERMS)
     return -((-1.0) ** k) * rgamma(beta - alpha * k)
 
 
-def _asymptotic(alpha, beta, x, kmax=40):
+def _asymptotic(alpha, beta, x):
     """Algebraic expansion at z = -x -> -inf with optimal truncation."""
     x = np.asarray(x, dtype=float)
     total = np.zeros_like(x)
     xk = 1.0 / x
     last_mag = np.full_like(x, np.inf)
     dead = np.zeros(x.shape, dtype=bool)
-    for c in _asymptotic_coeffs(float(alpha), float(beta), kmax):
+    for c in _asymptotic_coeffs(float(alpha), float(beta)):
         term = xk * c
         mag = np.abs(term)
         dead |= (mag > last_mag) & (mag > 0)

@@ -54,7 +54,6 @@ class PotentialSpec:
 
     samples: np.ndarray
     grid_size: int
-    interpolation: str = "piecewise-linear"
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -63,8 +62,6 @@ class PotentialSpec:
                 f"expected {self.grid_size + 1} samples, got {samples.size}")
         if not np.all(np.isfinite(samples)):
             raise DomainError("potential samples must be finite")
-        if self.interpolation != "piecewise-linear":
-            raise DomainError(f"unsupported interpolation {self.interpolation!r}")
         object.__setattr__(self, "samples", samples)
 
     @property

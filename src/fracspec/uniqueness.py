@@ -31,6 +31,8 @@ import numpy as np
 from .errors import DomainError
 from .sl_core import EigenSystem, PotentialSpec, RobinPair, eval_modes_at, split_spectra
 
+TRACE_TAU = 1e-6  # mode n vanishes at x0 when |e_n(x0)| <= TRACE_TAU max_x |e_n(x)|
+MATCH_TOL = 1e-6  # relative distance at which a complement eigenvalue is matched
 _LABELS = ("full-spectrum", "lambda-set", "lambda-complement", "mu-minus", "mu-plus")
 
 
@@ -112,7 +114,7 @@ def counting(counted: CountedSet, s: float) -> int:
     return int(np.searchsorted(counted.values, s, side="right"))
 
 
-def lambda_set(es: EigenSystem, x0: float, tau: float = 1e-6) -> LambdaSplit:
+def lambda_set(es: EigenSystem, x0: float, tau: float = TRACE_TAU) -> LambdaSplit:
     """Split modes by the relative size of e_n(x0).
 
     Mode n is retained iff |e_n(x0)| > tau * max_x |e_n(x)|; traces are
@@ -136,15 +138,14 @@ def lambda_set(es: EigenSystem, x0: float, tau: float = 1e-6) -> LambdaSplit:
 
 
 def complement_inclusion_check(es: EigenSystem, x0: float, robin: RobinPair,
-                               q: PotentialSpec, tau: float = 1e-6,
-                               match_tol: float = 1e-6) -> InclusionReport:
+                               q: PotentialSpec) -> InclusionReport:
     """Verify that complement eigenvalues appear in both split spectra.
 
-    Each lambda in the complement must lie within match_tol * (1 + lambda) of
-    a member of the left (Robin-Dirichlet) and right (Dirichlet-Robin)
-    spectra at x0.
+    The complement is lambda_set's at tau = TRACE_TAU.  Each of its lambdas
+    must lie within MATCH_TOL * (1 + lambda) of a member of the left
+    (Robin-Dirichlet) and right (Dirichlet-Robin) spectra at x0.
     """
-    split = lambda_set(es, x0, tau)
+    split = lambda_set(es, x0)
     comp = split.complement.values
     entries, violations = [], []
     if comp.size:
@@ -155,9 +156,9 @@ def complement_inclusion_check(es: EigenSystem, x0: float, robin: RobinPair,
             d_minus = float(np.min(np.abs(mu_minus - lam)))
             d_plus = float(np.min(np.abs(mu_plus - lam)))
             entries.append((float(lam), d_minus, d_plus))
-            if max(d_minus, d_plus) > match_tol * (1.0 + lam):
+            if max(d_minus, d_plus) > MATCH_TOL * (1.0 + lam):
                 violations.append(float(lam))
-    return InclusionReport(entries=entries, tolerance=match_tol,
+    return InclusionReport(entries=entries, tolerance=MATCH_TOL,
                            violations=violations, passed=not violations)
 
 

@@ -138,30 +138,38 @@ def weyl_m_minus(q: PotentialSpec, h: float, lam, x: float):
     return _shaped(-d / v, lam)
 
 
-def m_asymptotic_scan(q: PotentialSpec, h: float, x: float,
-                      ray: ComplexRay) -> ExponentFit:
-    """Fit |m_-(x, lambda)| ~ c |lambda|^p along the ray.
+def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray):
+    """Least-squares line log_y ~ c0 + c1 log_x: (c0, c1), rank, max residual."""
+    A = np.vstack([np.ones_like(log_x), log_x]).T
+    coef, _, rank, _ = np.linalg.lstsq(A, log_y, rcond=None)
+    return coef, rank, float(np.max(np.abs(log_y - A @ coef)))
+
+
+def m_exponent_fit(lams: np.ndarray, m_values) -> ExponentFit:
+    """Fit |m| ~ c |lambda|^p to values m_-(x, lambda) at the points lams.
 
     The fitted exponent and coefficient are reported next to the classical
     expansion's exponent -1/2 (reference_exponent) without asserting either:
     the closed form at q = 0 behaves like sqrt(lambda) tan(sqrt(lambda) x),
     i.e. exponent +1/2 on the imaginary axis.
     """
-    lams = ray.points()
-    mags = np.abs(weyl_m_minus(q, h, lams, x))
+    mags = np.abs(m_values)
     if np.any(mags <= 0) or lams.size < 3:
         raise FitFailure("degenerate scan data")
-    lx = np.log(np.abs(lams))
-    ly = np.log(mags)
-    A = np.vstack([np.ones_like(lx), lx]).T
-    coef, _, rank, _ = np.linalg.lstsq(A, ly, rcond=None)
+    coef, rank, resid = _loglog_fit(np.log(np.abs(lams)), np.log(mags))
     if rank < 2:
         raise FitFailure("rank-deficient log-log fit")
-    resid = float(np.max(np.abs(ly - A @ coef)))
     return ExponentFit(exponent=float(coef[1]),
                        coefficient=float(np.exp(coef[0])),
                        residual=resid,
                        reference_exponent=-0.5)
+
+
+def m_asymptotic_scan(q: PotentialSpec, h: float, x: float,
+                      ray: ComplexRay) -> ExponentFit:
+    """m_exponent_fit of m_-(x, lambda) along the ray, marched in one batch."""
+    lams = ray.points()
+    return m_exponent_fit(lams, weyl_m_minus(q, h, lams, x))
 
 
 def wronskian_U(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,
@@ -267,9 +275,7 @@ def f_decay_scan(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,
     U = wronskian_U(q1, q2, h1, h2, lams, d)
     log_f = np.log(np.abs(U) + 1e-300) - 2.0 * _log_product(retained, lams).real
     y = ray.magnitudes
-    mags = np.exp(log_f)
-    A = np.vstack([np.ones_like(y), np.log(y)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, log_f, rcond=None)
+    coef, _, _ = _loglog_fit(np.log(y), log_f)
     slope = float(coef[1])
-    return DecayScan(y_values=y, f_magnitudes=mags, slope=slope,
+    return DecayScan(y_values=y, f_magnitudes=np.exp(log_f), slope=slope,
                      decreasing_trend=slope < 0.0)

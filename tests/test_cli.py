@@ -260,6 +260,25 @@ class TestRun:
         fit = json.loads((tmp_path / "w" / "fit.json").read_text())
         assert abs(fit["exponent"] - 0.5) < 0.05
 
+    def test_weyl_scan_marches_the_ray_once(self, tmp_path, monkeypatch):
+        # scan.csv and fit.json come from one batched march of the ray
+        import fracspec.weyl_toolkit as weyl
+        batches = []
+        march = weyl._propagate
+
+        def counted(q_samples, v0, d0, lams, **kwargs):
+            batches.append(np.size(lams))
+            return march(q_samples, v0, d0, lams, **kwargs)
+
+        monkeypatch.setattr(weyl, "_propagate", counted)
+        params = {"q": {"type": "bump", "depth": 0.8, "width": 0.5}, "h": 0.3,
+                  "x": 0.77, "mag_lo": 50.0, "mag_hi": 1500.0, "count": 12}
+        manifest = run(ExperimentConfig("weyl-scan", params, tmp_path / "w"))
+        assert manifest.all_passed
+        assert batches == [12]
+        rows = (tmp_path / "w" / "scan.csv").read_text().splitlines()
+        assert len(rows) == 1 + 12
+
     def test_forward_command_cross_check(self, tmp_path):
         params = {"q": {"type": "constant", "value": 0.0}, "h": 0.0, "H": 0.0,
                   "alpha": 0.5, "eta": {"type": "ramp"}, "T": 1.0, "nt": 64,

@@ -12,6 +12,7 @@ from fracspec.inverse import (
     estimate_solver_floor,
     misfit,
     reconstruct,
+    reconstruct_morozov,
     spectral_match_audit,
     synthesize_data,
 )
@@ -214,6 +215,71 @@ class TestReconstruct:
         res = reconstruct(spec, init, gamma=1e-8, max_iter=4, project_q=True)
         assert res.h_hat >= 0.0
         assert res.q_hat.admissible
+
+    def test_gamma_path_continuation(self, twin):
+        # max_iter is shared across the path, each gamma warm-starts from the
+        # last, and the reported history is the final gamma's
+        q_true, spec = twin
+        init = CandidateParam(np.zeros(3), 0.1)
+        res = reconstruct(spec, init, gamma=1e-8, gamma_path=[1e-4, 1e-6],
+                          max_iter=6, lm_damping=True, q_truth=q_true,
+                          h_truth=H_TRUE)
+        assert 3 <= res.iterations <= 6
+        assert res.regularization["gamma"] == 1e-8
+        hist = np.asarray(res.misfit_history)
+        assert np.all(np.diff(hist) <= 0.0)
+        # the final stage starts where the earlier stages left off
+        assert hist[0] < misfit(init, spec, gamma=1e-8)
+        last = CandidateParam(res.coeffs, res.h_hat)
+        assert hist[-1] == pytest.approx(misfit(last, spec, gamma=1e-8),
+                                         rel=1e-12)
+        assert np.isfinite(res.error_metrics["rel_L2_q"])
+
+    def test_morozov_stops_at_the_discrepancy(self, twin, ramp_hold):
+        q_true, spec = twin
+        noisy = synthesize_data(q_true, H_TRUE, HBIG, ALPHA, ramp_hold, X0,
+                                spec.data.t, 0.01, 11, nx=128, nt=256)
+        noise_norm2 = float(np.sum((noisy.u - spec.data.u) ** 2))
+        spec_n = InverseProblemSpec(alpha=ALPHA, x0=X0, d=D, q_tail=spec.q_tail,
+                                    H=HBIG, eta=ramp_hold, data=noisy,
+                                    noise_level=0.01, n_max=20, grid_size=256)
+        init = CandidateParam(np.zeros(3), 0.1)
+        res = reconstruct_morozov(spec_n, init, noise_norm2, gamma0=1e-4,
+                                  gamma_min=1e-7, max_iter=3, lm_damping=True)
+        gamma = res.regularization["gamma"]
+        target = res.regularization["morozov_target"]
+        assert target == pytest.approx(1.2 * noise_norm2, rel=1e-15)
+        k = round(-np.log10(gamma))
+        assert 4 <= k <= 8 and gamma == pytest.approx(10.0 ** -k, rel=1e-12)
+        data_misfit = res.misfit_history[-1] - gamma * float(res.coeffs @ res.coeffs)
+        assert data_misfit <= target or gamma <= 1e-7
+        assert res.h_hat >= 0.0
+
+    def test_rel_l2_q_covers_the_glued_head(self):
+        # node 700 of 1000 cells is 0.7000000000000001, just past d = 0.7;
+        # candidate_potential glues it into the head, and rel_L2_q
+        # integrates over the same 701 nodes
+        grid, d = 1000, 0.7
+        x = np.linspace(0.0, 1.0, grid + 1)
+        q_truth = PotentialSpec(np.where(x <= d, -0.2 - 0.5 * (1 - x / d) ** 2,
+                                         -0.2), grid)
+        t = np.linspace(0.0, 2.0, 9)[1:]
+        spec = InverseProblemSpec(
+            alpha=ALPHA, x0=X0, d=d, q_tail=PotentialSpec.constant(-0.2, grid),
+            H=HBIG, eta=DriveSignal(np.array([0.0, 1.0, 2.0]),
+                                    np.array([0.0, 1.0, 1.0])),
+            data=ObservationSeries(t, np.zeros(t.size)), n_max=8,
+            grid_size=grid)
+        res = reconstruct(spec, CandidateParam(np.zeros(0), 0.3), fix_h=True,
+                          q_truth=q_truth, h_truth=0.3)
+        assert res.termination == "no_free_parameters"
+        xh = x[:701]
+        assert np.all(res.q_hat.samples[:701] == -0.2)
+        dq = res.q_hat.samples[:701] - q_truth.samples[:701]
+        expected = np.sqrt(np.trapezoid(dq ** 2, xh)
+                           / np.trapezoid(q_truth.samples[:701] ** 2, xh))
+        assert res.error_metrics["rel_L2_q"] == pytest.approx(expected,
+                                                              rel=1e-14)
 
     def test_result_serialization(self, twin):
         _, spec = twin
