@@ -17,7 +17,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +50,14 @@ def _is_finite_num(v):
 
 @dataclass(frozen=True)
 class _Num:
-    """A finite number in [lo, hi]; an integer, or > 0, when flagged."""
+    """A finite number in [lo, hi]; an integer, or > 0, when flagged; above
+    obj[above] when that is a finite number."""
 
     lo: float | None = None
     hi: float | None = None
     integer: bool = False
     positive: bool = False
+    above: str | None = None
     default: object = _REQUIRED
 
     def check(self, v, path, obj, errors):
@@ -69,6 +71,8 @@ class _Num:
             errors.append(f"{path}: must be >= {self.lo}")
         elif self.hi is not None and v > self.hi:
             errors.append(f"{path}: must be <= {self.hi}")
+        elif _is_finite_num(obj.get(self.above)) and not v > obj[self.above]:
+            errors.append(f"{path}: must be > {self.above}")
 
 
 @dataclass(frozen=True)
@@ -202,14 +206,14 @@ SCHEMA = {
     "weyl-scan": {
         "q": _Q, "h": _ROBIN, "x": _Num(lo=1e-9, hi=1.0),
         "mag_lo": _Num(lo=1e-9),
-        "mag_hi": _Num(lo=1e-9, hi=weyl.RAY_SQRT_CAP ** 2),
+        "mag_hi": _Num(lo=1e-9, hi=weyl.RAY_SQRT_CAP ** 2, above="mag_lo"),
         "count": _Num(lo=3, integer=True),
         "direction": _Choice(("imaginary-axis", "sector"),
                              default="imaginary-axis"),
         "angle": _Num(lo=0.0, hi=np.pi, default=np.pi / 2)},
     "counting": {
         "x0": _UNIT, "n_modes": _Num(lo=10, integer=True),
-        "s_lo": _Num(lo=1e-9), "s_hi": _Num(lo=1e-9),
+        "s_lo": _Num(lo=1e-9), "s_hi": _Num(lo=1e-9, above="s_lo"),
         "s_count": _Num(lo=4, integer=True), "A": _Num(lo=1e-9, default=None)},
     "region-map": {
         "resolution": _Num(lo=10, integer=True), "certificate": _Certificate()},
@@ -323,11 +327,7 @@ class RunManifest:
     status: str
 
     def to_json(self) -> str:
-        return json.dumps({
-            "config_hash": self.config_hash, "version": self.version,
-            "started": self.started, "finished": self.finished,
-            "files": self.files, "checks": self.checks, "status": self.status,
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @property
     def all_passed(self) -> bool:
@@ -369,7 +369,7 @@ def _run_eigensolve(params, writer, seed):
     rb = RobinPair(float(params["h"]), float(params["H"]))
     es = eigen_system(q, rb, int(params["n_max"]),
                       grid_size=params["grid_size"],
-                      allow_inadmissible=not q.admissible)
+                      allow_inadmissible=True)
     rows = [(int(n), float(es.lambdas[n]), float(es.k[n]), float(es.beta[n]),
              float(es.residuals[n])) for n in range(es.n_max + 1)]
     writer.write_text("eigen.csv",
@@ -405,7 +405,7 @@ def _run_forward(params, writer, seed):
     fields = {}
     if method in ("spectral", "both"):
         es = eigen_system(q, rb, n_max, grid_size=grid,
-                          allow_inadmissible=not q.admissible)
+                          allow_inadmissible=True)
         fields["spectral"] = fwd.solve_spectral(es, alpha, eta, x_grid, t_grid)
     if method in ("l1fd", "both"):
         fields["l1fd"] = fwd.solve_l1_fd(q, rb, alpha, eta, nx, nt)
@@ -436,7 +436,7 @@ def _run_kernel(params, writer, seed):
     n_max = (max(n_modes - 1, 8) if params["n_max"] is None
              else int(params["n_max"]))
     es = eigen_system(q, rb, max(n_max, n_modes - 1), grid_size=grid,
-                      allow_inadmissible=not q.admissible)
+                      allow_inadmissible=True)
     t_grid = np.linspace(0.0, T, nt + 1)
     ker = fwd.kernel_K(es, alpha, float(params["x"]), t_grid, n_modes)
     writer.write_text("kernel.csv", _csv_text(
@@ -494,18 +494,21 @@ def _run_counting(params, writer, seed):
     return checks
 
 
+def _write_region(writer, verdicts):
+    """region.csv and its heatmap region.svg for region_map's verdicts."""
+    writer.write_text("region.csv", uniq.region_map_csv(verdicts))
+    writer.write_text("region.svg", svgplot.render_heatmap(
+        [v.d for v in verdicts], [v.x0 for v in verdicts],
+        [v.verdict for v in verdicts], title="uniqueness regions",
+        x_label="d", y_label="x0"))
+
+
 def _run_region_map(params, writer, seed):
     cert = params["certificate"]
     certificate = (cert["A"], cert["B"]) if cert else None
     res = int(params["resolution"])
     verdicts = uniq.region_map(res, certificate)
-    writer.write_text("region.csv", uniq.region_map_csv(verdicts))
-    svg = svgplot.render_heatmap([v.d for v in verdicts],
-                                 [v.x0 for v in verdicts],
-                                 [v.verdict for v in verdicts],
-                                 title="uniqueness regions", x_label="d",
-                                 y_label="x0")
-    writer.write_text("region.svg", svg)
+    _write_region(writer, verdicts)
     diag_ok = all(v.verdict == "theorem1-case-i" for v in verdicts
                   if v.d == v.x0)
     return [{"name": "row-count", "passed": len(verdicts) == res * res,
@@ -650,12 +653,7 @@ def _run_verify_all(params, writer, seed):
              for (dd, xx, cc), expect in cases)
     checks.append({"name": "region-verdicts", "passed": bool(ok),
                    "detail": f"{len(cases)} cases"})
-    verdicts = uniq.region_map(40)
-    writer.write_text("region.csv", uniq.region_map_csv(verdicts))
-    writer.write_text("region.svg", svgplot.render_heatmap(
-        [v.d for v in verdicts], [v.x0 for v in verdicts],
-        [v.verdict for v in verdicts], title="uniqueness regions",
-        x_label="d", y_label="x0"))
+    _write_region(writer, uniq.region_map(40))
 
     eta = fwd.DriveSignal.from_callable(lambda t: t * t, 1.0, 256)
     es48 = eigen_system(PotentialSpec.constant(0.0, 1024),

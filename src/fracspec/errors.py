@@ -57,10 +57,6 @@ class FitFailure(FracspecError):
     """Least-squares fit on degenerate data."""
 
 
-class DivergenceDetected(FracspecError):
-    """Optimizer misfit increased over too many consecutive trial steps."""
-
-
 class MissingColumn(FracspecError):
     """CSV column named in a plot spec does not exist, or the spec names none."""
 

@@ -42,23 +42,7 @@ Z_BIG = 50.0       # asymptotic expansion beyond this |z|
 SERIES_GUARD = 1e4  # max-term / result ratio tolerated in double precision
 SERIES_TERMS = 400  # most power-series terms summed
 ASYMPTOTIC_TERMS = 40  # the algebraic expansion sums k = 1 .. ASYMPTOTIC_TERMS - 1
-
-
-@dataclass(frozen=True)
-class MLQuery:
-    """Validated evaluation request on the nonpositive axis."""
-
-    alpha: float
-    beta: float
-    z: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError("alpha must lie in (0, 1]")
-        if self.beta <= 0.0:
-            raise DomainError("beta must be positive")
-        if self.z > 0.0:
-            raise DomainError("argument must be nonpositive")
+LAPLACE_TOL = 1e-8  # absolute error budget of ml_laplace_residual's integral
 
 
 @dataclass(frozen=True)
@@ -302,26 +286,25 @@ def relax_antiderivative(alpha: float, lam, t):
     return _relax(alpha, 2, lam, t)
 
 
-def ml_laplace_residual(alpha: float, lam: float, zeta: float,
-                        tol: float = 1e-8) -> float:
+def ml_laplace_residual(alpha: float, lam: float, zeta: float) -> float:
     """|int_0^inf e^{-zeta t} E_{a,1}(-lam t^a) dt - zeta^{a-1}/(zeta^a + lam)|.
 
     The integral is truncated where the bound E(-lam T^a) e^{-zeta T}/zeta
-    drops below tol/2 and evaluated adaptively; a small residual certifies the
-    termwise Laplace transform identity.
+    drops below LAPLACE_TOL/2 and evaluated adaptively; a small residual
+    certifies the termwise Laplace transform identity.
     """
     if lam <= 0 or zeta <= 0:
         raise DomainError("lambda and zeta must be positive")
-    T = max(-np.log(0.25 * tol * zeta) / zeta, 1.0)
+    T = max(-np.log(0.25 * LAPLACE_TOL * zeta) / zeta, 1.0)
     tail = ml(alpha, 1.0, -lam * T ** alpha) * np.exp(-zeta * T) / zeta
-    if tail > 0.5 * tol:
+    if tail > 0.5 * LAPLACE_TOL:
         raise QuadratureNonConvergence("tail bound cannot reach tolerance")
 
     def f(t):
         return np.exp(-zeta * t) * ml(alpha, 1.0, -lam * t ** alpha)
 
-    val, err = quad(f, 0.0, T, epsabs=0.125 * tol, epsrel=1e-10, limit=400)
-    if err > 0.5 * tol:
+    val, err = quad(f, 0.0, T, epsabs=0.125 * LAPLACE_TOL, epsrel=1e-10, limit=400)
+    if err > 0.5 * LAPLACE_TOL:
         raise QuadratureNonConvergence(
             f"quadrature error estimate {err:.2e} above tolerance")
     exact = zeta ** (alpha - 1.0) / (zeta ** alpha + lam)

@@ -503,11 +503,11 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
         raise DomainError("potential is not admissible (samples must be <= 0); "
                           "pass allow_inadmissible=True to override")
     grid_size = _validate_ivp_args(q, grid_size)
-    qs = q.resampled(grid_size).samples
-    problem = _ShootingProblem(qs, 1.0, robin.h, robin.H, 1.0)
+    q = q.resampled(grid_size)
+    problem = _ShootingProblem(q.samples, 1.0, robin.h, robin.H, 1.0)
     lambdas, residuals = problem.solve(n_max, guesses=lambda_guess)
 
-    vals, ders = _propagate(qs, 1.0, robin.h, lambdas, keep_trace=True)
+    vals, ders = _propagate(q.samples, 1.0, robin.h, lambdas, keep_trace=True)
     _check_finite(vals, ders)
     h = 1.0 / grid_size
     beta = _corrected_trapezoid(vals ** 2, 2.0 * vals * ders, h)
@@ -517,7 +517,7 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
     k = 1.0 / vals[:, -1]
     return EigenSystem(lambdas=lambdas, efuncs=efuncs, defuncs=defuncs, k=k,
                        beta=beta, n_max=n_max, residuals=residuals,
-                       q=q.resampled(grid_size), robin=robin, grid_size=grid_size)
+                       q=q, robin=robin, grid_size=grid_size)
 
 
 def eval_modes_at(es: EigenSystem, x: float):

@@ -45,6 +45,12 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
+def _span(values):
+    """(min, max) of values, widened by 1 each way when they are all equal."""
+    lo, hi = min(values), max(values)
+    return (lo - 1.0, hi + 1.0) if lo == hi else (lo, hi)
+
+
 def _axes(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label, logx, logy):
     def sx(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
@@ -117,12 +123,8 @@ def render_line(series: dict[str, tuple], title="", x_label="", y_label="",
             txs.append(x)
             tys.append(y)
         transformed[name] = pts
-    x_lo, x_hi = min(txs), max(txs)
-    y_lo, y_hi = min(tys), max(tys)
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+    x_lo, x_hi = _span(txs)
+    y_lo, y_hi = _span(tys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     parts, sx, sy = _axes(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label,
@@ -161,8 +163,8 @@ def render_heatmap(xs, ys, values, title="", x_label="", y_label="") -> str:
     uy = sorted(set(ys))
     x_idx = {v: i for i, v in enumerate(ux)}
     y_idx = {v: i for i, v in enumerate(uy)}
-    parts, _, _ = _axes(min(ux), max(ux), min(uy), max(uy), title, x_label,
-                        y_label, False, False)
+    parts, _, _ = _axes(*_span(ux), *_span(uy), title, x_label, y_label,
+                        False, False)
     cw = (WIDTH - MARGIN_L - MARGIN_R) / len(ux)
     ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(uy)
     categorical = isinstance(values[0], str)

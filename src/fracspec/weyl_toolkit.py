@@ -96,7 +96,7 @@ class ExponentFit:
     exponent: float
     coefficient: float
     residual: float
-    reference_exponent: float | None = None
+    reference_exponent = -0.5  # the classical expansion's exponent, for comparison
 
     def to_json(self) -> str:
         return json.dumps({"exponent": self.exponent,
@@ -161,8 +161,7 @@ def m_exponent_fit(lams: np.ndarray, m_values) -> ExponentFit:
         raise FitFailure("rank-deficient log-log fit")
     return ExponentFit(exponent=float(coef[1]),
                        coefficient=float(np.exp(coef[0])),
-                       residual=resid,
-                       reference_exponent=-0.5)
+                       residual=resid)
 
 
 def m_asymptotic_scan(q: PotentialSpec, h: float, x: float,

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fracspec import forward as fwd
 from fracspec.cli import COMMANDS, ExperimentConfig, main, plot, run, validate
 from fracspec.errors import EmptyData, MissingColumn
+from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
 
 
 def cfg_text(command, parameters, seed=0):
@@ -147,6 +153,10 @@ VALIDATION_CASES = [
     ("forward", with_params(MINIMAL["forward"], eta={
         "type": "samples", "t": [0.0, 1.0], "values": [1.0, 1.0]}), 0,
      ["parameters.eta.values[0]: must be 0"]),
+    ("counting", with_params(MINIMAL["counting"], s_hi=100.0), 0,
+     ["parameters.s_hi: must be > s_lo"]),
+    ("weyl-scan", with_params(MINIMAL["weyl-scan"], mag_lo=1000.0), 0,
+     ["parameters.mag_hi: must be > mag_lo"]),
 ]
 
 
@@ -322,6 +332,65 @@ class TestRun:
         assert main(["validate", "--config", str(cfg_file)]) == 0
         assert main(["validate", "--config", str(bad)]) == 2
 
+    RAMP = fwd.DriveSignal(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("q,eta,q_lib,eta_lib", [
+        ({"type": "cosine", "mean": -0.5, "amplitude": 0.3, "frequency": 2.0},
+         {"type": "ramp"}, PotentialSpec.from_callable(
+             lambda x: -0.5 + 0.3 * np.cos(2.0 * np.pi * x), 1024), RAMP),
+        ({"type": "samples", "samples": [-0.1 * i for i in range(17)],
+          "grid_size": 16},
+         {"type": "ramp"}, PotentialSpec(-0.1 * np.arange(17.0), 16), RAMP),
+        (Q_ZERO, {"type": "poly", "power": 1.5},
+         PotentialSpec.constant(0.0, 1024),
+         fwd.DriveSignal.from_callable(lambda t: t ** 1.5, 1.0, 32)),
+        (Q_ZERO, {"type": "samples", "t": [0.0, 0.5, 1.0],
+                  "values": [0.0, 0.5, 0.5]},
+         PotentialSpec.constant(0.0, 1024),
+         fwd.DriveSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, 0.5]))),
+    ], ids=["q-cosine", "q-samples", "eta-poly", "eta-samples"])
+    def test_forward_spectral_builds_each_kind(self, q, eta, q_lib, eta_lib,
+                                               tmp_path):
+        # the field is the library's spectral solve of the (q, eta) that the
+        # config describes
+        params = with_params(MINIMAL["forward"], q=q, eta=eta,
+                             method="spectral")
+        manifest = run(ExperimentConfig("forward", params, tmp_path / "f"))
+        assert manifest.status == "ok"
+        es = eigen_system(q_lib, RobinPair(0.0, 0.0), 48, grid_size=1024,
+                          allow_inadmissible=True)
+        grid = np.linspace(0.0, 1.0, 33)
+        field = fwd.solve_spectral(es, 0.5, eta_lib, grid, grid)
+        assert (tmp_path / "f" / "field_spectral.csv").read_text() \
+            == field.to_csv()
+
+    def test_numerical_failure_exits_3(self, tmp_path):
+        # one mode cannot hold the ramp's tail bound: the run's library
+        # error becomes the manifest's execution check
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg_text("forward",
+                                     with_params(MINIMAL["forward"], n_max=0)))
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg_file), "--out",
+                     str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "numerical-failure"
+        [check] = manifest["checks"]
+        assert check["name"] == "execution" and not check["passed"]
+        assert check["detail"].startswith("TruncationTooCoarse: ")
+
+    def test_module_entry_point_validates(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg_text("eigensolve", MINIMAL_EIGEN))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "fracspec.cli", "validate",
+                               "--config", str(cfg_file)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
     def test_command_mismatch(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(cfg_text("eigensolve", MINIMAL_EIGEN))
@@ -349,6 +418,14 @@ class TestPlot:
         svg = plot(p, {"kind": "heatmap", "x": "d", "y": "x0",
                        "value": "verdict"})
         assert svg.count("<rect") >= 25
+
+    @pytest.mark.parametrize("text", ["x,y,v\n0.5,0.1,1\n0.5,0.2,2\n",
+                                      "x,y,v\n0.1,0.5,1\n0.2,0.5,2\n"],
+                             ids=["one-x", "one-y"])
+    def test_heatmap_with_one_distinct_coordinate(self, tmp_path, text):
+        p = self.write_csv(tmp_path / "h.csv", text)
+        svg = plot(p, {"kind": "heatmap", "x": "x", "y": "y", "value": "v"})
+        assert svg.count('fill="rgb(') == 2
 
     def test_missing_column(self, tmp_path):
         p = self.write_csv(tmp_path / "d.csv", "t,y\n0,1\n")

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fracspec.errors import DomainError
-from fracspec.forward import DriveSignal
+from fracspec.forward import DriveSignal, solve_spectral
 from fracspec.inverse import (
     CandidateParam,
     InverseProblemSpec,
@@ -255,6 +257,37 @@ class TestReconstruct:
         assert data_misfit <= target or gamma <= 1e-7
         assert res.h_hat >= 0.0
 
+    def test_morozov_shrinks_gamma_after_a_miss(self, twin, ramp_hold):
+        # at gamma0 = 0.1 the penalty holds the data misfit above the target,
+        # so gamma drops tenfold and the warm-started solve at 0.01 meets it
+        q_true, spec = twin
+        noisy = synthesize_data(q_true, H_TRUE, HBIG, ALPHA, ramp_hold, X0,
+                                spec.data.t, 0.01, 11, nx=128, nt=256)
+        noise_norm2 = float(np.sum((noisy.u - spec.data.u) ** 2))
+        spec_n = replace(spec, data=noisy, noise_level=0.01)
+        res = reconstruct_morozov(spec_n, CandidateParam(np.zeros(3), 0.1),
+                                  noise_norm2, gamma0=0.1, gamma_min=1e-7,
+                                  max_iter=3, lm_damping=True)
+        gamma = res.regularization["gamma"]
+        assert gamma == pytest.approx(0.01, rel=1e-15)
+        data_misfit = res.misfit_history[-1] - gamma * float(res.coeffs @ res.coeffs)
+        assert data_misfit <= res.regularization["morozov_target"]
+
+    def test_start_at_spectral_data_truth_ends_on_gradient(self, twin):
+        # data made by the spectral solver at the start itself leave no
+        # residual, so the first Gauss-Newton iteration stops on the gradient
+        _, spec = twin
+        start = CandidateParam(np.array([-0.4, 0.1, -0.05]), H_TRUE)
+        es = eigen_system(candidate_potential(spec, start),
+                          RobinPair(H_TRUE, HBIG), spec.n_max,
+                          grid_size=spec.grid_size, allow_inadmissible=True)
+        u = solve_spectral(es, ALPHA, spec.eta, np.array([X0]), spec.data.t,
+                           trunc_tol=np.inf).values[0]
+        exact = replace(spec, data=ObservationSeries(spec.data.t, u))
+        res = reconstruct(exact, start, gamma=0.0, max_iter=3)
+        assert res.termination == "gradient"
+        assert res.iterations == 1 and res.misfit_history[0] < 1e-20
+
     def test_rel_l2_q_covers_the_glued_head(self):
         # node 700 of 1000 cells is 0.7000000000000001, just past d = 0.7;
         # candidate_potential glues it into the head, and rel_L2_q
@@ -357,6 +390,8 @@ class TestSpecSerialization:
         assert spec2.alpha == spec.alpha
         assert np.allclose(spec2.data.u, spec.data.u)
         assert np.allclose(spec2.q_tail.samples, spec.q_tail.samples)
+        assert spec2.n_max == spec.n_max == 20
+        assert spec2.grid_size == spec.grid_size == 256
 
     def test_data_inside_drive_support(self, ramp_hold):
         with pytest.raises(DomainError):

@@ -5,7 +5,6 @@ from scipy.special import erfc, gamma
 from fracspec.errors import DomainError
 from fracspec.mittleff import (
     L1Weights,
-    MLQuery,
     _asymptotic,
     _integral,
     _series,
@@ -81,7 +80,7 @@ class TestML:
         with pytest.raises(DomainError):
             ml(0.5, -1.0, -1.0)
         with pytest.raises(DomainError):
-            MLQuery(0.0, 1.0, -1.0)
+            ml(0.0, 1.0, -1.0)
 
     def test_nan_argument_rejected(self):
         with pytest.raises(DomainError, match="z must not be NaN"):
