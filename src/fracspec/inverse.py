@@ -95,7 +95,8 @@ class InverseProblemSpec:
                        "samples": self.q_tail.samples.tolist()},
             "eta": {"t": self.eta.t_grid.tolist(),
                     "values": self.eta.values.tolist()},
-            "data": {"t": self.data.t.tolist(), "u": self.data.u.tolist()},
+            "data": {"t": self.data.t.tolist(), "u": self.data.u.tolist(),
+                     "noise_level": self.data.noise_level, "seed": self.data.seed},
         })
 
     @classmethod
@@ -109,7 +110,8 @@ class InverseProblemSpec:
                    eta=DriveSignal(np.asarray(o["eta"]["t"]),
                                    np.asarray(o["eta"]["values"])),
                    data=ObservationSeries(np.asarray(o["data"]["t"]),
-                                          np.asarray(o["data"]["u"])))
+                                          np.asarray(o["data"]["u"]),
+                                          o["data"]["noise_level"], o["data"]["seed"]))
 
 
 @dataclass

@@ -15,8 +15,10 @@ by three branches:
 
   where D(w) = w^2 + 2 w cos(pi a) + 1 and C = sin(pi a)/(pi a); the
   integrands are positive (no cancellation) and decay at unit exponential
-  rate in log w at both ends, so a trapezoid rule on a fixed log grid
-  converges geometrically;
+  rate in log w at both ends, so a trapezoid rule in s = log w converges
+  geometrically at a step set by the half-width of the integrand's strip of
+  analyticity, and exp is evaluated only where its value is not exactly
+  known (0, or rounded to 1);
 * the algebraic expansion E_{a,b}(-x) ~ -sum_{k>=1} (-x)^{-k}/Gamma(b - a k)
   with optimal truncation for large x.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -43,6 +46,19 @@ SERIES_GUARD = 1e4  # max-term / result ratio tolerated in double precision
 SERIES_TERMS = 400  # most power-series terms summed
 ASYMPTOTIC_TERMS = 40  # the algebraic expansion sums k = 1 .. ASYMPTOTIC_TERMS - 1
 LAPLACE_TOL = 1e-8  # absolute error budget of ml_laplace_residual's integral
+
+# spectral-integral nodes: s = log w on [S_LO, S_HI] with at most about NODE_CAP
+# nodes; ALPHA_MAX is where the step 2 pi^2 (1 - alpha) / 30 reaches
+# (S_HI - S_LO) / NODE_CAP.  Below ALPHA_MIN, x^{1/alpha} for x < Z_BIG and the
+# live nodes' rho leave the normal double range.
+S_LO, S_HI = -46.0, 40.0
+NODE_CAP = 2 ** 18
+ALPHA_MIN = 0.01
+ALPHA_MAX = 1.0 - 30.0 * (S_HI - S_LO) / (2.0 * np.pi ** 2 * NODE_CAP)
+BUF_VALUES = 2 ** 18  # most exp arguments _integral holds at once
+T_ONE = 2.0 ** -55    # below this t, exp(-t) and expm1(-t)/(-t) round to 1
+T_ZERO = 746.0        # above this t, exp(-t) underflows to 0
+T_MINUS_ONE = 38.0    # above this t, expm1(-t) rounds to -1
 
 
 @dataclass(frozen=True)
@@ -83,44 +99,93 @@ def _series(alpha, beta, x):
     return total, ok
 
 
-@lru_cache(maxsize=32)
-def _integral_nodes(alpha: float):
-    """Log-grid nodes rho and the weight vectors weights/D and rho*weights/D."""
-    if alpha > 0.95:
-        h = 0.005
-    elif alpha > 0.85:
-        h = 0.02
-    else:
-        h = 0.05
-    s = np.arange(-46.0, 40.0 + h, h)
+class _Nodes(NamedTuple):
+    """Log-grid nodes of one alpha, with the sums that stand in for exp."""
+
+    rho: np.ndarray          # w^{1/alpha}, increasing
+    wd: np.ndarray           # trapezoid weights w h / D(w)
+    rwd: np.ndarray          # rho * wd
+    head_wd: np.ndarray      # head_wd[k] = sum(wd[:k])
+    head_rwd: np.ndarray     # head_rwd[k] = sum(rwd[:k])
+    tail_wd_rho: np.ndarray  # tail_wd_rho[k] = sum(wd[k:] / rho[k:])
+    pref: float              # C = sin(pi alpha) / (pi alpha)
+
+
+@lru_cache(maxsize=8)  # an entry holds up to ~13 MB near the ends of the alpha range
+def _integral_nodes(alpha: float) -> _Nodes:
+    """Nodes and weights of the spectral integral for alpha.
+
+    The step follows the half-width d = pi min(1 - alpha, alpha/2) of the
+    integrand's strip of analyticity in s = log w: the poles of 1/D(e^s) lie
+    at distance pi (1 - alpha), and exp(-e^{s/alpha}) stays bounded only for
+    |Im s| < pi alpha/2.  h = min(0.05, 2 pi d / 30) puts the trapezoid error
+    near exp(-30); alpha outside [ALPHA_MIN, ALPHA_MAX] raises DomainError.
+    """
+    if not ALPHA_MIN <= alpha <= ALPHA_MAX:
+        raise DomainError(
+            f"alpha = {alpha:g}: the spectral integral (the branch between the "
+            f"series and -z >= {Z_BIG:g}) supports alpha in [{ALPHA_MIN:g}, "
+            f"{ALPHA_MAX:.4f}]; alpha = 1 uses closed forms")
+    d = np.pi * min(1.0 - alpha, 0.5 * alpha)
+    h = min(0.05, 2.0 * np.pi * d / 30.0)
+    s = np.arange(S_LO, S_HI + h, h)
     w = np.exp(s)
     D = w * w + 2.0 * np.cos(np.pi * alpha) * w + 1.0
-    rho = w ** (1.0 / alpha)
     wd = w * h / D
-    return rho, wd, rho * wd, np.sin(np.pi * alpha) / (np.pi * alpha)
+    # rho overflows or underflows at the far ends for small alpha; those
+    # nodes never enter a live window, a head sum or a tail sum used
+    zero = np.zeros(1)
+    with np.errstate(over="ignore", divide="ignore"):
+        rho = w ** (1.0 / alpha)
+        rwd = rho * wd
+        return _Nodes(rho, wd, rwd,
+                      np.concatenate([zero, np.cumsum(wd)]),
+                      np.concatenate([zero, np.cumsum(rwd)]),
+                      np.concatenate([np.cumsum((wd / rho)[::-1])[::-1], zero]),
+                      np.sin(np.pi * alpha) / (np.pi * alpha))
 
 
 def _integral(alpha, beta, x):
     """Spectral-integral branch for beta in {1, alpha, 2}; 1-D x > 0.
 
-    Per 256-row chunk: the outer product e = -x^{1/a} rho, exp(e) (expm1(e)/e
-    for beta = 2), then a mat-vec with the cached weights.  exp underflows to
-    exactly 0 and expm1(e)/e is accurate at small |e|, so no guards are needed.
+    With t = x^{1/a} rho, each term is a weight times exp(-t) (expm1(-t)/(-t)
+    for beta = 2).  Below a row's live window t < T_ONE and the term is its
+    weight (a cached prefix sum); above it, exp(-t) = 0, or for beta = 2
+    expm1(-t) = -1 and the terms sum to x^{-1/a} sum(wd / rho) (a cached
+    suffix sum).  The arguments are sorted, so a run of rows shares one
+    window: per chunk of at most BUF_VALUES values, the outer product
+    e = -t over the window, exp(e) (expm1(e)/e) in place, then a mat-vec.
+    Rows of a chunk have overlapping windows, so no t in it underflows.
     """
     x = np.asarray(x, dtype=float)
-    rho, wd, rwd, pref = _integral_nodes(float(alpha))
-    vec = rwd if beta == alpha else wd
-    neg_t = -(x ** (1.0 / alpha))
-    res = np.empty_like(x)
-    buf = np.empty((min(256, x.size), rho.size))
-    for i0 in range(0, x.size, 256):
-        tc = neg_t[i0:i0 + 256]
-        e = np.multiply.outer(tc, rho, out=buf[:tc.size])
+    nodes = _integral_nodes(float(alpha))
+    vec, head = (nodes.rwd, nodes.head_rwd) if beta == alpha else (nodes.wd, nodes.head_wd)
+    order = np.argsort(x)
+    xa = x[order] ** (1.0 / alpha)
+    lo = np.searchsorted(nodes.rho, T_ONE / xa)
+    hi = np.searchsorted(nodes.rho, (T_MINUS_ONE if beta == 2.0 else T_ZERO) / xa,
+                         side="right")
+    vals = np.empty_like(xa)
+    buf = np.empty(BUF_VALUES)
+    i = 0
+    while i < xa.size:
+        # lo and hi fall as xa grows: rows i .. i+m-1 share [lo[i+m-1], hi[i])
+        j = slice(i, i + BUF_VALUES // max(hi[i] - lo[i], 1))
+        width = hi[i] - lo[j]
+        fits = (np.arange(1, width.size + 1) * width <= BUF_VALUES) & (hi[j] > lo[i])
+        m = max(int(np.count_nonzero(fits)), 1)
+        a, b = lo[i + m - 1], hi[i]
+        rows = slice(i, i + m)
+        e = np.multiply.outer(-xa[rows], nodes.rho[a:b],
+                              out=buf[:m * (b - a)].reshape(m, b - a))
         if beta == 2.0:
-            res[i0:i0 + 256] = np.divide(np.expm1(e), e, out=e) @ vec
+            vals[rows] = (head[a] + np.divide(np.expm1(e), e, out=e) @ vec[a:b]
+                          + nodes.tail_wd_rho[b] / xa[rows])
         else:
-            res[i0:i0 + 256] = np.exp(e, out=e) @ vec
-    res *= pref
+            vals[rows] = head[a] + np.exp(e, out=e) @ vec[a:b]
+        i += m
+    res = np.empty_like(x)
+    res[order] = vals * nodes.pref
     if beta == alpha:
         res *= x ** ((1.0 - alpha) / alpha)
     return res

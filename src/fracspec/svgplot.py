@@ -154,31 +154,37 @@ def _value_color(v: float, lo: float, hi: float) -> str:
     return "rgb(103,0,31)"
 
 
+def _cells(values):
+    """Half-width of each unique value's cell (half the gap to its nearer
+    neighbour, 1 for a lone value) and the axis span the cells cover."""
+    u = sorted(set(values))
+    gaps = [b - a for a, b in zip(u[:-1], u[1:])]
+    half = [0.5 * min(g) for g in zip([math.inf] + gaps, gaps + [math.inf])] if gaps else [1.0]
+    return dict(zip(u, half)), u[0] - half[0], u[-1] + half[-1]
+
+
 def render_heatmap(xs, ys, values, title="", x_label="", y_label="") -> str:
     """Cell heatmap over the lattice of unique (x, y); values numeric or
-    categorical strings (fixed palette)."""
+    categorical strings (fixed palette).  Each cell is centred on its (x, y)
+    on the same linear axes as the ticks."""
     if len(values) == 0:
         raise EmptyData("nothing to plot")
-    ux = sorted(set(xs))
-    uy = sorted(set(ys))
-    x_idx = {v: i for i, v in enumerate(ux)}
-    y_idx = {v: i for i, v in enumerate(uy)}
-    parts, _, _ = _axes(*_span(ux), *_span(uy), title, x_label, y_label,
-                        False, False)
-    cw = (WIDTH - MARGIN_L - MARGIN_R) / len(ux)
-    ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(uy)
+    x_half, x_lo, x_hi = _cells(xs)
+    y_half, y_lo, y_hi = _cells(ys)
+    parts, sx, sy = _axes(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label,
+                          False, False)
     categorical = isinstance(values[0], str)
     if not categorical:
         lo, hi = min(values), max(values)
     cells = []
     for x, y, v in zip(xs, ys, values):
-        px = MARGIN_L + x_idx[x] * cw
-        py = HEIGHT - MARGIN_B - (y_idx[y] + 1) * ch
+        px, qx = sx(x - x_half[x]), sx(x + x_half[x])
+        py, qy = sy(y + y_half[y]), sy(y - y_half[y])
         if categorical:
             color = CATEGORY_COLORS.get(v, "#999999")
         else:
             color = _value_color(float(v), lo, hi)
-        cells.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cw)}" '
-                     f'height="{_fmt(ch)}" fill="{color}"/>')
+        cells.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(qx - px)}" '
+                     f'height="{_fmt(qy - py)}" fill="{color}"/>')
     # cells under the frame, frame on top
     return _document(cells + parts)

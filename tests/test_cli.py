@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from fracspec import forward as fwd
 from fracspec.cli import COMMANDS, ExperimentConfig, main, plot, run, validate
 from fracspec.errors import EmptyData, MissingColumn
+from fracspec.svgplot import render_heatmap
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
 
 
@@ -426,6 +428,17 @@ class TestPlot:
         p = self.write_csv(tmp_path / "h.csv", text)
         svg = plot(p, {"kind": "heatmap", "x": "x", "y": "y", "value": "v"})
         assert svg.count('fill="rgb(') == 2
+
+    def test_heatmap_cells_centred_on_axis_values(self):
+        svg = render_heatmap([1.0, 2.0, 10.0], [0.0] * 3, [1.0, 2.0, 3.0])
+        ticks = re.findall(r'<text x="([-\d.e+]+)" y="448" font-size="11" '
+                           r'text-anchor="middle">([-\d.e+]+)</text>', svg)
+        (p0, v0), (p1, v1) = [(float(p), float(v)) for p, v in ticks[:2]]
+        rects = re.findall(r'<rect x="([-\d.e+]+)" y="[-\d.e+]+" width="([-\d.e+]+)" '
+                           r'height="[-\d.e+]+" fill="rgb', svg)
+        centres = [float(x) + 0.5 * float(w) for x, w in rects]
+        values = [v0 + (c - p0) * (v1 - v0) / (p1 - p0) for c in centres]
+        assert values == pytest.approx([1.0, 2.0, 10.0], abs=1e-4)
 
     def test_missing_column(self, tmp_path):
         p = self.write_csv(tmp_path / "d.csv", "t,y\n0,1\n")

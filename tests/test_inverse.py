@@ -393,6 +393,13 @@ class TestSpecSerialization:
         assert spec2.n_max == spec.n_max == 20
         assert spec2.grid_size == spec.grid_size == 256
 
+    def test_json_roundtrip_keeps_noise_provenance(self, twin):
+        _, spec = twin
+        noisy = replace(spec, data=replace(spec.data, noise_level=0.01, seed=7))
+        spec2 = InverseProblemSpec.from_json(noisy.to_json())
+        assert spec2.data.noise_level == 0.01
+        assert spec2.data.seed == 7
+
     def test_data_inside_drive_support(self, ramp_hold):
         with pytest.raises(DomainError):
             InverseProblemSpec(alpha=0.5, x0=0.5, d=0.4,

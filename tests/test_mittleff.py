@@ -4,9 +4,13 @@ from scipy.special import erfc, gamma
 
 from fracspec.errors import DomainError
 from fracspec.mittleff import (
+    ALPHA_MAX,
+    NODE_CAP,
+    Z_SWITCH,
     L1Weights,
     _asymptotic,
     _integral,
+    _integral_nodes,
     _series,
     l1_weights,
     ml,
@@ -38,6 +42,15 @@ ORACLE = [
     (0.3, 1.0, 20.0, 0.03740622621388445),
     (0.7, 0.7, 30.0, 0.0002741428200864545),
 ]
+
+
+def integral_all_nodes(alpha, beta, x):
+    """Reference for _integral: the same trapezoid sum over every node."""
+    nodes = _integral_nodes(alpha)
+    t = np.multiply.outer(x ** (1.0 / alpha), nodes.rho)
+    terms = -np.expm1(-t) / t if beta == 2.0 else np.exp(-t)
+    vals = terms @ (nodes.rwd if beta == alpha else nodes.wd) * nodes.pref
+    return vals * x ** ((1.0 - alpha) / alpha) if beta == alpha else vals
 
 
 class TestML:
@@ -127,6 +140,38 @@ class TestML:
                 integ = _integral(alpha, beta, x)
                 asym = _asymptotic(alpha, beta, x)
                 assert np.max(np.abs(asym - integ) / np.abs(integ)) < 1e-9
+
+    def test_integral_accurate_near_alpha_ends(self):
+        # steps set by the analyticity strip: the fixed steps gave NaN at
+        # alpha <= 0.05 and errors of 6e-8 at 0.1 and 4e-2 at 0.999
+        x = np.linspace(45.0, 55.0, 11)
+        for alpha in (0.02, 0.05, 0.1, 0.99, 0.999):
+            for beta in (1.0, alpha, 2.0):
+                integ = _integral(alpha, beta, x)
+                assert np.all(np.isfinite(integ))
+                asym = _asymptotic(alpha, beta, x)
+                assert np.max(np.abs(asym - integ) / np.abs(integ)) < 1e-9
+
+    def test_integral_window_matches_all_nodes(self):
+        # unsorted, spread over several chunks, some below the series switch
+        x = np.random.default_rng(3).permutation(
+            np.concatenate([np.geomspace(0.5, Z_SWITCH, 300), np.linspace(5.0, 50.0, 1700)]))
+        assert np.any(x < Z_SWITCH)
+        for alpha in (0.3, 0.5, 0.8):
+            for beta in (1.0, alpha, 2.0):
+                ref = integral_all_nodes(alpha, beta, x)
+                integ = _integral(alpha, beta, x)
+                assert np.max(np.abs(integ - ref) / np.abs(ref)) <= 1e-14
+
+    def test_alpha_outside_node_cap(self):
+        assert _integral_nodes(ALPHA_MAX).rho.size <= NODE_CAP + 2
+        for alpha in (0.005, 0.9999):
+            with pytest.raises(DomainError, match=r"alpha in \[0\.01, 0\.9995\]"):
+                ml(alpha, 1.0, -20.0)
+            # the series and the asymptotic expansion still answer
+            small, ok = _series(alpha, 1.0, np.array([0.5]))
+            assert ok[0] and ml(alpha, 1.0, -0.5) == small[0]
+            assert ml(alpha, 2.0, -60.0) == _asymptotic(alpha, 2.0, np.array([60.0]))[0]
 
 
 class TestAsymptoticResidual:
