@@ -29,7 +29,7 @@ from . import inverse as inv
 from . import svgplot
 from . import uniqueness as uniq
 from . import weyl_toolkit as weyl
-from .mittleff import l1_weights, ml, relax_primitive
+from .mittleff import ALPHA_MAX, ALPHA_MIN, l1_weights, ml, relax_primitive
 from .sl_core import PotentialSpec, RobinPair, eigen_system
 
 
@@ -139,6 +139,25 @@ class _Kinds:
 
 
 @dataclass(frozen=True)
+class _MLAlpha:
+    """A fractional order for a run that evaluates ml: _ALPHA's (0, 1] cut to
+    ml's [ALPHA_MIN, ALPHA_MAX] plus 1, unless obj[key] is fd_only, a run
+    that never calls ml."""
+
+    key: str | None = None
+    fd_only: object = None
+    default: object = _REQUIRED
+
+    def check(self, v, path, obj, errors):
+        count = len(errors)
+        _ALPHA.check(v, path, obj, errors)
+        if (len(errors) == count and v != 1 and not ALPHA_MIN <= v <= ALPHA_MAX
+                and (self.key is None or obj.get(self.key) != self.fd_only)):
+            errors.append(f"{path}: must lie in [{ALPHA_MIN:g}, {ALPHA_MAX:.4f}]"
+                          " or be 1 (the range of the Mittag-Leffler evaluation)")
+
+
+@dataclass(frozen=True)
 class _Certificate:
     """Density certificate {A, B} of region-map; null means none."""
 
@@ -180,6 +199,7 @@ _ETA = _Kinds("drive", {
 _HELD_RAMP = replace(_ETA, default={"type": "ramp-hold", "t1": 1.0})
 _ROBIN = _Num(lo=0.0)
 _ALPHA = _Num(lo=1e-9, hi=1.0)
+_ML_ALPHA = _MLAlpha()
 _T = _Num(lo=1e-12)
 _UNIT = _Num(lo=0.0, hi=1.0)
 _OPEN_UNIT = _Num(lo=1e-9, hi=1.0 - 1e-9)
@@ -192,13 +212,14 @@ SCHEMA = {
         # None: solve on the potential's own grid
         "grid_size": _Num(lo=16, integer=True, default=None)},
     "forward": {
-        "q": _Q, "h": _ROBIN, "H": _ROBIN, "alpha": _ALPHA, "eta": _ETA,
+        "q": _Q, "h": _ROBIN, "H": _ROBIN,
+        "alpha": _MLAlpha(key="method", fd_only="l1fd"), "eta": _ETA,
         "T": _T, "nt": _Num(lo=32, integer=True),
         "nx": _Num(lo=32, integer=True),
         "method": _Choice(("spectral", "l1fd", "both"), default="both"),
         "n_max": _Num(lo=0, integer=True, default=64)},
     "kernel": {
-        "q": _Q, "h": _ROBIN, "H": _ROBIN, "alpha": _ALPHA, "T": _T,
+        "q": _Q, "h": _ROBIN, "H": _ROBIN, "alpha": _ML_ALPHA, "T": _T,
         "nt": _Num(lo=32, integer=True), "x": _UNIT,
         "n_modes": _Num(lo=1, integer=True),
         # None: worked out from n_modes by the runner
@@ -218,7 +239,8 @@ SCHEMA = {
     "region-map": {
         "resolution": _Num(lo=10, integer=True), "certificate": _Certificate()},
     "reconstruct": {
-        "alpha": _ALPHA, "d": _OPEN_UNIT, "x0": _UNIT, "h_true": _ROBIN, "H": _ROBIN,
+        "alpha": _ML_ALPHA, "d": _OPEN_UNIT, "x0": _UNIT, "h_true": _ROBIN,
+        "H": _ROBIN,
         "truth": _Q, "M": _Num(lo=0, hi=16, integer=True),
         "gamma": _Num(lo=0.0), "noise_level": _Num(lo=0.0), "T": _T,
         "n_samples": _Num(lo=4, integer=True), "eta": _HELD_RAMP,
@@ -229,7 +251,7 @@ SCHEMA = {
         "data_nt": _Num(lo=32, integer=True, default=512)},
     "distinguish": {
         "n_pairs": _Num(lo=1, integer=True), "d": _OPEN_UNIT, "x0": _UNIT,
-        "alpha": _ALPHA, "H": _ROBIN, "T": _T,
+        "alpha": _ML_ALPHA, "H": _ROBIN, "T": _T,
         "n_samples": _Num(lo=4, integer=True), "eta": _HELD_RAMP},
     "verify-all": {},
 }

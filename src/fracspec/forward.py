@@ -21,6 +21,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import polygamma
 
@@ -299,14 +300,11 @@ def duhamel_residual(field: SpaceTimeField, kernel: KernelTrace,
     return float(np.abs(lhs - rhs).max())
 
 
-def solve_l1_fd(q: PotentialSpec, robin: RobinPair, alpha: float,
-                eta: DriveSignal, nx: int, nt: int) -> SpaceTimeField:
-    """Implicit L1/Caputo finite-difference solution on an (nx+1) x (nt+1) grid.
-
-    Second-order central differences in space with Robin conditions through
-    ghost nodes (u'(0) = h u(0), u'(1) = eta - H u(1)); at alpha = 1 the
-    scheme reduces to backward Euler.
-    """
+def _l1_fd_system(q: PotentialSpec, robin: RobinPair, alpha: float,
+                  eta: DriveSignal, nx: int, nt: int):
+    """The fixed parts of solve_l1_fd's scheme: the x and t nodes, the history
+    coefficients c_j = b_j - b_{j+1}, the LU factor of the implicit step
+    matrix and the Robin drive term 2 eta(t_m) / dx of every step."""
     if nx < 32 or nt < 32:
         raise DomainError("nx and nt must be at least 32")
     if not (0.0 < alpha <= 1.0):
@@ -317,7 +315,6 @@ def solve_l1_fd(q: PotentialSpec, robin: RobinPair, alpha: float,
     x_nodes = np.linspace(0.0, 1.0, nx + 1)
     dx = 1.0 / nx
     qv = q(x_nodes)
-    eta_nodes = eta(t_nodes)
     b = l1_weights(alpha, tau, nt).weights
     c_hist = b[:-1] - b[1:]  # c_hist[j] = b_j - b_{j+1} > 0
 
@@ -333,18 +330,46 @@ def solve_l1_fd(q: PotentialSpec, robin: RobinPair, alpha: float,
     *lu, info = dgttrf(sub, diag, sup)
     if info != 0:
         raise LinearSolveFailure(f"singular implicit step matrix (dgttrf info {info})")
+    return x_nodes, t_nodes, c_hist, lu, 2.0 * eta(t_nodes) / dx
 
+
+def solve_l1_fd(q: PotentialSpec, robin: RobinPair, alpha: float,
+                eta: DriveSignal, nx: int, nt: int) -> SpaceTimeField:
+    """Implicit L1/Caputo finite-difference solution on an (nx+1) x (nt+1) grid.
+
+    Second-order central differences in space with Robin conditions through
+    ghost nodes (u'(0) = h u(0), u'(1) = eta - H u(1)); at alpha = 1 the
+    scheme reduces to backward Euler.
+
+    Step m solves (b_0 I - A) u^m = sum_{k<m} c_{m-k-1} u^k + drive.  The
+    history sum runs in blocks of B ~ sqrt(nt) steps: at the start of block
+    [m0, m1) one matrix product gives every step of the block its terms from
+    the steps before m0 (far field), and each step adds only its terms from
+    the steps m0..m-1 of its own block (near field).  Only the order of
+    summation differs from a per-step sum over all earlier steps.
+    """
+    x_nodes, t_nodes, c_hist, lu, drive = _l1_fd_system(q, robin, alpha, eta, nx, nt)
     U = np.zeros((nt + 1, nx + 1))
-    for m in range(1, nt + 1):
-        rhs = np.zeros(nx + 1)
-        if m > 1:
-            # history sum_{k=1}^{m-1} (b_{m-k-1} - b_{m-k}) u^k
-            rhs += U[1:m].T @ c_hist[m - 2::-1]
-        rhs[nx] += 2.0 * eta_nodes[m] / dx
-        U[m], info = dgttrs(*lu, rhs)
-        if info != 0:  # pragma: no cover
-            raise LinearSolveFailure(f"dgttrs info {info} at step {m}")
-        if not np.all(np.isfinite(U[m])):
-            raise LinearSolveFailure(f"non-finite state at step {m}")
+    B = int(np.ceil(np.sqrt(nt)))
+    # inf/nan past an overflow are left to the per-block guard, which names
+    # the first non-finite step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m0 in range(1, nt + 1, B):
+            m1 = min(m0 + B, nt + 1)
+            # far[i] = sum_{k=1}^{m0-1} c_hist[m0 + i - k - 1] u^k (u^0 = 0);
+            # the reversed Toeplitz view is copied so the product is one GEMM
+            slab = sliding_window_view(c_hist, m0 - 1)[:m1 - m0, ::-1]
+            far = np.ascontiguousarray(slab) @ U[1:m0]
+            for m in range(m0, m1):
+                rhs = far[m - m0]
+                if m > m0:
+                    rhs += U[m0:m].T @ c_hist[m - m0 - 1::-1]
+                rhs[nx] += drive[m]
+                U[m], info = dgttrs(*lu, rhs)
+                if info != 0:  # pragma: no cover
+                    raise LinearSolveFailure(f"dgttrs info {info} at step {m}")
+            bad = ~np.isfinite(U[m0:m1]).all(axis=1)
+            if bad.any():
+                raise LinearSolveFailure(f"non-finite state at step {m0 + bad.argmax()}")
     return SpaceTimeField(x_grid=x_nodes, t_grid=t_nodes, values=U.T.copy(),
                           method="l1fd", resolution=(nx, nt))

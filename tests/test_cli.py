@@ -12,6 +12,7 @@ import pytest
 from fracspec import forward as fwd
 from fracspec.cli import COMMANDS, ExperimentConfig, main, plot, run, validate
 from fracspec.errors import EmptyData, MissingColumn
+from fracspec.mittleff import ALPHA_MAX, ALPHA_MIN
 from fracspec.svgplot import render_heatmap
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
 
@@ -160,6 +161,52 @@ VALIDATION_CASES = [
     ("weyl-scan", with_params(MINIMAL["weyl-scan"], mag_lo=1000.0), 0,
      ["parameters.mag_hi: must be > mag_lo"]),
 ]
+
+
+# alpha values outside the range ml evaluates, [ALPHA_MIN, ALPHA_MAX] plus 1
+ML_ALPHA_HOLES = [1e-9, 0.0099, 0.9997]
+ML_COMMANDS = ["forward", "kernel", "reconstruct", "distinguish"]
+ML_ALPHA_ERROR = (f"parameters.alpha: must lie in [{ALPHA_MIN:g}, "
+                  f"{ALPHA_MAX:.4f}] or be 1 (the range of the Mittag-Leffler "
+                  "evaluation)")
+
+
+class TestAlphaRange:
+    @pytest.mark.parametrize("alpha", ML_ALPHA_HOLES)
+    @pytest.mark.parametrize("command", ML_COMMANDS)
+    def test_alpha_outside_ml_range_exits_2(self, command, alpha, tmp_path,
+                                            capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg_text(command, with_params(MINIMAL[command],
+                                                          alpha=alpha)))
+        assert validate(cfg_file.read_text()) == [ML_ALPHA_ERROR]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_file), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == ML_ALPHA_ERROR + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["spectral", "both"])
+    def test_forward_methods_that_call_ml_check_alpha(self, method):
+        params = with_params(MINIMAL["forward"], alpha=0.9997, method=method)
+        assert validate(cfg_text("forward", params)) == [ML_ALPHA_ERROR]
+
+    @pytest.mark.parametrize("alpha", ML_ALPHA_HOLES + [1.0])
+    def test_l1fd_forward_keeps_the_unit_interval(self, alpha, tmp_path):
+        params = with_params(MINIMAL["forward"], alpha=alpha, method="l1fd")
+        assert validate(cfg_text("forward", params)) == []
+        manifest = run(ExperimentConfig("forward", params, tmp_path / "f"))
+        assert manifest.status == "ok"
+        assert validate(cfg_text("forward", with_params(params, alpha=0.0))) \
+            == ["parameters.alpha: must be >= 1e-09"]
+
+    @pytest.mark.parametrize("alpha", [ALPHA_MIN, ALPHA_MAX, 1.0])
+    @pytest.mark.parametrize("command", ML_COMMANDS)
+    def test_ml_range_ends_run(self, command, alpha, tmp_path):
+        params = with_params(MINIMAL[command], alpha=alpha)
+        assert validate(cfg_text(command, params)) == []
+        manifest = run(ExperimentConfig(command, params, tmp_path / "o"))
+        assert manifest.status in ("ok", "check-failure")
 
 
 class TestSchema:

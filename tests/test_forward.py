@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrs
 from scipy.special import gamma
 
 from fracspec import forward
-from fracspec.errors import DomainError, IncompatibleGrids, TruncationTooCoarse
+from fracspec.errors import (
+    DomainError,
+    IncompatibleGrids,
+    LinearSolveFailure,
+    TruncationTooCoarse,
+)
 from fracspec.forward import (
     DriveSignal,
     SpaceTimeField,
@@ -13,7 +19,7 @@ from fracspec.forward import (
     solve_l1_fd,
     solve_spectral,
 )
-from fracspec.mittleff import relax_antiderivative
+from fracspec.mittleff import l1_weights, relax_antiderivative
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
 
 Q0 = PotentialSpec.constant(0.0, 1024)
@@ -28,6 +34,28 @@ def es_free():
 @pytest.fixture(scope="module")
 def ramp():
     return DriveSignal.from_callable(lambda t: t, 1.0, 256)
+
+
+def sequential_l1_fd(q, robin, alpha, eta, nx, nt):
+    """Oracle for solve_l1_fd: each step sums its history over all earlier
+    steps in one matrix-vector product and checks its own state.
+
+    Returns the field values, shape (nx + 1, nt + 1).
+    """
+    _, _, c_hist, lu, drive = forward._l1_fd_system(q, robin, alpha, eta, nx, nt)
+    U = np.zeros((nt + 1, nx + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, nt + 1):
+            rhs = np.zeros(nx + 1)
+            if m > 1:
+                # history sum_{k=1}^{m-1} (b_{m-k-1} - b_{m-k}) u^k
+                rhs += U[1:m].T @ c_hist[m - 2::-1]
+            rhs[nx] += drive[m]
+            U[m], info = dgttrs(*lu, rhs)
+            assert info == 0
+            if not np.all(np.isfinite(U[m])):
+                raise LinearSolveFailure(f"non-finite state at step {m}")
+    return U.T
 
 
 class TestDriveSignal:
@@ -225,6 +253,42 @@ class TestDuhamel:
 
 
 class TestL1FD:
+    Q_COS = PotentialSpec.from_callable(lambda x: -0.6 - 0.4 * np.cos(np.pi * x), 1024)
+    ROBIN = RobinPair(0.5, 1.0)
+    HELD = DriveSignal(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.3, 0.3]))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.97])
+    @pytest.mark.parametrize("nt", [32, 33, 100, 1000])
+    def test_blocked_history_matches_sequential(self, nt, alpha):
+        # B = ceil(sqrt(nt)) is 6, 6, 10 and 32: nt = 100 fills its blocks
+        # exactly, the other three end in a partial block
+        args = (self.Q_COS, self.ROBIN, alpha, self.HELD, 48, nt)
+        ref = sequential_l1_fd(*args)
+        f = solve_l1_fd(*args)
+        assert np.abs(f.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nt", [32, 33, 100])
+    def test_backward_euler_bit_identical(self, nt):
+        # at alpha = 1 only c_hist[0] = 1/tau is non-zero, so the far-field
+        # product adds exact zeros to the one backward-Euler term
+        assert np.count_nonzero(l1_weights(1.0, 1.0 / nt, nt).weights[1:]) == 0
+        args = (self.Q_COS, self.ROBIN, 1.0, self.HELD, 48, nt)
+        assert np.array_equal(solve_l1_fd(*args).values, sequential_l1_fd(*args))
+
+    @pytest.mark.parametrize("alpha, step", [(1.0, 155), (0.5, 175)])
+    def test_non_finite_guard_names_first_step(self, ramp, alpha, step):
+        # q just below b_0: each implicit step amplifies the state about
+        # 1 / (1 - q / b_0) = 100 times, so it overflows mid-block (B = 16)
+        nt = 256
+        q = PotentialSpec.constant(0.99 * l1_weights(alpha, 1.0 / nt, 1).weights[0], 64)
+        args = (q, FREE, alpha, ramp, 32, nt)
+        message = f"non-finite state at step {step}$"
+        with pytest.raises(LinearSolveFailure, match=message):
+            sequential_l1_fd(*args)
+        with pytest.raises(LinearSolveFailure, match=message):
+            solve_l1_fd(*args)
+        assert (step - 1) % 16 != 0
+
     def test_zero_drive_exact(self, ramp):
         eta0 = DriveSignal(ramp.t_grid, np.zeros_like(ramp.values))
         f = solve_l1_fd(Q0, FREE, 0.5, eta0, 32, 32)
