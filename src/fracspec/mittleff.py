@@ -6,6 +6,9 @@ by three branches:
 * power series with compensated summation for small |z|, guarded by the
   running maximum-term/partial-sum ratio (the series loses digits to
   cancellation long before it stops converging, especially for small alpha);
+  each point leaves the batch on its own last term, and for beta >= alpha a
+  point leaves rejected as soon as its largest term shows the guard must
+  fail, since E is completely monotone there and so at most 1/Gamma(beta);
 * a complete-monotonicity integral for the workhorse weights beta in
   {1, alpha, 2}: with x = -z and the substitution w = rho^alpha,
 
@@ -20,7 +23,13 @@ by three branches:
   analyticity, and exp is evaluated only where its value is not exactly
   known (0, or rounded to 1);
 * the algebraic expansion E_{a,b}(-x) ~ -sum_{k>=1} (-x)^{-k}/Gamma(b - a k)
-  with optimal truncation for large x.
+  with optimal truncation for large x; above a threshold cached per
+  (alpha, beta) no term can outgrow the last one kept, so those points sum
+  every term without the truncation test, and the rest leave the batch
+  where the test stops them.
+
+Leaving a batch early changes no bit of any value and no point's branch; the
+tests compare both loops with ones that keep every point to the end.
 
 Also provides the relaxation primitive int_0^t s^{a-1} E_{a,a}(-lam s^a) ds,
 its antiderivative (both needed for exact convolution against piecewise-linear
@@ -76,27 +85,63 @@ class L1Weights:
 # ---------------------------------------------------------------------------
 
 def _series(alpha, beta, x):
-    """Power series at z = -x; returns (values, trustworthy)."""
+    """Power series at z = -x; returns (values, trustworthy).
+
+    Each point leaves the batch on the term where its own stopping test fires;
+    values are meaningful only where trustworthy.  For 0 < alpha <= 1 and
+    beta >= alpha, E_{alpha,beta}(-x) is completely monotone (Schneider, Expo.
+    Math. 14 (1996) 3-16), so 0 < E <= 1/Gamma(beta), and a point whose largest
+    term passes SERIES_GUARD / Gamma(beta) times a margin fails the guard
+    whatever its later terms are: it leaves at once, untrusted.
+
+    The margin covers the computed sum S.  Each of the N <= SERIES_TERMS terms
+    carries at most k roundings in z^k, one in the product and rgamma's own
+    error, together under 2 N eps relative, and compensated summation adds
+    about 2u per term; so |S - E| <= 2 N^2 eps M for a largest term M (the
+    tail after the stopping test, below 1e-17 |S|, is orders smaller).  Hence
+    SERIES_GUARD |S| <= SERIES_GUARD / Gamma(beta) + M (1 - 1/margin) < M
+    once M > margin SERIES_GUARD / Gamma(beta), with
+    margin = 1 / (1 - 2 SERIES_GUARD N^2 eps) ~ 1 + 7e-7.
+    """
     x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    comp = np.zeros_like(x)
-    zk = np.ones_like(x)
-    maxterm = np.zeros_like(x)
-    done = np.zeros(x.shape, dtype=bool)
+    vals = np.empty(x.size)
+    ok = np.zeros(x.size, dtype=bool)
+    live = np.arange(x.size)
+    neg = -x.ravel()
+    total = np.zeros(x.size)
+    comp = np.zeros(x.size)
+    zk = np.ones(x.size)
+    maxterm = np.zeros(x.size)
+    reject = np.inf
+    if 0.0 < alpha <= 1.0 and beta >= alpha:
+        margin = 1.0 / (1.0 - 2.0 * SERIES_GUARD * SERIES_TERMS ** 2 * np.finfo(float).eps)
+        reject = margin * SERIES_GUARD * rgamma(beta)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(SERIES_TERMS):
-            term = np.where(done, 0.0, zk * rgamma(alpha * k + beta))
+            if not live.size:
+                break
+            term = zk * rgamma(alpha * k + beta)
             y = term - comp
             t = total + y
             comp = (t - total) - y
             total = t
             maxterm = np.maximum(maxterm, np.abs(term))
-            zk = zk * np.where(done, 0.0, -x)
-            done |= (k > 2) & (np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300))
-            if done.all():
-                break
-    ok = done & np.isfinite(total) & (maxterm <= SERIES_GUARD * np.abs(total))
-    return total, ok
+            zk = zk * neg
+            done = (k > 2) & (np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300))
+            leave = done | (maxterm > reject)
+            if leave.any():
+                # the zero-term step a point that stays would take next; comp
+                # is then the exact rounding error of the last addition, so
+                # no further step changes total
+                fin = total[leave] + (0.0 - comp[leave])
+                vals[live[leave]] = fin
+                ok[live[leave]] = (done[leave] & np.isfinite(fin)
+                                   & (maxterm[leave] <= SERIES_GUARD * np.abs(fin)))
+                stay = ~leave
+                live, neg, total, comp, zk, maxterm = (
+                    a[stay] for a in (live, neg, total, comp, zk, maxterm))
+    vals[live] = total
+    return vals.reshape(x.shape), ok.reshape(x.shape)
 
 
 class _Nodes(NamedTuple):
@@ -191,30 +236,76 @@ def _integral(alpha, beta, x):
     return res
 
 
+class _Expansion(NamedTuple):
+    """Coefficients of the algebraic expansion and where it never truncates."""
+
+    coeffs: np.ndarray  # -(-1)^k / Gamma(beta - alpha k), k = 1 .. ASYMPTOTIC_TERMS - 1
+    steady: float       # on [steady, normal] no term outgrows the last one kept
+    normal: float       # up to here every x^-k the sum forms is a normal number
+
+
 @lru_cache(maxsize=64)
-def _asymptotic_coeffs(alpha: float, beta: float):
-    """-(-1)^k / Gamma(beta - alpha k) for k = 1 .. ASYMPTOTIC_TERMS - 1."""
+def _asymptotic_coeffs(alpha: float, beta: float) -> _Expansion:
+    """Coefficients and the range of x where truncation never fires.
+
+    For consecutive nonzero coefficients c_j, c_k (j < k) the term ratio is
+    |c_k / c_j| x^{j-k}, at most 1 for x >= |c_k / c_j|^{1/(k-j)}.  While
+    x^-k stays normal the computed x^-k / x^-j carries k - j roundings, and
+    rounding the products is monotone, so the factor 1 + ASYMPTOTIC_TERMS eps
+    on the largest such root leaves every computed term magnitude at or below
+    the last nonzero one.
+    """
     k = np.arange(1, ASYMPTOTIC_TERMS)
-    return -((-1.0) ** k) * rgamma(beta - alpha * k)
+    coeffs = -((-1.0) ** k) * rgamma(beta - alpha * k)
+    nz = np.flatnonzero(coeffs)
+    mag = np.abs(coeffs[nz])
+    root = (mag[1:] / mag[:-1]) ** (1.0 / np.diff(nz))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    return _Expansion(coeffs, float(root.max(initial=0.0) * (1.0 + ASYMPTOTIC_TERMS * eps)),
+                      float(tiny ** (-1.0 / ASYMPTOTIC_TERMS)))
 
 
 def _asymptotic(alpha, beta, x):
-    """Algebraic expansion at z = -x -> -inf with optimal truncation."""
+    """Algebraic expansion at z = -x -> -inf with optimal truncation.
+
+    Points on [steady, normal] sum every term; the others run the truncation
+    test and leave the batch on the term where it stops them.
+    """
     x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    xk = 1.0 / x
-    last_mag = np.full_like(x, np.inf)
-    dead = np.zeros(x.shape, dtype=bool)
-    for c in _asymptotic_coeffs(float(alpha), float(beta)):
+    flat = x.ravel()
+    coeffs, steady, normal = _asymptotic_coeffs(float(alpha), float(beta))
+    out = np.empty_like(flat)
+    fast = (flat >= steady) & (flat <= normal)
+    if fast.any():
+        xs = flat[fast]
+        total = np.zeros_like(xs)
+        xk = 1.0 / xs
+        for c in coeffs:
+            if c:  # a zero coefficient would add a signed zero: no change
+                total += xk * c
+            xk = xk / xs
+        out[fast] = total
+    live = np.flatnonzero(~fast)
+    xs = flat[live]
+    total = np.zeros_like(xs)
+    xk = 1.0 / xs
+    last_mag = np.full_like(xs, np.inf)
+    for c in coeffs:
+        if not live.size:
+            break
         term = xk * c
         mag = np.abs(term)
-        dead |= (mag > last_mag) & (mag > 0)
-        term = np.where(dead, 0.0, term)
+        dead = (mag > last_mag) & (mag > 0)
+        if dead.any():
+            out[live[dead]] = total[dead]
+            stay = ~dead
+            live, xs, total, xk, last_mag, term, mag = (
+                a[stay] for a in (live, xs, total, xk, last_mag, term, mag))
         total += term
-        keep = (mag > 0) & ~dead
-        last_mag = np.where(keep, mag, last_mag)
-        xk = xk / x
-    return total
+        last_mag = np.where(mag > 0, mag, last_mag)
+        xk = xk / xs
+    out[live] = total
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +391,9 @@ def _relax(alpha, order, lam, t):
     """Body of relax_primitive (order 1) and relax_antiderivative (order 2).
 
     Small y = lam t^a: t^(order-1+a) E_{a,a+order}(-y) by its power series, free
-    of the 1 - E cancellation; otherwise t^(order-1) (1 - E_{a,order}(-y)) / lam
-    with one ml call for all points.
+    of the 1 - E cancellation (at y = 0 the series is exactly 1/Gamma(a+order));
+    otherwise t^(order-1) (1 - E_{a,order}(-y)) / lam with one ml call for all
+    points.  Powers of t are taken before broadcasting against lam.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError("alpha must lie in (0, 1]")
@@ -310,18 +402,25 @@ def _relax(alpha, order, lam, t):
         raise DomainError("lambda must not be NaN")
     if np.any(lam < 0):
         raise DomainError("lambda must be nonnegative")
+    if np.isinf(lam).any():
+        raise DomainError("lambda must be finite")
     t = np.asarray(t, dtype=float)
     if np.isnan(t).any():
         raise DomainError("t must not be NaN")
     if order == 1 and np.any(t < 0):
         raise DomainError("t must be nonnegative")
-    lam, t = np.broadcast_arrays(lam, np.maximum(t, 0.0))
+    t = np.maximum(t, 0.0)
     y = lam * t ** alpha
+    lam, t = np.broadcast_to(lam, y.shape), np.broadcast_to(t, y.shape)
     out = np.empty_like(y)
     small = y <= 0.5
-    if small.any():
-        acc, _ = _series(alpha, alpha + order, y[small])
-        out[small] = t[small] ** (order - 1.0 + alpha) * acc
+    zero = y == 0.0
+    if zero.any():
+        out[zero] = t[zero] ** (order - 1.0 + alpha) * rgamma(alpha + order)
+    series = small & ~zero
+    if series.any():
+        acc, _ = _series(alpha, alpha + order, y[series])
+        out[series] = t[series] ** (order - 1.0 + alpha) * acc
     big = ~small
     if big.any():
         E = ml(alpha, float(order), -y[big])

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
-from scipy.special import erfc, gamma
+from scipy.special import erfc, gamma, rgamma
 
 from fracspec.errors import DomainError
 from fracspec.mittleff import (
     ALPHA_MAX,
     NODE_CAP,
+    SERIES_GUARD,
+    SERIES_TERMS,
+    Z_BIG,
     Z_SWITCH,
     L1Weights,
     _asymptotic,
+    _asymptotic_coeffs,
     _integral,
     _integral_nodes,
     _series,
@@ -51,6 +55,163 @@ def integral_all_nodes(alpha, beta, x):
     terms = -np.expm1(-t) / t if beta == 2.0 else np.exp(-t)
     vals = terms @ (nodes.rwd if beta == alpha else nodes.wd) * nodes.pref
     return vals * x ** ((1.0 - alpha) / alpha) if beta == alpha else vals
+
+
+def sequential_series(alpha, beta, x):
+    """Reference for _series: every point stays in the batch to the end."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros_like(x)
+    comp = np.zeros_like(x)
+    zk = np.ones_like(x)
+    maxterm = np.zeros_like(x)
+    done = np.zeros(x.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(SERIES_TERMS):
+            term = np.where(done, 0.0, zk * rgamma(alpha * k + beta))
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            maxterm = np.maximum(maxterm, np.abs(term))
+            zk = zk * np.where(done, 0.0, -x)
+            done |= (k > 2) & (np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300))
+            if done.all():
+                break
+    ok = done & np.isfinite(total) & (maxterm <= SERIES_GUARD * np.abs(total))
+    return total, ok
+
+
+def sequential_asymptotic(alpha, beta, x):
+    """Reference for _asymptotic: the truncation test runs on every term.
+
+    Returns the values and where truncation stopped the sum.
+    """
+    x = np.asarray(x, dtype=float)
+    total = np.zeros_like(x)
+    xk = 1.0 / x
+    last_mag = np.full_like(x, np.inf)
+    dead = np.zeros(x.shape, dtype=bool)
+    for c in _asymptotic_coeffs(float(alpha), float(beta)).coeffs:
+        term = xk * c
+        mag = np.abs(term)
+        dead |= (mag > last_mag) & (mag > 0)
+        term = np.where(dead, 0.0, term)
+        total += term
+        keep = (mag > 0) & ~dead
+        last_mag = np.where(keep, mag, last_mag)
+        xk = xk / x
+    return total, dead
+
+
+def sequential_relax(alpha, order, lam, t):
+    """Reference for _relax: powers on the broadcast arrays, y = 0 in the series."""
+    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.maximum(np.asarray(t, dtype=float), 0.0))
+    y = lam * t ** alpha
+    out = np.empty_like(y)
+    small = y <= 0.5
+    if small.any():
+        acc, _ = sequential_series(alpha, alpha + order, y[small])
+        out[small] = t[small] ** (order - 1.0 + alpha) * acc
+    big = ~small
+    if big.any():
+        E = ml(alpha, float(order), -y[big])
+        if order == 1:
+            out[big] = (1.0 - E) / lam[big]
+        else:
+            out[big] = t[big] / lam[big] * (1.0 - E)
+    return out
+
+
+def edge(accept, lo, hi):
+    """Adjacent floats (a, b) with accept(a) != accept(b); accept maps arrays."""
+    flag = accept(np.array([lo]))[0]
+    while np.nextafter(lo, hi) < hi:
+        pts = np.unique(np.append(np.linspace(lo, hi, 33)[1:-1], 0.5 * (lo + hi)))
+        flip = np.flatnonzero(accept(pts) != flag)
+        if flip.size:
+            hi = pts[flip[0]]
+            lo = pts[flip[0] - 1] if flip[0] else lo
+        else:
+            lo = pts[-1]
+    return lo, hi
+
+
+def around(points, steps=(1e-6, 1e-9)):
+    """Each point, its float neighbours and relative offsets of both signs."""
+    p = np.asarray(points, dtype=float)
+    rel = np.concatenate([[0.0], steps, np.negative(steps)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf),
+                           np.multiply.outer(p, 1.0 + rel).ravel()])
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+ALPHAS = (0.01, 0.05, 0.3, 0.5, 0.7, 0.97, ALPHA_MAX, 1.0)
+
+
+def betas(alpha):
+    return sorted({1.0, alpha, 2.0, alpha + 1.0, alpha + 2.0, 0.5, 1.5})
+
+
+class TestBatchedBranches:
+    """_series and _asymptotic against loops that keep every point to the end."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_series_matches_sequential(self, alpha):
+        grid = np.linspace(0.0, Z_SWITCH, 201)
+        for beta in betas(alpha):
+            ok = sequential_series(alpha, beta, grid)[1]
+            # where the guard flips, and where the largest term passes the
+            # early-rejection limit (SERIES_GUARD / Gamma(beta), a hair over)
+            edges = [edge(lambda v: sequential_series(alpha, beta, v)[1], grid[i], grid[i + 1])[0]
+                     for i in np.flatnonzero(ok[1:] != ok[:-1])]
+            k = np.arange(SERIES_TERMS)
+            limit = SERIES_GUARD * rgamma(beta)
+            def big(v):
+                return np.abs(np.power.outer(v, k) * rgamma(alpha * k + beta)).max(axis=1) > limit
+            over = np.flatnonzero(big(grid))
+            if over.size and over[0] > 0:
+                edges.append(edge(big, grid[over[0] - 1], grid[over[0]])[0])
+            x = np.concatenate([grid, np.clip(around(edges), 0.0, Z_SWITCH),
+                                np.random.default_rng(11).uniform(0.0, Z_SWITCH, 300)])
+            ref, ref_ok = sequential_series(alpha, beta, x)
+            val, ok = _series(alpha, beta, x)
+            assert np.array_equal(ok, ref_ok), (alpha, beta)
+            assert np.array_equal(bits(val[ok]), bits(ref[ok])), (alpha, beta)
+            if alpha <= 0.5:  # both edges lie inside [0, Z_SWITCH] here
+                assert len(edges) >= 2, (alpha, beta)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_asymptotic_matches_sequential(self, alpha):
+        for beta in betas(alpha):
+            exp = _asymptotic_coeffs(alpha, beta)
+            x = np.concatenate([np.geomspace(Z_BIG, 1e12, 400),
+                                around([exp.steady, exp.normal], (1e-3, 1e-12))])
+            x = x[(x >= Z_BIG) & (x <= 1e12)]
+            assert np.array_equal(bits(_asymptotic(alpha, beta, x)),
+                                  bits(sequential_asymptotic(alpha, beta, x)[0])), (alpha, beta)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_truncation_stops_only_below_steady(self, alpha):
+        checked = 0
+        for beta in betas(alpha):
+            exp = _asymptotic_coeffs(alpha, beta)
+            if not 0.0 < exp.steady < exp.normal:
+                continue
+            x = np.append(np.geomspace(exp.steady, exp.normal, 200), exp.steady * (1.0 - 1e-9))
+            dead = sequential_asymptotic(alpha, beta, x)[1]
+            assert not dead[:-1].any() and dead[-1], (alpha, beta)
+            checked += 1
+        assert checked or alpha == 1.0
+
+    def test_thresholds_fall_inside_the_checked_range(self):
+        # the checks above straddle steady wherever it lies above Z_BIG
+        steady = [_asymptotic_coeffs(a, b).steady for a in ALPHAS for b in betas(a)]
+        assert any(Z_BIG < s < 1e12 for s in steady)
+        assert Z_BIG < _asymptotic_coeffs(0.5, 1.0).normal < 1e12
 
 
 class TestML:
@@ -261,6 +422,30 @@ class TestRelaxPrimitive:
                 fn(0.5, np.array([[1.0], [np.nan]]), np.ones(3))
             with pytest.raises(DomainError, match="t must not be NaN"):
                 fn(0.5, 1.0, np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.97, 1.0])
+    def test_broadcast_matches_sequential(self, alpha):
+        # y = lam t^a on both sides of 0.5, lam = 0, t = 0 and (antiderivative) t < 0
+        lams = np.array([0.0, 1e-300, 1e-6, 0.5, 2.0, 40.0, 3e3, 2e5])[:, None]
+        t = np.concatenate([[0.0, -0.0, 5e-324], np.geomspace(1e-8, 3.0, 60),
+                            (0.5 / 2.0) ** (1.0 / alpha) * np.array([1 - 1e-12, 1.0, 1 + 1e-12])])
+        for order, ts in ((1, t), (2, np.concatenate([[-0.7, -1e-300], t]))):
+            y = lams * np.maximum(ts, 0.0) ** alpha
+            assert (y <= 0.5).any() and (y > 0.5).any() and (y == 0.0).any()
+            fn = relax_primitive if order == 1 else relax_antiderivative
+            out = fn(alpha, lams, ts[None, :])
+            assert np.array_equal(bits(out), bits(sequential_relax(alpha, order, lams, ts[None, :])))
+            # a knot-offset cube, most of it clipped to t = 0
+            offs = np.maximum(ts[:, None] - ts[None, ::7], 0.0)
+            out = fn(alpha, lams[:, :, None], offs)
+            assert np.array_equal(bits(out), bits(sequential_relax(alpha, order, lams[:, :, None], offs)))
+
+    def test_infinite_lambda_rejected(self):
+        for fn in (relax_primitive, relax_antiderivative):
+            with pytest.raises(DomainError, match="lambda must be finite"):
+                fn(0.5, np.inf, 0.0)
+            with pytest.raises(DomainError, match="lambda must be finite"):
+                fn(0.5, np.array([[1.0], [np.inf]]), np.ones(3))
 
     def test_antiderivative_zero_lambda(self):
         assert abs(relax_antiderivative(0.5, 0.0, 1.0) - 1.0 / gamma(2.5)) < 1e-13
