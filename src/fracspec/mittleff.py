@@ -256,11 +256,15 @@ def _asymptotic_coeffs(alpha: float, beta: float) -> _Expansion:
     the last nonzero one.
     """
     k = np.arange(1, ASYMPTOTIC_TERMS)
-    coeffs = -((-1.0) ** k) * rgamma(beta - alpha * k)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    arg = beta - alpha * k
+    coeffs = -((-1.0) ** k) * rgamma(arg)
+    # 1/Gamma vanishes at 0, -1, -2, ...; an arg that misses such a pole by
+    # the rounding of alpha, beta and alpha k would leave noise, not 0
+    coeffs[(arg < 0.5) & (np.abs(arg - np.rint(arg)) <= 4.0 * eps * (beta + alpha * k))] = 0.0
     nz = np.flatnonzero(coeffs)
     mag = np.abs(coeffs[nz])
     root = (mag[1:] / mag[:-1]) ** (1.0 / np.diff(nz))
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     return _Expansion(coeffs, float(root.max(initial=0.0) * (1.0 + ASYMPTOTIC_TERMS * eps)),
                       float(tiny ** (-1.0 / ASYMPTOTIC_TERMS)))
 
@@ -410,7 +414,9 @@ def _relax(alpha, order, lam, t):
     if order == 1 and np.any(t < 0):
         raise DomainError("t must be nonnegative")
     t = np.maximum(t, 0.0)
-    y = lam * t ** alpha
+    # y = 0 where lam = 0, also at t = inf, without forming 0 * inf
+    y = np.multiply(lam, t ** alpha, where=lam > 0.0,
+                    out=np.zeros(np.broadcast_shapes(lam.shape, t.shape)))
     lam, t = np.broadcast_to(lam, y.shape), np.broadcast_to(t, y.shape)
     out = np.empty_like(y)
     small = y <= 0.5

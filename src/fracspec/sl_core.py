@@ -15,9 +15,11 @@ the start vector then crosses the B block products; a node trace fills in the
 inside of all blocks at once from their start nodes.  That is about 3 sqrt(n)
 Python-level steps per march instead of n.  Eigenvalues are isolated by the
 winding of a scaled Pruefer angle, whose integer part counts interior zeros of
-the shooting solution, so mode indices cannot be skipped; roots of the
-characteristic function Delta(lambda) = -phi'(1) - H phi(1) are then polished
-inside each isolating bracket until they meet a residual test.
+the shooting solution, so mode indices cannot be skipped; a cold solve first
+splits its range where the winding, taken linear in sqrt(lambda), crosses
+(k + 1/2) pi.  Each root of Delta(lambda) = -phi'(1) - H phi(1) is then
+polished by secant steps in sqrt(lambda) on the wrapped Pruefer phase, nearly
+linear there, until it meets a residual test.
 """
 
 from __future__ import annotations
@@ -344,10 +346,6 @@ class _ShootingProblem:
         self.cv, self.cd = float(cv), float(cd)
         self.q_mean = float(np.mean(self.q))
 
-    def char(self, lams):
-        v, d = _propagate(self.q, self.v0, self.d0, lams)
-        return -(self.cd * d + self.cv * v)
-
     def angle_excess(self, lams):
         """G_0(lambda) and Delta(lambda) from one traced march per distinct lambda.
 
@@ -363,14 +361,28 @@ class _ShootingProblem:
         delta = -(self.cd * ders[:, -1] + self.cv * vals[:, -1])
         return (theta[:, -1] - target)[inverse], delta[inverse]
 
+    def phase(self, lams, n):
+        """Phase g of mode n and Delta at lams, from one untraced march.
+
+        g is G_0 - n pi wrapped to (-pi, pi]: inside a bracket isolating root n
+        it rises through 0 at the root, nearly linearly in sqrt(lambda).
+        """
+        v, d = _propagate(self.q, self.v0, self.d0, lams)
+        omega = np.sqrt(np.maximum(lams + self.q_mean, 1.0))
+        delta = -(self.cd * d + self.cv * v)
+        s = np.where(n % 2, -1.0, 1.0)
+        return (np.arctan2(s * omega * delta, s * (omega ** 2 * self.cd * v - self.cv * d)),
+                delta)
+
     def solve(self, n_max, guesses=None):
-        """Eigenvalues 0..n_max by winding isolation then Illinois polish.
+        """Eigenvalues 0..n_max by winding isolation then a secant polish.
 
         When guesses (previous eigenvalues of a nearby problem) are supplied,
         small brackets around them are tried first; unless every one of them
-        isolates its root, the global brackets are bisected instead.  Raises
-        DomainError when the grid is too coarse to count the windings of
-        n_max + 1 modes.
+        isolates its root, the global brackets are split at the points where
+        the line through their windings in sqrt(lambda) crosses (k + 1/2) pi,
+        and bisected where that left a root unisolated.  Raises DomainError
+        when the grid is too coarse to count the windings of n_max + 1 modes.
         """
         n_modes = n_max + 1
         targets = np.arange(n_modes) * np.pi
@@ -398,15 +410,21 @@ class _ShootingProblem:
                 g_lo, g_hi = g[:n_modes] - targets, g[n_modes:] - targets
                 f_lo, f_hi = f[:n_modes], f[n_modes:]
                 if _isolated(g_lo, g_hi, f_lo, f_hi).all():
-                    return self._illinois(lo, hi, f_lo, f_hi)
+                    return self._polish(lo, hi, g_lo, g_hi, f_lo, f_hi)
 
         g, f = self.angle_excess([lam_lo, lam_hi])
         if not (g[0] < 0.0 and g[1] > targets[-1]):
             raise BracketFailure("could not establish winding brackets")
-        lo = np.full(n_modes, lam_lo)
-        hi = np.full(n_modes, lam_hi)
-        g_lo, g_hi = g[0] - targets, g[1] - targets
-        f_lo, f_hi = np.full(n_modes, f[0]), np.full(n_modes, f[1])
+        # the winding is nearly linear in w = sqrt(lambda - lam_lo): split the
+        # global bracket where that line crosses (k + 1/2) pi, then give mode n
+        # the first point above n pi and the one before it
+        w = np.sqrt(lam_hi - lam_lo) * (targets[1:] - 0.5 * np.pi - g[0]) / (g[1] - g[0])
+        lams = np.concatenate([[lam_lo], lam_lo + w * w, [lam_hi]])
+        g_sep, f_sep = self.angle_excess(lams[1:-1])
+        g, f = np.r_[g[0], g_sep, g[1]], np.r_[f[0], f_sep, f[1]]
+        i = np.argmax(g > targets[:, None], axis=1)
+        lo, hi, f_lo, f_hi = lams[i - 1], lams[i], f[i - 1], f[i]
+        g_lo, g_hi = g[i - 1] - targets, g[i] - targets
         # bisect each bracket until it holds root n alone, or until it is a
         # few ulps wide (the winding and Delta can then sit at rounding level
         # on both ends) and the polish's width test certifies it
@@ -424,43 +442,52 @@ class _ShootingProblem:
             lo[j], g_lo[j], f_lo[j] = mid[~up], g_mid[~up], f_mid[~up]
         else:
             raise BracketFailure("winding bisection failed to isolate every root")
-        return self._illinois(lo, hi, f_lo, f_hi)
+        return self._polish(lo, hi, g_lo, g_hi, f_lo, f_hi)
 
-    def _illinois(self, lo, hi, f_lo, f_hi):
-        # Illinois (modified regula falsi), vectorized across the modes still
-        # active: keeps the bracket while converging superlinearly on the
-        # simple root.  One endpoint can stall, so a mode leaves the batch for
-        # good once its best residual is at the rounding level of the slope
-        # between the true endpoint values (ta, tb; fa, fb carry the Illinois
-        # halvings), or its bracket is a few ulps wide.
-        a, b, fa, fb = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
-        ta, tb = fa.copy(), fb.copy()
-        best = np.where(np.abs(fa) < np.abs(fb), a, b)
-        f_best = np.where(np.abs(fa) < np.abs(fb), fa, fb)
+    def _polish(self, lo, hi, g_lo, g_hi, f_lo, f_hi):
+        # secant on each mode's phase g through its last two iterates, in
+        # w = sqrt(lambda + shift) where g is nearly linear, vectorized across
+        # the modes still active.  Iterates and brackets stay in lambda
+        # (dlambda = dw (2 w1 + dw)), so a root near 0 keeps its absolute
+        # accuracy; a secant point outside the bracket falls back to false
+        # position in its middle half, and none goes below the Rayleigh bound
+        # -max q.  A mode leaves the batch for good once |g_best| is at the
+        # rounding level of the slope, or its bracket is a few ulps wide.
+        a, b, ga, gb = lo.copy(), hi.copy(), g_lo.copy(), g_hi.copy()
+        x0, x1, g0, g1 = a.copy(), b.copy(), ga.copy(), gb.copy()
+        left = np.abs(ga) < np.abs(gb)
+        best, g_best, f_best = (np.where(left, u, v) for u, v in ((a, b), (ga, gb), (f_lo, f_hi)))
+        shift = np.maximum(self.q_mean, -lo)
+        floor = 0.0 - self.q.max()  # +0.0, not -0.0, for q = 0
         active = np.ones(a.size, dtype=bool)
-        moved = np.zeros(a.size, dtype=np.int8)  # +1: b moved last, -1: a
         for _ in range(40):
-            width = b - a
-            slope = np.abs(tb - ta) / np.maximum(width, 1e-300)
-            active &= (width > 4e-16 * (1.0 + np.abs(b))) & \
-                      (np.abs(f_best) > 2e-15 * slope * (1.0 + np.abs(best)))
+            slope = np.abs(g1 - g0) / np.maximum(np.abs(x1 - x0), 1e-300)
+            active &= (b - a > 4e-16 * (1.0 + np.abs(b))) & \
+                      (np.abs(g_best) > 2e-15 * slope * (1.0 + np.abs(best)))
             i = np.flatnonzero(active)
             if i.size == 0:
                 break
-            denom = np.where(fb[i] == fa[i], np.inf, fb[i] - fa[i])
-            x = b[i] - fb[i] * width[i] / denom
-            x = np.clip(x, a[i] + 1e-3 * width[i], b[i] - 1e-3 * width[i])
-            fx = self.char(x)
-            improve = np.abs(fx) < np.abs(f_best[i])
-            best[i[improve]], f_best[i[improve]] = x[improve], fx[improve]
-            left = fa[i] * fx <= 0  # root in [a, x]
-            il, ir = i[left], i[~left]
-            # halve the kept endpoint when the same side moves twice running
-            fa[il[moved[il] == 1]] *= 0.5
-            fb[ir[moved[ir] == -1]] *= 0.5
-            b[il], fb[il], tb[il] = x[left], fx[left], fx[left]
-            a[ir], fa[ir], ta[ir] = x[~left], fx[~left], fx[~left]
-            moved[il], moved[ir] = 1, -1
+            w1 = np.sqrt(x1[i] + shift[i])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dw = g1[i] * (x1[i] - x0[i]) / ((w1 + np.sqrt(x0[i] + shift[i]))
+                                                * (g0[i] - g1[i]))
+                x = x1[i] + dw * (2.0 * w1 + dw)
+            out = ~((a[i] < x) & (x < b[i]))
+            if out.any():
+                j = i[out]
+                wa, width = np.sqrt(a[j] + shift[j]), b[j] - a[j]
+                dw = ga[j] / (ga[j] - gb[j]) * width / (wa + np.sqrt(b[j] + shift[j]))
+                x[out] = np.clip(a[j] + dw * (2.0 * wa + dw),
+                                 a[j] + 0.25 * width, b[j] - 0.25 * width)
+            x = np.maximum(x, floor)
+            gx, fx = self.phase(x, i)
+            improve = np.abs(gx) < np.abs(g_best[i])
+            k = i[improve]
+            best[k], g_best[k], f_best[k] = x[improve], gx[improve], fx[improve]
+            up = gx > 0
+            b[i[up]], gb[i[up]] = x[up], gx[up]
+            a[i[~up]], ga[i[~up]] = x[~up], gx[~up]
+            x0[i], g0[i], x1[i], g1[i] = x1[i], g1[i], x, gx
         res = np.abs(f_best)
         # a shrunken bracket certifies the root even when Delta is steep and
         # |Delta(root)| floors at slope * ulp(lambda)
@@ -492,7 +519,8 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
     """Modes 0..n_max of L(q) with the Robin pair (h, H).
 
     Eigenvalues are bracketed by oscillation counting (Pruefer winding), so
-    indices cannot be skipped, then refined on Delta.  e_n = phi_n/sqrt(beta_n)
+    indices cannot be skipped, then polished by secant steps on the Pruefer
+    phase, with residual |Delta(lambda_n)|.  e_n = phi_n/sqrt(beta_n)
     with e_n(0) > 0; k_n = 1/phi_n(1); beta_n by endpoint-corrected trapezoid
     on the solver grid.  lambda_guess (eigenvalues of a nearby problem) seeds
     warm brackets, used when every one of them isolates its root.

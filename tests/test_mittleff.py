@@ -207,6 +207,19 @@ class TestBatchedBranches:
             checked += 1
         assert checked or alpha == 1.0
 
+    def test_pole_coefficients_are_exact_zeros(self):
+        # beta - alpha k (k = 11, 21, 31) misses a pole of 1/Gamma by rounding
+        # here; the coefficient is 0, so every x >= Z_BIG sums every term
+        x = np.geomspace(Z_BIG, 1e6, 200)
+        for alpha, beta in ((0.7, 0.7), (0.3, 0.3), (0.3, 1.3)):
+            exp = _asymptotic_coeffs(alpha, beta)
+            assert exp.coeffs[[10, 20, 30]].tolist() == [0.0, 0.0, 0.0]
+            assert exp.steady < Z_BIG
+            # E_{a,1+a}(-x) = (1 - E_{a,1}(-x)) / x
+            ref = (_integral(alpha, beta, x) if beta == alpha
+                   else (1.0 - _integral(alpha, 1.0, x)) / x)
+            assert np.max(np.abs(ml(alpha, beta, -x) - ref) / np.abs(ref)) < 1e-10
+
     def test_thresholds_fall_inside_the_checked_range(self):
         # the checks above straddle steady wherever it lies above Z_BIG
         steady = [_asymptotic_coeffs(a, b).steady for a in ALPHAS for b in betas(a)]
@@ -449,6 +462,15 @@ class TestRelaxPrimitive:
 
     def test_antiderivative_zero_lambda(self):
         assert abs(relax_antiderivative(0.5, 0.0, 1.0) - 1.0 / gamma(2.5)) < 1e-13
+
+    def test_zero_lambda_infinite_time(self):
+        # the lam = 0 limit t^(order-1+a)/Gamma(a+order) is inf at t = inf,
+        # taken without forming 0 * inf (the suite turns warnings into errors)
+        for fn in (relax_primitive, relax_antiderivative):
+            assert fn(0.5, 0.0, np.inf) == np.inf
+            out = fn(0.5, np.array([0.0, 1.0]), np.array([[np.inf], [1.0]]))
+            assert out[0, 0] == np.inf and out[1, 0] == fn(0.5, 0.0, 1.0)
+        assert relax_primitive(0.5, 1.0, np.inf) == 1.0
 
 
 class TestLaplaceResidual:

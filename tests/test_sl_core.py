@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from fracspec.errors import DomainError, InsufficientModes, NonFiniteBlowup
 from fracspec.sl_core import (
@@ -17,6 +18,7 @@ from fracspec.sl_core import (
     split_spectra,
     verify_asymptotics,
 )
+from fracspec.uniqueness import CountedSet
 from fracspec.weyl_toolkit import wronskian_U
 
 # frozen oracle: lowest root of s*tan(s) = 1 (q=0, h=0, H=1), lam = s^2,
@@ -38,9 +40,9 @@ def count_calls(monkeypatch, name):
     sizes = []
     original = getattr(_ShootingProblem, name)
 
-    def counted(self, lams):
+    def counted(self, lams, *args):
         sizes.append(np.size(lams))
-        return original(self, lams)
+        return original(self, lams, *args)
     monkeypatch.setattr(_ShootingProblem, name, counted)
     return sizes
 
@@ -373,14 +375,46 @@ class TestEigenSystem:
         assert np.max(np.abs(es.lambdas - exact) / (1.0 + exact)) < 1e-12
 
     def test_polish_stops_on_its_residual_test(self, monkeypatch):
-        # every mode leaves the batch on its own stopping test after a dozen
-        # or so passes, far below the 40-pass cap
-        sizes = count_calls(monkeypatch, "char")
+        # every mode leaves the batch on its own stopping test after a few
+        # secant passes, far below the 40-pass cap
+        sizes = count_calls(monkeypatch, "phase")
         es = eigen_system(cos2_well(2.0, 2048), RobinPair(1.0, 1.0), 64,
                           grid_size=2048)
-        assert len(sizes) <= 20
+        assert len(sizes) <= 8
         assert sizes[0] == 65 and sizes[-1] < 65
         assert np.all(np.diff(es.lambdas) > 0)
+
+    def test_cold_isolation_takes_one_separator_pass(self, monkeypatch):
+        # the global ends, the separator points, then at most one bisection
+        sizes = count_calls(monkeypatch, "angle_excess")
+        es = eigen_system(cos2_well(2.0, 2048), RobinPair(1.0, 1.0), 64,
+                          grid_size=2048)
+        assert sizes[:2] == [2, 64]
+        assert len(sizes) <= 3
+        assert np.all(np.diff(es.lambdas) > 0)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(depth=st.floats(0.5, 6.0), h=st.floats(0.0, 3.0),
+           H=st.floats(0.0, 3.0), n_max=st.integers(0, 20))
+    def test_eigenvalues_match_brentq_on_char_delta(self, depth, h, H, n_max):
+        q, robin = cos2_well(depth, 256), RobinPair(h, H)
+        lams = eigen_system(q, robin, n_max + 1).lambdas
+        # roots 0..n_max of Delta, each alone between the midpoints of its
+        # neighbours; lambda_0 > -max q = 0 and no root lies below it
+        ends = np.concatenate([[-1.0], 0.5 * (lams[1:] + lams[:-1])])
+        for n, lam in enumerate(lams[:-1]):
+            ref = brentq(lambda s: char_delta(q, robin, s), ends[n], ends[n + 1],
+                         xtol=1e-300, rtol=8.9e-16, maxiter=200)
+            assert abs(lam - ref) <= 1e-14 * abs(ref)
+
+    def test_free_neumann_ground_state_is_not_negative(self):
+        # q = 0, h = H = 0: lambda_0 = 0 exactly, and CountedSet takes only
+        # nonnegative values
+        for grid, n_max in ((512, 12), (128, 124), (2048, 64)):
+            es = eigen_system(PotentialSpec.constant(0.0, grid), FREE, n_max)
+            assert es.lambdas[0] >= 0.0 and not np.signbit(es.lambdas[0])
+            assert es.lambdas[0] < 1e-12
+            CountedSet(es.lambdas)
 
     def test_warm_start_matches_cold(self, monkeypatch):
         q, robin = cos2_well(2.0, 512), RobinPair(1.0, 1.0)
