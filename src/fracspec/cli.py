@@ -23,14 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import EmptyData, FracspecError, MissingColumn
+from .errors import DomainError, EmptyData, FracspecError, MissingColumn
 from . import forward as fwd
 from . import inverse as inv
 from . import svgplot
 from . import uniqueness as uniq
 from . import weyl_toolkit as weyl
-from .mittleff import ALPHA_MAX, ALPHA_MIN, l1_weights, ml, relax_primitive
-from .sl_core import PotentialSpec, RobinPair, eigen_system
+from .mittleff import (ALPHA_MAX, ALPHA_MIN, l1_weights, ml,
+                       ml_closed_form_errors, relax_primitive)
+from .sl_core import (PotentialSpec, RobinPair, eigen_system,
+                      neumann_reference_error, winding_bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,33 @@ def validate(config_text: str) -> list[str]:
     if not isinstance(params, dict):
         return errors + ["parameters: object required"]
     _check_fields(params, SCHEMA[command], "parameters", errors)
+    if not errors and command in ("eigensolve", "forward", "kernel") \
+            and params.get("method") != "l1fd":
+        try:
+            q, _, n_max, grid = _eigen_problem(command, _with_defaults(command, params))
+            winding_bracket(q.resampled(grid or q.grid_size).samples, n_max)
+        except DomainError as exc:
+            errors.append(f"parameters: {exc}")
     return errors
+
+
+def _with_defaults(command, params):
+    """params with the table's defaults filled in for the keys it lacks."""
+    full = {key: field.default for key, field in SCHEMA[command].items()
+            if field.default is not _REQUIRED}
+    full.update(params)
+    return full
+
+
+def _eigen_problem(command, params):
+    """(q, robin, n_max, grid_size) of the eigen_system call of an eigensolve,
+    forward or kernel run; grid_size None means q's own grid."""
+    grid = params["grid_size"] if command == "eigensolve" else 1024
+    n_max = params["n_max"]
+    if command == "kernel":  # at least n_modes - 1; 8 when n_max is None
+        n_max = max(params["n_modes"] - 1, 8 if n_max is None else n_max)
+    rb = RobinPair(float(params["h"]), float(params["H"]))
+    return _build_q(params["q"], grid), rb, int(n_max), grid
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +401,11 @@ class _Writer:
                              "bytes": len(data)})
 
 
+def _check(name: str, passed, detail: str = "") -> dict:
+    """One manifest check; passed is stored as a JSON bool."""
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
 def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -387,11 +420,8 @@ def _csv_text(header: list[str], rows) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_eigensolve(params, writer, seed):
-    q = _build_q(params["q"], params["grid_size"])
-    rb = RobinPair(float(params["h"]), float(params["H"]))
-    es = eigen_system(q, rb, int(params["n_max"]),
-                      grid_size=params["grid_size"],
-                      allow_inadmissible=True)
+    q, rb, n_max, grid = _eigen_problem("eigensolve", params)
+    es = eigen_system(q, rb, n_max, grid_size=grid, allow_inadmissible=True)
     rows = [(int(n), float(es.lambdas[n]), float(es.k[n]), float(es.beta[n]),
              float(es.residuals[n])) for n in range(es.n_max + 1)]
     writer.write_text("eigen.csv",
@@ -405,22 +435,18 @@ def _run_eigensolve(params, writer, seed):
     writer.write_text("efuncs.csv", _csv_text(
         ["x"] + [f"e{n}" for n in range(min(es.n_max + 1, 6))], e_rows))
     increasing = bool(np.all(np.diff(es.lambdas) > 0))
-    return [{"name": "eigenvalues-increasing", "passed": increasing,
-             "detail": f"n_max={es.n_max}"},
-            {"name": "residuals-small",
-             "passed": bool(np.all(es.residuals <= 1e-6 * (1 + np.abs(es.lambdas)))),
-             "detail": f"max={es.residuals.max():.3e}"}]
+    return [_check("eigenvalues-increasing", increasing, f"n_max={es.n_max}"),
+            _check("residuals-small",
+                   np.all(es.residuals <= 1e-6 * (1 + np.abs(es.lambdas))),
+                   f"max={es.residuals.max():.3e}")]
 
 
 def _run_forward(params, writer, seed):
-    grid = 1024
-    q = _build_q(params["q"], grid)
-    rb = RobinPair(float(params["h"]), float(params["H"]))
+    q, rb, n_max, grid = _eigen_problem("forward", params)
     alpha = float(params["alpha"])
     T, nt, nx = float(params["T"]), int(params["nt"]), int(params["nx"])
     eta = _build_eta(params["eta"], T, nt)
     method = params["method"]
-    n_max = int(params["n_max"])
     t_grid = np.linspace(0.0, T, nt + 1)
     x_grid = np.linspace(0.0, 1.0, nx + 1)
     checks = []
@@ -433,42 +459,30 @@ def _run_forward(params, writer, seed):
         fields["l1fd"] = fwd.solve_l1_fd(q, rb, alpha, eta, nx, nt)
     for name, f in fields.items():
         writer.write_text(f"field_{name}.csv", f.to_csv())
-        checks.append({"name": f"{name}-zero-initial",
-                       "passed": bool(np.abs(f.values[:, 0]).max() == 0.0),
-                       "detail": ""})
+        checks.append(_check(f"{name}-zero-initial",
+                             np.abs(f.values[:, 0]).max() == 0.0))
     if method == "both":
-        sp, fd = fields["spectral"], fields["l1fd"]
-        scale = max(np.abs(fd.values).max(), 1e-300)
-        diff = float(np.abs(sp.values - fd.values).max() / scale)
-        budget = (sp.tail_bound / scale
-                  + 2.0 * ((T / nt) ** (2 - alpha) + (1.0 / nx) ** 2))
-        checks.append({"name": "cross-validation",
-                       "passed": bool(diff <= 1e-3 + budget),
-                       "detail": f"rel_diff={diff:.3e} budget={budget:.3e}"})
+        diff, budget = fwd.cross_validation_gap(fields["spectral"],
+                                                fields["l1fd"], alpha)
+        checks.append(_check("cross-validation", diff <= 1e-3 + budget,
+                             f"rel_diff={diff:.3e} budget={budget:.3e}"))
     return checks
 
 
 def _run_kernel(params, writer, seed):
-    grid = 1024
-    q = _build_q(params["q"], grid)
-    rb = RobinPair(float(params["h"]), float(params["H"]))
+    q, rb, n_max, grid = _eigen_problem("kernel", params)
     alpha = float(params["alpha"])
     T, nt = float(params["T"]), int(params["nt"])
-    n_modes = int(params["n_modes"])
-    n_max = (max(n_modes - 1, 8) if params["n_max"] is None
-             else int(params["n_max"]))
-    es = eigen_system(q, rb, max(n_max, n_modes - 1), grid_size=grid,
-                      allow_inadmissible=True)
+    es = eigen_system(q, rb, n_max, grid_size=grid, allow_inadmissible=True)
     t_grid = np.linspace(0.0, T, nt + 1)
-    ker = fwd.kernel_K(es, alpha, float(params["x"]), t_grid, n_modes)
+    ker = fwd.kernel_K(es, alpha, float(params["x"]), t_grid,
+                       int(params["n_modes"]))
     writer.write_text("kernel.csv", _csv_text(
         ["t", "K"], [(float(t), float(v)) for t, v in
                      zip(ker.t_grid, ker.values)]))
-    return [{"name": "kernel-zero-start", "passed": bool(ker.values[0] == 0.0),
-             "detail": ""},
-            {"name": "kernel-finite",
-             "passed": bool(np.all(np.isfinite(ker.values))),
-             "detail": f"tail_bound={ker.tail_bound:.3e}"}]
+    return [_check("kernel-zero-start", ker.values[0] == 0.0),
+            _check("kernel-finite", np.all(np.isfinite(ker.values)),
+                   f"tail_bound={ker.tail_bound:.3e}")]
 
 
 def _run_weyl_scan(params, writer, seed):
@@ -485,34 +499,29 @@ def _run_weyl_scan(params, writer, seed):
     writer.write_text("scan.csv", _csv_text(
         ["re_lambda", "im_lambda", "re_value", "im_value", "magnitude"], rows))
     writer.write_text("fit.json", fit.to_json() + "\n")
-    return [{"name": "fit-converged", "passed": bool(fit.residual < 1.0),
-             "detail": f"exponent={fit.exponent:.4f} "
-                       f"(reference {fit.reference_exponent})"}]
+    return [_check("fit-converged", fit.residual < 1.0,
+                   f"exponent={fit.exponent:.4f} "
+                   f"(reference {fit.reference_exponent})")]
 
 
 def _run_counting(params, writer, seed):
     x0 = float(params["x0"])
-    n_modes = int(params["n_modes"])
-    n = np.arange(n_modes)
-    keep = np.abs(np.cos(n * np.pi * x0)) > 1e-6
-    keep[0] = True
-    lam = uniq.CountedSet((n[keep] * np.pi) ** 2, "lambda-set")
+    lam = uniq.free_lambda_set(int(params["n_modes"]), x0)
     s_grid = np.geomspace(float(params["s_lo"]), float(params["s_hi"]),
                           int(params["s_count"]))
     bound = uniq.counting_bound_check(lam, x0, s_grid)
     rows = [(float(s), int(c), float(b)) for s, c, b in
             zip(bound.s_values, bound.counts, bound.bounds)]
     writer.write_text("counting.csv", _csv_text(["s", "count", "bound"], rows))
-    checks = [{"name": "counting-bound", "passed": bool(bound.passed),
-               "detail": f"x0={x0}"}]
+    checks = [_check("counting-bound", bound.passed, f"x0={x0}")]
     if params["A"] is not None:
         dens = uniq.density_criterion(lam, float(params["A"]), s_grid)
         writer.write_text("density.json", json.dumps(
             {"liminf_estimate": dens.liminf_estimate,
              "threshold": dens.threshold, "passed": dens.passed,
              "implied_d_max": dens.implied_d_max}, sort_keys=True) + "\n")
-        checks.append({"name": "density-criterion", "passed": bool(dens.passed),
-                       "detail": f"estimate={dens.liminf_estimate:.5f}"})
+        checks.append(_check("density-criterion", dens.passed,
+                             f"estimate={dens.liminf_estimate:.5f}"))
     return checks
 
 
@@ -533,9 +542,9 @@ def _run_region_map(params, writer, seed):
     _write_region(writer, verdicts)
     diag_ok = all(v.verdict == "theorem1-case-i" for v in verdicts
                   if v.d == v.x0)
-    return [{"name": "row-count", "passed": len(verdicts) == res * res,
-             "detail": f"{len(verdicts)} cells"},
-            {"name": "diagonal-case-i", "passed": diag_ok, "detail": ""}]
+    return [_check("row-count", len(verdicts) == res * res,
+                   f"{len(verdicts)} cells"),
+            _check("diagonal-case-i", diag_ok)]
 
 
 def _run_reconstruct(params, writer, seed):
@@ -572,99 +581,67 @@ def _run_reconstruct(params, writer, seed):
         ["x", "q_hat", "q_true"],
         [(float(x), float(res.q_hat(x)), float(q_true(x))) for x in xg]))
     rel = res.error_metrics["rel_L2_q"]
-    return [{"name": "twin-rel-L2-q",
-             "passed": bool(rel <= 0.05),
-             "detail": f"rel_L2_q={rel:.4f} abs_err_h="
-                       f"{res.error_metrics['abs_err_h']:.4f} "
-                       f"(5% target; identifiability-limited with "
-                       f"finite-difference data, see reconstruct docs)"}]
+    return [_check("twin-rel-L2-q", rel <= 0.05,
+                   f"rel_L2_q={rel:.4f} abs_err_h="
+                   f"{res.error_metrics['abs_err_h']:.4f} "
+                   f"(5% target; identifiability-limited with "
+                   f"finite-difference data, see reconstruct docs)")]
 
 
 def _run_distinguish(params, writer, seed):
     alpha, d, x0 = (float(params["alpha"]), float(params["d"]),
                     float(params["x0"]))
     H, T = float(params["H"]), float(params["T"])
-    n_pairs = int(params["n_pairs"])
     eta = _build_eta(params["eta"], T)
     t_samples = np.linspace(0.0, T, int(params["n_samples"]) + 1)[1:]
     rng = np.random.default_rng(seed)
-    pairs = []
     grid = 512
-    x = np.linspace(0.0, 1.0, grid + 1)
-    for _ in range(n_pairs):
-        qs = []
-        for _ in range(2):
-            amps = rng.uniform(-0.6, 0.0, size=3)
-            prof = sum(a * np.cos((m + 0.5) * np.pi * x / d)
-                       for m, a in enumerate(amps))
-            prof = np.where(x <= d, prof, 0.0)
-            qs.append(PotentialSpec(np.minimum(prof, 0.0), grid))
-        pairs.append((qs[0], 0.0, qs[1], 0.0))
+    pairs = [(inv.random_head(rng, d, grid), 0.0, inv.random_head(rng, d, grid), 0.0)
+             for _ in range(int(params["n_pairs"]))]
     gaps = inv.distinguishability_scan(pairs, x0, alpha, eta, t_samples, H=H,
                                        n_max=24, grid_size=grid)
     writer.write_text("gaps.csv", _csv_text(
         ["pair", "gap"], [(g["pair"], float(g["gap"])) for g in gaps]))
     min_gap = min(g["gap"] for g in gaps)
-    return [{"name": "gaps-positive", "passed": bool(min_gap > 0.0),
-             "detail": f"min_gap={min_gap:.3e}"}]
+    return [_check("gaps-positive", min_gap > 0.0, f"min_gap={min_gap:.3e}")]
 
 
 def _run_verify_all(params, writer, seed):
-    checks = []
-
-    es = eigen_system(PotentialSpec.constant(0.0, 1024), RobinPair(0.0, 0.0), 25)
-    n = np.arange(26)
-    err = np.abs(es.lambdas - (n * np.pi) ** 2) / np.maximum((n * np.pi) ** 2, 1.0)
-    checks.append({"name": "reference-spectrum", "passed": bool(err.max() <= 1e-8),
-                   "detail": f"max_rel_err={err.max():.2e}"})
+    free, neumann = PotentialSpec.constant(0.0, 1024), RobinPair(0.0, 0.0)
+    es = eigen_system(free, neumann, 25)
+    err = neumann_reference_error(es.lambdas)
+    checks = [_check("reference-spectrum", err <= 1e-8, f"max_rel_err={err:.2e}")]
     writer.write_text("eigen.csv", _csv_text(
-        ["n", "lambda"], [(int(k), float(es.lambdas[k])) for k in n]))
+        ["n", "lambda"], [(n, float(lam)) for n, lam in enumerate(es.lambdas)]))
 
-    xs = np.linspace(0.0, 50.0, 101)
-    e1 = float(np.abs(ml(1.0, 1.0, -xs) - np.exp(-xs)).max())
-    from scipy.special import erfc
-    xs2 = np.linspace(0.0, 10.0, 101)
-    ref = np.exp(xs2 ** 2) * erfc(xs2)
-    e2 = float(np.abs(ml(0.5, 1.0, -xs2) - ref).max() / ref.min())
-    checks.append({"name": "ml-exponential", "passed": e1 <= 1e-12,
-                   "detail": f"max_abs_err={e1:.2e}"})
-    checks.append({"name": "ml-half-order", "passed": e2 <= 1e-9,
-                   "detail": f"max_rel_err={e2:.2e}"})
+    e1, e2 = ml_closed_form_errors(101)
+    checks.append(_check("ml-exponential", e1 <= 1e-12, f"max_abs_err={e1:.2e}"))
+    checks.append(_check("ml-half-order", e2 <= 1e-9, f"max_rel_err={e2:.2e}"))
+    xs = np.linspace(0.0, 10.0, 101)
     writer.write_text("ml.csv", _csv_text(
         ["x", "E_05_1"], [(float(x), float(v)) for x, v in
-                          zip(xs2, ml(0.5, 1.0, -xs2))]))
+                          zip(xs, ml(0.5, 1.0, -xs))]))
 
     from scipy.special import gamma as gfun
     gaps = [abs(relax_primitive(0.5, 10.0 ** (-k), 1.0) - 1.0 / gfun(1.5))
             for k in range(4, 9)]
-    checks.append({"name": "relax-continuity",
-                   "passed": bool(all(g < 2e-4 for g in gaps)),
-                   "detail": f"max_gap={max(gaps):.2e}"})
+    checks.append(_check("relax-continuity", all(g < 2e-4 for g in gaps),
+                         f"max_gap={max(gaps):.2e}"))
 
     w = l1_weights(1.0, 0.5, 4).weights
-    checks.append({"name": "l1-backward-euler-limit",
-                   "passed": bool(abs(w[0] - 2.0) < 1e-12
-                                  and np.abs(w[1:]).max() < 1e-12),
-                   "detail": ""})
+    checks.append(_check("l1-backward-euler-limit",
+                         abs(w[0] - 2.0) < 1e-12 and np.abs(w[1:]).max() < 1e-12))
 
-    d = 0.4
-    q1 = PotentialSpec.constant(0.0, 1024)
-    q2 = PotentialSpec.from_callable(
-        lambda x: -0.5 * max(0.0, 1 - x / d) ** 2, 1024)
-    lams = np.array([5.0, 60.0, 200.0])
-    u1 = weyl.wronskian_U(q1, q2, 0.0, 0.0, lams, 1.0)
-    worst = 0.0
-    for xq in (0.45, 0.7, 0.9):
-        u = weyl.wronskian_U(q1, q2, 0.0, 0.0, lams, xq)
-        worst = max(worst, float(np.max(np.abs(u - u1) / (1.0 + np.abs(u1)))))
-    checks.append({"name": "wronskian-constancy", "passed": worst <= 1e-8,
-                   "detail": f"max={worst:.2e}"})
+    bump = PotentialSpec.from_callable(
+        lambda x: -0.5 * max(0.0, 1 - x / 0.4) ** 2, 1024)
+    worst = weyl.wronskian_deviation(free, bump, 0.0, 0.0,
+                                     np.array([5.0, 60.0, 200.0]), (0.45, 0.7, 0.9))
+    checks.append(_check("wronskian-constancy", worst <= 1e-8, f"max={worst:.2e}"))
 
     cs = uniq.CountedSet((np.arange(2000) * np.pi) ** 2, "full-spectrum")
     ratio = uniq.counting(cs, 1e6) / np.sqrt(1e6)
-    checks.append({"name": "counting-slope",
-                   "passed": bool(abs(ratio - 1 / np.pi) <= 0.05 / np.pi),
-                   "detail": f"ratio={ratio:.5f}"})
+    checks.append(_check("counting-slope", abs(ratio - 1 / np.pi) <= 0.05 / np.pi,
+                         f"ratio={ratio:.5f}"))
 
     cases = [((0.6, 0.7, None), "theorem1-case-i"),
              ((0.4, 0.1, None), "theorem1-case-ii"),
@@ -673,43 +650,28 @@ def _run_verify_all(params, writer, seed):
              ((0.6, 0.3, None), "unknown")]
     ok = all(uniq.classify_region(dd, xx, cc).verdict == expect
              for (dd, xx, cc), expect in cases)
-    checks.append({"name": "region-verdicts", "passed": bool(ok),
-                   "detail": f"{len(cases)} cases"})
+    checks.append(_check("region-verdicts", ok, f"{len(cases)} cases"))
     _write_region(writer, uniq.region_map(40))
 
-    eta = fwd.DriveSignal.from_callable(lambda t: t * t, 1.0, 256)
-    es48 = eigen_system(PotentialSpec.constant(0.0, 1024),
-                        RobinPair(0.0, 0.0), 48, grid_size=1024)
-    f = fwd.solve_spectral(es48, 0.5, eta, np.array([0.3]), eta.t_grid)
-    ker = fwd.kernel_K(es48, 0.5, 0.3, eta.t_grid, 49)
-    resid = fwd.duhamel_residual(f, ker, eta)
-    dt = eta.t_grid[1]
-    scale = float(np.abs(np.cumsum(f.values[0]) * dt).max())
-    checks.append({"name": "duhamel-identity",
-                   "passed": bool(resid <= 1e-4 * scale),
-                   "detail": f"residual={resid:.2e} scale={scale:.2e}"})
+    es48 = eigen_system(free, neumann, 48, grid_size=1024)
+    resid, scale = fwd.duhamel_identity(
+        es48, 0.5, fwd.DriveSignal.from_callable(lambda t: t * t, 1.0, 256), 0.3, 49)
+    checks.append(_check("duhamel-identity", resid <= 1e-4 * scale,
+                         f"residual={resid:.2e} scale={scale:.2e}"))
 
     ramp = fwd.DriveSignal(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    fd = fwd.solve_l1_fd(PotentialSpec.constant(0.0, 1024),
-                         RobinPair(0.0, 0.0), 1.0, ramp, 64, 128)
+    fd = fwd.solve_l1_fd(free, neumann, 1.0, ramp, 64, 128)
     sp = fwd.solve_spectral(es48, 1.0, ramp, fd.x_grid, fd.t_grid)
-    sc = np.abs(fd.values).max()
-    diff = float(np.abs(sp.values - fd.values).max() / sc)
-    budget = sp.tail_bound / sc + 2.0 * (1.0 / 128 + 1.0 / 64 ** 2)
-    checks.append({"name": "forward-cross-check",
-                   "passed": bool(diff <= 1e-3 + budget),
-                   "detail": f"rel_diff={diff:.3e}"})
+    diff, budget = fwd.cross_validation_gap(sp, fd, 1.0)
+    checks.append(_check("forward-cross-check", diff <= 1e-3 + budget,
+                         f"rel_diff={diff:.3e}"))
 
     q_t = PotentialSpec.constant(-0.3, 256)
     eta_s = fwd.DriveSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, 0.5]))
     t_s = np.linspace(0.0, 1.0, 17)[1:]
-    d1 = inv.synthesize_data(q_t, 0.2, 1.0, 0.5, eta_s, 0.6, t_s, 0.01, seed,
-                             nx=64, nt=64)
-    d2 = inv.synthesize_data(q_t, 0.2, 1.0, 0.5, eta_s, 0.6, t_s, 0.01, seed,
-                             nx=64, nt=64)
-    checks.append({"name": "determinism",
-                   "passed": bool(np.array_equal(d1.u, d2.u)),
-                   "detail": f"seed={seed}"})
+    d1, d2 = (inv.synthesize_data(q_t, 0.2, 1.0, 0.5, eta_s, 0.6, t_s, 0.01, seed,
+                                  nx=64, nt=64) for _ in range(2))
+    checks.append(_check("determinism", np.array_equal(d1.u, d2.u), f"seed={seed}"))
     writer.write_text("observations.csv", _csv_text(
         ["t", "u"], [(float(t), float(u)) for t, u in zip(d1.t, d1.u)]))
     return checks
@@ -734,14 +696,11 @@ def run(config: ExperimentConfig) -> RunManifest:
     writer = _Writer(config.output_dir)
     status = "ok"
     # the runners see the table's defaults; config_hash sees the user's dict
-    params = {key: field.default for key, field in SCHEMA[config.command].items()
-              if field.default is not _REQUIRED}
-    params.update(config.parameters)
+    params = _with_defaults(config.command, config.parameters)
     try:
         checks = _RUNNERS[config.command](params, writer, config.seed)
     except FracspecError as exc:
-        checks = [{"name": "execution", "passed": False,
-                   "detail": f"{type(exc).__name__}: {exc}"}]
+        checks = [_check("execution", False, f"{type(exc).__name__}: {exc}")]
         status = "numerical-failure"
     finished = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     manifest = RunManifest(
@@ -782,20 +741,23 @@ def plot(csv_path, plot_spec: dict) -> str:
             raise MissingColumn(f"column {name!r} not in {columns}")
         return [row[name] for row in rows]
 
-    def nums(name):
+    def nums(name, labels_ok=False):
+        """The column's numbers, all finite; with labels_ok, its cells as
+        category labels when one of them is not a number."""
         try:
-            return [float(v) for v in col(name)]
+            values = [float(v) for v in col(name)]
         except ValueError:
+            if labels_ok:
+                return col(name)
             raise ValueError(f"column {name!r} holds a non-number") from None
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"column {name!r} holds a non-finite number")
+        return values
 
     if kind == "heatmap":
         xs = nums(plot_spec["x"])
         ys = nums(plot_spec["y"])
-        raw = col(plot_spec["value"])
-        try:
-            values = [float(v) for v in raw]
-        except ValueError:
-            values = raw
+        values = nums(plot_spec["value"], labels_ok=True)
         return svgplot.render_heatmap(xs, ys, values,
                                       title=plot_spec.get("title", ""),
                                       x_label=plot_spec["x"],

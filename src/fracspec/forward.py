@@ -300,6 +300,27 @@ def duhamel_residual(field: SpaceTimeField, kernel: KernelTrace,
     return float(np.abs(lhs - rhs).max())
 
 
+def duhamel_identity(es: EigenSystem, alpha: float, eta: DriveSignal, x: float,
+                     n_modes: int):
+    """duhamel_residual of n_modes modes at x on eta's time grid, and the scale
+    it is judged against: max_t |int_0^t u(x, s) ds| by left-point sums."""
+    field = solve_spectral(es, alpha, eta, np.array([x]), eta.t_grid, n_modes)
+    kernel = kernel_K(es, alpha, x, eta.t_grid, n_modes)
+    scale = float(np.abs(np.cumsum(field.values[0]) * eta.t_grid[1]).max())
+    return duhamel_residual(field, kernel, eta), scale
+
+
+def cross_validation_gap(sp: SpaceTimeField, fd: SpaceTimeField, alpha: float):
+    """(max |sp - fd| / max |fd|, budget) for spectral and L1-FD fields on fd's
+    nodes; the budget is sp's tail bound over max |fd| plus twice the L1
+    scheme's error order (T/nt)^(2 - alpha) + (1/nx)^2."""
+    nx, nt = fd.resolution
+    scale = max(np.abs(fd.values).max(), 1e-300)
+    budget = (sp.tail_bound / scale
+              + 2.0 * ((fd.t_grid[-1] / nt) ** (2 - alpha) + (1.0 / nx) ** 2))
+    return float(np.abs(sp.values - fd.values).max() / scale), float(budget)
+
+
 def _l1_fd_system(q: PotentialSpec, robin: RobinPair, alpha: float,
                   eta: DriveSignal, nx: int, nt: int):
     """The fixed parts of solve_l1_fd's scheme: the x and t nodes, the history

@@ -389,6 +389,15 @@ def reconstruct_morozov(spec: InverseProblemSpec, init: CandidateParam,
         gamma /= 10.0
 
 
+def random_head(rng, d: float, grid: int) -> PotentialSpec:
+    """A random potential on grid cells that is zero beyond d: three modes
+    cos((m + 1/2) pi x / d) with amplitudes uniform in [-0.6, 0], cut at 0."""
+    x = np.linspace(0.0, 1.0, grid + 1)
+    amps = rng.uniform(-0.6, 0.0, size=3)
+    prof = sum(a * np.cos((m + 0.5) * np.pi * x / d) for m, a in enumerate(amps))
+    return PotentialSpec(np.minimum(np.where(x <= d, prof, 0.0), 0.0), grid)
+
+
 def distinguishability_scan(pairs, x0: float, alpha: float, eta: DriveSignal,
                             t_samples, H: float = 1.0,
                             n_max: int = DEFAULT_INV_MODES,

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import rgamma
+from scipy.special import erfc, rgamma
 
 from .errors import DomainError, QuadratureNonConvergence
 
@@ -389,6 +389,17 @@ def ml_asymptotic_residual(alpha: float, lam: float, t_values):
     xs = lam * t ** alpha
     lead = rgamma(1.0 - alpha) / xs
     return np.abs(ml(alpha, 1.0, -xs) - lead) * xs ** 2
+
+
+def ml_closed_form_errors(n_points: int):
+    """max |E_{1,1}(-x) - e^{-x}| on [0, 50], and max |E_{1/2,1}(-x) -
+    e^{x^2} erfc(x)| on [0, 10] over the smallest e^{x^2} erfc(x), each
+    on n_points equispaced points."""
+    x = np.linspace(0.0, 50.0, n_points)
+    exp_err = float(np.abs(ml(1.0, 1.0, -x) - np.exp(-x)).max())
+    x = np.linspace(0.0, 10.0, n_points)
+    ref = np.exp(x ** 2) * erfc(x)
+    return exp_err, float(np.abs(ml(0.5, 1.0, -x) - ref).max() / ref.min())
 
 
 def _relax(alpha, order, lam, t):

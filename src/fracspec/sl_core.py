@@ -337,6 +337,28 @@ def char_delta(q: PotentialSpec, robin: RobinPair, lam, grid_size: int | None = 
 # eigen machinery (Pruefer winding + characteristic-root polish)
 # ---------------------------------------------------------------------------
 
+def winding_bracket(q: np.ndarray, n_max: int):
+    """Rayleigh bracket (lam_lo, lam_hi) of modes 0..n_max for nonnegative
+    Robin data; DomainError when the grid of the potential samples q is too
+    coarse to count the Pruefer windings of n_max + 1 modes."""
+    qmax = q.max()
+    # -max q < lambda_0, and lambda_n_max lies below its Dirichlet value
+    # (n_max + 1)^2 pi^2 - min q
+    lam_lo = min(0.0, -qmax) - 1.0
+    lam_hi = (n_max + 2.0) ** 2 * np.pi ** 2 + max(0.0, -q.min()) + 10.0
+    # np.unwrap drops a winding once the angle turns by pi within one cell;
+    # the scaled Pruefer angle turns at most at rate max(omega, k^2/omega)
+    omega = np.sqrt(max(lam_hi + float(np.mean(q)), 1.0))
+    rate = max(omega, (lam_hi + qmax) / omega)
+    n_cells = q.size - 1
+    if rate >= np.pi * n_cells:
+        raise DomainError(
+            f"{n_max + 1} modes need grid_size >= {int(rate / np.pi) + 1} "
+            f"(got {n_cells}): the Pruefer angle would turn by pi or more "
+            "across one grid cell")
+    return lam_lo, lam_hi
+
+
 class _ShootingProblem:
     """Unit-interval problem: left data (v0, d0), right condition cd*u' + cv*u = 0."""
 
@@ -386,21 +408,7 @@ class _ShootingProblem:
         """
         n_modes = n_max + 1
         targets = np.arange(n_modes) * np.pi
-        qmax = self.q.max()
-        # Rayleigh bounds with nonnegative Robin data: -max q < lambda_0 and
-        # lambda_n_max below its Dirichlet value (n_max + 1)^2 pi^2 - min q
-        lam_lo = min(0.0, -qmax) - 1.0
-        lam_hi = (n_max + 2.0) ** 2 * np.pi ** 2 + max(0.0, -self.q.min()) + 10.0
-        # np.unwrap drops a winding once the angle turns by pi within one cell;
-        # the scaled Pruefer angle turns at most at rate max(omega, k^2/omega)
-        omega = np.sqrt(max(lam_hi + self.q_mean, 1.0))
-        rate = max(omega, (lam_hi + qmax) / omega)
-        n_cells = self.q.size - 1
-        if rate >= np.pi * n_cells:
-            raise DomainError(
-                f"{n_modes} modes need grid_size >= {int(rate / np.pi) + 1} "
-                f"(got {n_cells}): the Pruefer angle would turn by pi or more "
-                "across one grid cell")
+        lam_lo, lam_hi = winding_bracket(self.q, n_max)
         if guesses is not None and len(guesses) == n_modes:
             guesses = np.asarray(guesses, dtype=float)
             for widen in (0.5, 8.0):
@@ -589,6 +597,13 @@ def split_spectra(q: PotentialSpec, x0: float, robin: RobinPair, n_max: int,
     mu_plus, _ = right.solve(n_max)
     mu_plus = mu_plus / len_r ** 2
     return mu_minus, mu_plus
+
+
+def neumann_reference_error(lambdas) -> float:
+    """max_n |lambda_n - (n pi)^2| / max((n pi)^2, 1) against the spectrum of
+    q = 0 with h = H = 0, so lambda_0 = 0 is judged by its absolute error."""
+    exact = (np.arange(len(lambdas)) * np.pi) ** 2
+    return float(np.max(np.abs(lambdas - exact) / np.maximum(exact, 1.0)))
 
 
 def verify_asymptotics(es: EigenSystem) -> AsymptoticsReport:

@@ -114,6 +114,15 @@ def counting(counted: CountedSet, s: float) -> int:
     return int(np.searchsorted(counted.values, s, side="right"))
 
 
+def free_lambda_set(n_modes: int, x0: float) -> CountedSet:
+    """lambda_set of q = 0 with h = H = 0 in closed form: (n pi)^2 for each
+    n < n_modes with |cos(n pi x0)| > TRACE_TAU, the relative trace of
+    e_n = sqrt(2) cos(n pi x) (so n = 0 always stays)."""
+    n = np.arange(n_modes)
+    keep = np.abs(np.cos(n * np.pi * x0)) > TRACE_TAU
+    return CountedSet((n[keep] * np.pi) ** 2, "lambda-set")
+
+
 def lambda_set(es: EigenSystem, x0: float, tau: float = TRACE_TAU) -> LambdaSplit:
     """Split modes by the relative size of e_n(x0).
 

@@ -183,6 +183,16 @@ def wronskian_U(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,
     return _shaped(v1 * d2 - v2 * d1, lam)
 
 
+def wronskian_deviation(q1: PotentialSpec, q2: PotentialSpec, h1: float,
+                        h2: float, lams, xs) -> float:
+    """max over lams and xs of |U(x) - U(1)| / (1 + |U(1)|): U is constant
+    where q1 = q2, so for xs on a matched tail this is rounding error."""
+    lams = np.asarray(lams)
+    u_ref = wronskian_U(q1, q2, h1, h2, lams, 1.0)
+    u = np.array([wronskian_U(q1, q2, h1, h2, lams, float(x)) for x in xs])
+    return float(np.max(np.abs(u - u_ref) / (1.0 + np.abs(u_ref))))
+
+
 def _log_product(retained: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """log g(lambda) = sum_n log(1 - lambda/lambda_n) for each lambda.
 

@@ -8,30 +8,36 @@ it is marked xfail and reports its measured numbers.
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 from fracspec.cli import ExperimentConfig, run
 from fracspec.forward import (
     DriveSignal,
-    duhamel_residual,
-    kernel_K,
+    cross_validation_gap,
+    duhamel_identity,
     solve_l1_fd,
     solve_spectral,
 )
 from fracspec.inverse import (
     CandidateParam,
     InverseProblemSpec,
+    _observation,
     estimate_solver_floor,
+    random_head,
     reconstruct,
     reconstruct_morozov,
     synthesize_data,
 )
-from fracspec.mittleff import ml, ml_asymptotic_residual, ml_laplace_residual
+from fracspec.mittleff import (
+    ml_asymptotic_residual,
+    ml_closed_form_errors,
+    ml_laplace_residual,
+)
 from fracspec.sl_core import (
     PotentialSpec,
     RobinPair,
     char_delta,
     eigen_system,
+    neumann_reference_error,
     split_spectra,
     verify_asymptotics,
 )
@@ -40,8 +46,9 @@ from fracspec.uniqueness import (
     classify_region,
     counting,
     counting_bound_check,
+    free_lambda_set,
 )
-from fracspec.weyl_toolkit import ProductSpec, f_decay_scan, wronskian_U
+from fracspec.weyl_toolkit import ProductSpec, f_decay_scan, wronskian_deviation
 
 FREE = RobinPair(0.0, 0.0)
 
@@ -55,10 +62,7 @@ def report(num, name, passed, detail=""):
 def test_criterion_01_reference_spectrum():
     q0 = PotentialSpec.constant(0.0)
     es = eigen_system(q0, FREE, 50)
-    n = np.arange(51)
-    exact = (n * np.pi) ** 2
-    lam_ok = abs(es.lambdas[0]) <= 1e-8 and np.all(
-        np.abs(es.lambdas[1:] - exact[1:]) / exact[1:] <= 1e-8)
+    lam_ok = neumann_reference_error(es.lambdas) <= 1e-8
     x = es.x_grid
     ef_err = max(np.abs(es.efuncs[m] - np.sqrt(2) * np.cos(m * np.pi * x)).max()
                  for m in range(1, 51))
@@ -71,8 +75,7 @@ def test_criterion_01_reference_spectrum():
 def test_criterion_02_asymptotics():
     es = eigen_system(PotentialSpec.constant(-1.0), RobinPair(1.0, 1.0), 50)
     rep = verify_asymptotics(es)
-    n = np.arange(10, 51)
-    r = (np.sqrt(es.lambdas[10:]) - n * np.pi) * n
+    r = rep.r_values[9:]  # n = 10..50
     ok = bool(rep.passed and np.abs(r).max() < 5.0)
     assert report(2, "eigenvalue asymptotics", ok,
                   f"max|r_n|={np.abs(r).max():.3f} slope={rep.slope:.2e}")
@@ -124,11 +127,7 @@ def test_criterion_04_derivative_identity():
 
 
 def test_criterion_05_mittag_leffler_accuracy():
-    x = np.linspace(0.0, 50.0, 201)
-    e1 = np.abs(ml(1.0, 1.0, -x) - np.exp(-x)).max()
-    x2 = np.linspace(0.0, 10.0, 201)
-    ref = np.exp(x2 ** 2) * erfc(x2)
-    e2 = (np.abs(ml(0.5, 1.0, -x2) - ref) / ref).max()
+    e1, e2 = ml_closed_form_errors(201)
     bounded = True
     for alpha in (0.3, 0.5, 0.7):
         res = ml_asymptotic_residual(alpha, 1.0, np.geomspace(1.0, 1e4, 9))
@@ -169,10 +168,7 @@ def test_criterion_07_forward_cross_validation():
         es = eigen_system(q, rb, 64)
         fd = solve_l1_fd(q, rb, alpha, eta, nx, nt)
         sp = solve_spectral(es, alpha, eta, fd.x_grid, fd.t_grid)
-        scale = np.abs(fd.values).max()
-        diff = np.abs(sp.values - fd.values).max() / scale
-        budget = sp.tail_bound / scale + 2.0 * ((1.0 / nt) ** (2 - alpha)
-                                                + (1.0 / nx) ** 2)
+        diff, budget = cross_validation_gap(sp, fd, alpha)
         ok = ok and diff <= 1e-3 + budget
         details.append(f"{diff:.2e}<={1e-3 + budget:.2e}")
     assert report(7, "forward cross-validation", bool(ok), "; ".join(details))
@@ -181,23 +177,14 @@ def test_criterion_07_forward_cross_validation():
 def test_criterion_08_duhamel_identity():
     q0 = PotentialSpec.constant(0.0, 1024)
     es = eigen_system(q0, FREE, 48, grid_size=1024)
-    results = {}
-    for nt in (256, 512):
-        eta = DriveSignal.from_callable(lambda t: t * t, 1.0, nt)
-        f = solve_spectral(es, 0.5, eta, np.array([0.3]), eta.t_grid)
-        ker = kernel_K(es, 0.5, 0.3, eta.t_grid, 49)
-        res = duhamel_residual(f, ker, eta)
-        dt = eta.t_grid[1]
-        scale = np.abs(np.cumsum(f.values[0]) * dt).max()
-        results[nt] = (res, scale)
+    results = {nt: duhamel_identity(
+        es, 0.5, DriveSignal.from_callable(lambda t: t * t, 1.0, nt), 0.3, 49)
+        for nt in (256, 512)}
     # second suite case: variable potential and Robin coefficients
     q2 = PotentialSpec.from_callable(lambda x: -0.5 - 0.5 * x, 1024)
     es2 = eigen_system(q2, RobinPair(0.5, 1.0), 48, grid_size=1024)
-    eta2 = DriveSignal.from_callable(lambda t: t, 1.0, 512)
-    f2 = solve_spectral(es2, 0.7, eta2, np.array([0.6]), eta2.t_grid)
-    ker2 = kernel_K(es2, 0.7, 0.6, eta2.t_grid, 49)
-    res2 = duhamel_residual(f2, ker2, eta2)
-    scale2 = np.abs(np.cumsum(f2.values[0]) * eta2.t_grid[1]).max()
+    res2, scale2 = duhamel_identity(
+        es2, 0.7, DriveSignal.from_callable(lambda t: t, 1.0, 512), 0.6, 49)
     halves = results[512][0] <= 0.6 * results[256][0]
     ok = bool(results[512][0] <= 1e-4 * results[512][1]
               and res2 <= 1e-4 * scale2 and halves)
@@ -219,12 +206,7 @@ def test_criterion_09_wronskian_constancy():
     # imaginary lambda would exhaust double precision by pure cancellation
     lams = list(np.linspace(1.0, 1500.0, 15)) + [
         100.0 + 50.0j, 400.0 + 100.0j, -50.0, 1j * 50.0, 1j * 120.0]
-    worst = 0.0
-    for lam in lams:
-        u_ref = wronskian_U(q1, q2, 0.2, 0.9, lam, 1.0)
-        for x in np.linspace(d, 1.0, 13):
-            u = wronskian_U(q1, q2, 0.2, 0.9, lam, float(x))
-            worst = max(worst, abs(u - u_ref) / (1.0 + abs(u_ref)))
+    worst = wronskian_deviation(q1, q2, 0.2, 0.9, lams, np.linspace(d, 1.0, 13))
     assert report(9, "Wronskian constancy", bool(worst <= 1e-8),
                   f"max deviation={worst:.2e} over 20-point lambda grid")
 
@@ -236,14 +218,9 @@ def test_criterion_10_counting_laws():
     even = CountedSet((np.arange(0, 1000) * 2 * np.pi) ** 2, "lambda-set")
     r2 = counting(even, 1e6) / np.sqrt(1e6)
     ok2 = abs(r2 - 1 / (2 * np.pi)) <= 0.05 / (2 * np.pi)
-    ok3 = True
-    for x0 in (0.5, 1.0 / 3.0, 1.0 / np.sqrt(2.0)):
-        n = np.arange(0, 3000)
-        keep = np.abs(np.cos(n * np.pi * x0)) > 1e-6
-        keep[0] = True
-        lam = CountedSet((n[keep] * np.pi) ** 2, "lambda-set")
-        rep = counting_bound_check(lam, x0, np.geomspace(10.0, 1e6, 41))
-        ok3 = ok3 and rep.passed
+    ok3 = all(counting_bound_check(free_lambda_set(3000, x0), x0,
+                                   np.geomspace(10.0, 1e6, 41)).passed
+              for x0 in (0.5, 1.0 / 3.0, 1.0 / np.sqrt(2.0)))
     ok = bool(ok1 and ok2 and ok3)
     assert report(10, "counting laws", ok,
                   f"full slope {r1:.4f} (1/pi={1 / np.pi:.4f}), "
@@ -280,27 +257,19 @@ def test_criterion_12_distinguishability():
     rng = np.random.default_rng(2024)
     x = np.linspace(0.0, 1.0, grid + 1)
 
-    def random_head():
-        amps = rng.uniform(-0.6, 0.0, size=3)
-        prof = sum(a * np.cos((m + 0.5) * np.pi * x / d)
-                   for m, a in enumerate(amps))
-        return PotentialSpec(np.minimum(np.where(x <= d, prof, 0.0), 0.0), grid)
-
     def observe(q, n_modes, gs):
-        es = eigen_system(q.resampled(gs), RobinPair(0.0, H), n_modes,
-                          grid_size=gs)
-        return solve_spectral(es, alpha, eta, np.array([x0]), t_samples,
-                              trunc_tol=np.inf).values[0]
+        return _observation(q, RobinPair(0.0, H), alpha, eta, x0, t_samples,
+                            n_modes, gs)
 
-    q_ref = random_head()
+    q_ref = random_head(rng, d, grid)
     floor = np.abs(observe(q_ref, n_max, grid)
                    - observe(q_ref, n_max + 8, 2 * grid)).max() + 1e-12
     xg = x[x <= d]
     gaps = []
     for _ in range(20):
-        q1, q2 = random_head(), random_head()
+        q1, q2 = random_head(rng, d, grid), random_head(rng, d, grid)
         while np.sqrt(np.trapezoid((q1(xg) - q2(xg)) ** 2, xg)) < 0.05:
-            q2 = random_head()
+            q2 = random_head(rng, d, grid)
         gaps.append(np.abs(observe(q1, n_max, grid)
                            - observe(q2, n_max, grid)).max())
     identical_gap = np.abs(observe(q_ref, n_max, grid)

@@ -92,6 +92,8 @@ def with_params(base, **changes):
 
 SAMPLES_Q = {"type": "samples", "samples": [0.0] * 17, "grid_size": 16}
 NAN, INF = float("nan"), float("inf")
+GRID_LIMIT = ("parameters: {} modes need grid_size >= {} (got {}): the Pruefer "
+              "angle would turn by pi or more across one grid cell")
 
 # (command, parameters, seed, the exact validate() output)
 VALIDATION_CASES = [
@@ -160,6 +162,16 @@ VALIDATION_CASES = [
      ["parameters.s_hi: must be > s_lo"]),
     ("weyl-scan", with_params(MINIMAL["weyl-scan"], mag_lo=1000.0), 0,
      ["parameters.mag_hi: must be > mag_lo"]),
+    # more modes than the run's grid can count the windings of
+    ("forward", with_params(MINIMAL["forward"], n_max=1100), 0,
+     [GRID_LIMIT.format(1101, 1103, 1024)]),
+    ("eigensolve", with_params(MINIMAL_EIGEN, grid_size=16, n_max=30), 0,
+     [GRID_LIMIT.format(31, 33, 16)]),
+    ("kernel", with_params(MINIMAL["kernel"], n_modes=2000), 0,
+     [GRID_LIMIT.format(2000, 2002, 1024)]),
+    # an l1fd run solves no eigenproblem
+    ("forward", with_params(MINIMAL["forward"], n_max=1100, method="l1fd"), 0,
+     []),
 ]
 
 
@@ -360,6 +372,18 @@ class TestRun:
         twin = [c for c in manifest.checks if c["name"] == "twin-rel-L2-q"]
         assert twin and "rel_L2_q=" in twin[0]["detail"]
 
+    def test_verify_all_contract(self, tmp_path):
+        manifest = run(ExperimentConfig("verify-all", {}, tmp_path / "v"))
+        assert [c["name"] for c in manifest.checks] == [
+            "reference-spectrum", "ml-exponential", "ml-half-order",
+            "relax-continuity", "l1-backward-euler-limit",
+            "wronskian-constancy", "counting-slope", "region-verdicts",
+            "duhamel-identity", "forward-cross-check", "determinism"]
+        assert all(c["passed"] for c in manifest.checks)
+        assert {f["path"] for f in manifest.files if f["sha256"]} == {
+            "eigen.csv", "ml.csv", "region.csv", "region.svg",
+            "observations.csv"}
+
     def test_determinism_region_map(self, tmp_path):
         digests = []
         for sub in ("a", "b"):
@@ -491,6 +515,18 @@ class TestPlot:
         p = self.write_csv(tmp_path / "d.csv", "t,y\n0,1\n")
         with pytest.raises(MissingColumn):
             plot(p, {"kind": "line", "x": "t", "y": "z"})
+
+    @pytest.mark.parametrize("text,spec", [
+        ("t,u\n0,1\n1,inf\n", {"x": "t", "y": "u"}),
+        ("t,u\n0,1\n1,nan\n", {"x": "t", "y": "u"}),
+        ("t,x,u\n0,0,1\n1,0,nan\n", {"kind": "heatmap", "x": "t", "y": "x",
+                                      "value": "u"}),
+    ], ids=["line-inf", "line-nan", "heatmap-nan"])
+    def test_non_finite_value_rejected(self, tmp_path, text, spec):
+        # main turns the ValueError into exit 2
+        p = self.write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError, match="column 'u' holds a non-finite"):
+            plot(p, spec)
 
     def test_log_nonpositive_diagnostic(self, tmp_path):
         p = self.write_csv(tmp_path / "d.csv", "t,y\n1,1\n2,0\n3,2\n")

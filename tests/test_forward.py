@@ -14,6 +14,8 @@ from fracspec.forward import (
     DriveSignal,
     SpaceTimeField,
     _exact_convolutions,
+    cross_validation_gap,
+    duhamel_identity,
     duhamel_residual,
     kernel_K,
     solve_l1_fd,
@@ -109,12 +111,10 @@ class TestSolveSpectral:
         assert np.max(np.abs(f_full.values[:, ~early] - f_cut.values[:, ~early])) > 1e-4
 
     def test_alpha_one_matches_fd(self, es_free, ramp):
-        nx, nt = 128, 256
-        fd = solve_l1_fd(Q0, FREE, 1.0, ramp, nx, nt)
+        fd = solve_l1_fd(Q0, FREE, 1.0, ramp, 128, 256)
         sp = solve_spectral(es_free, 1.0, ramp, fd.x_grid, fd.t_grid)
-        scale = np.abs(fd.values).max()
-        budget = sp.tail_bound / scale + 2.0 * (1.0 / nt + 1.0 / nx ** 2)
-        assert np.abs(sp.values - fd.values).max() / scale <= 1e-3 + budget
+        diff, budget = cross_validation_gap(sp, fd, 1.0)
+        assert diff <= 1e-3 + budget
 
     def test_truncation_error_raised(self, ramp):
         es_small = eigen_system(Q0, FREE, 6, grid_size=256)
@@ -202,26 +202,16 @@ class TestKernel:
 class TestDuhamel:
     def test_zero_drive(self, es_free, ramp):
         eta0 = DriveSignal(ramp.t_grid, np.zeros_like(ramp.values))
-        f = solve_spectral(es_free, 0.5, eta0, np.array([0.3]), ramp.t_grid)
-        ker = kernel_K(es_free, 0.5, 0.3, ramp.t_grid, 49)
-        assert duhamel_residual(f, ker, eta0) == 0.0
+        assert duhamel_identity(es_free, 0.5, eta0, 0.3, 49) == (0.0, 0.0)
 
     def test_quadratic_drive_residual(self, es_free):
         eta = DriveSignal.from_callable(lambda t: t * t, 1.0, 512)
-        f = solve_spectral(es_free, 0.5, eta, np.array([0.3]), eta.t_grid)
-        ker = kernel_K(es_free, 0.5, 0.3, eta.t_grid, 49)
-        res = duhamel_residual(f, ker, eta)
-        dt = eta.t_grid[1]
-        lhs_scale = np.abs(np.cumsum(f.values[0]) * dt).max()
+        res, lhs_scale = duhamel_identity(es_free, 0.5, eta, 0.3, 49)
         assert res <= 1e-4 * lhs_scale
 
     def test_residual_refines_first_order(self, es_free):
-        res = {}
-        for nt in (128, 256):
-            eta = DriveSignal.from_callable(lambda t: t * t, 1.0, nt)
-            f = solve_spectral(es_free, 0.5, eta, np.array([0.3]), eta.t_grid)
-            ker = kernel_K(es_free, 0.5, 0.3, eta.t_grid, 49)
-            res[nt] = duhamel_residual(f, ker, eta)
+        res = {nt: duhamel_identity(es_free, 0.5, DriveSignal.from_callable(
+            lambda t: t * t, 1.0, nt), 0.3, 49)[0] for nt in (128, 256)}
         assert res[256] <= 0.55 * res[128]
 
     def test_matches_product_integration_loop(self, es_free):
@@ -317,15 +307,13 @@ class TestL1FD:
 
     def test_robin_drive_agreement_fractional(self):
         # one nontrivial (q, h, H, alpha) triple against the spectral route
-        q = PotentialSpec.from_callable(lambda x: -0.6 - 0.4 * np.cos(np.pi * x), 1024)
-        rb = RobinPair(0.5, 1.0)
+        q, rb = self.Q_COS, self.ROBIN
         eta = DriveSignal.from_callable(lambda t: t * np.exp(-t), 1.0, 256)
         es = eigen_system(q, rb, 48, grid_size=1024)
         fd = solve_l1_fd(q, rb, 0.5, eta, 128, 256)
         sp = solve_spectral(es, 0.5, eta, fd.x_grid, fd.t_grid)
-        scale = np.abs(fd.values).max()
-        budget = sp.tail_bound / scale + 2.0 * ((1 / 256) ** 1.5 + (1 / 128) ** 2)
-        assert np.abs(sp.values - fd.values).max() / scale <= 1e-3 + budget
+        diff, budget = cross_validation_gap(sp, fd, 0.5)
+        assert diff <= 1e-3 + budget
 
 
 class TestSpaceTimeField:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fracspec.errors import DomainError
-from fracspec.forward import DriveSignal, solve_spectral
+from fracspec.forward import DriveSignal
 from fracspec.inverse import (
     CandidateParam,
     InverseProblemSpec,
     ObservationSeries,
+    _observation,
     candidate_potential,
     distinguishability_scan,
     estimate_solver_floor,
@@ -26,6 +27,14 @@ D, X0, ALPHA, HBIG, H_TRUE = 0.5, 0.6, 0.5, 1.0, 0.5
 def truth_potential(grid=512):
     return PotentialSpec.from_callable(
         lambda x: -0.8 * (1 - x / D) ** 2 if x <= D else 0.0, grid)
+
+
+def projected_truth(q_true):
+    """Least-squares coefficients of q_true in candidate_potential's 8 head modes."""
+    x = np.linspace(0, 1, 257)
+    head = x <= D
+    basis = np.stack([np.cos((m + 0.5) * np.pi * x[head] / D) for m in range(8)])
+    return np.linalg.lstsq(basis.T, q_true(x[head]), rcond=None)[0]
 
 
 @pytest.fixture(scope="module")
@@ -89,40 +98,22 @@ class TestMisfit:
     def test_inverse_crime_self_consistency(self, ramp_hold):
         # data generated by the spectral solver itself (test-only mode):
         # the basis-projected truth reproduces them to the optimizer floor
-        from fracspec.forward import solve_spectral
         t_samples = np.linspace(0.0, 2.0, 33)[1:]
         spec0 = InverseProblemSpec(alpha=ALPHA, x0=X0, d=D,
                                    q_tail=PotentialSpec.constant(0.0, 256),
                                    H=HBIG, eta=ramp_hold,
                                    data=ObservationSeries(t_samples, np.zeros(32)),
                                    n_max=20, grid_size=256)
-        x = np.linspace(0, 1, 257)
-        head = x <= D
-        basis = np.stack([np.cos((m + 0.5) * np.pi * x[head] / D)
-                          for m in range(8)])
-        q_true = truth_potential()
-        ctrue, *_ = np.linalg.lstsq(basis.T, q_true(x[head]), rcond=None)
-        cand = CandidateParam(ctrue, H_TRUE)
+        cand = CandidateParam(projected_truth(truth_potential()), H_TRUE)
         q_repr = candidate_potential(spec0, cand)
-        es = eigen_system(q_repr, RobinPair(H_TRUE, HBIG), 20, grid_size=256,
-                          allow_inadmissible=True)
-        u = solve_spectral(es, ALPHA, ramp_hold, np.array([X0]), t_samples,
-                           trunc_tol=np.inf).values[0]
-        spec = InverseProblemSpec(alpha=ALPHA, x0=X0, d=D,
-                                  q_tail=PotentialSpec.constant(0.0, 256),
-                                  H=HBIG, eta=ramp_hold,
-                                  data=ObservationSeries(t_samples, u),
-                                  n_max=20, grid_size=256)
+        u = _observation(q_repr, RobinPair(H_TRUE, HBIG), ALPHA, ramp_hold, X0,
+                         t_samples, 20, 256)
+        spec = replace(spec0, data=ObservationSeries(t_samples, u))
         assert misfit(cand, spec) < 1e-20
 
     def test_fd_data_floor(self, twin):
         q_true, spec = twin
-        x = np.linspace(0, 1, 257)
-        head = x <= D
-        basis = np.stack([np.cos((m + 0.5) * np.pi * x[head] / D)
-                          for m in range(8)])
-        ctrue, *_ = np.linalg.lstsq(basis.T, q_true(x[head]), rcond=None)
-        value = misfit(CandidateParam(ctrue, H_TRUE), spec)
+        value = misfit(CandidateParam(projected_truth(q_true), H_TRUE), spec)
         # (1e-3 relative)^2 budget per sample against the data norm
         budget = (2e-3 ** 2) * float(np.sum(spec.data.u ** 2))
         assert value <= budget
@@ -192,12 +183,7 @@ class TestReconstruct:
         # starting at the (basis-projected) truth with gamma = 0 terminates
         # within a couple of iterations at the solver-disagreement floor
         q_true, spec = twin
-        x = np.linspace(0, 1, 257)
-        head = x <= D
-        basis = np.stack([np.cos((m + 0.5) * np.pi * x[head] / D)
-                          for m in range(8)])
-        ctrue, *_ = np.linalg.lstsq(basis.T, q_true(x[head]), rcond=None)
-        init = CandidateParam(ctrue, H_TRUE)
+        init = CandidateParam(projected_truth(q_true), H_TRUE)
         floor = estimate_solver_floor(spec, init, nx=128, nt=256)
         res = reconstruct(spec, init, gamma=0.0, max_iter=2,
                           floor_stop=2.0 * floor)
@@ -278,11 +264,8 @@ class TestReconstruct:
         # residual, so the first Gauss-Newton iteration stops on the gradient
         _, spec = twin
         start = CandidateParam(np.array([-0.4, 0.1, -0.05]), H_TRUE)
-        es = eigen_system(candidate_potential(spec, start),
-                          RobinPair(H_TRUE, HBIG), spec.n_max,
-                          grid_size=spec.grid_size, allow_inadmissible=True)
-        u = solve_spectral(es, ALPHA, spec.eta, np.array([X0]), spec.data.t,
-                           trunc_tol=np.inf).values[0]
+        u = _observation(candidate_potential(spec, start), RobinPair(H_TRUE, HBIG),
+                         ALPHA, spec.eta, X0, spec.data.t, spec.n_max, spec.grid_size)
         exact = replace(spec, data=ObservationSeries(spec.data.t, u))
         res = reconstruct(exact, start, gamma=0.0, max_iter=3)
         assert res.termination == "gradient"

@@ -11,6 +11,7 @@ from fracspec.uniqueness import (
     counting,
     counting_bound_check,
     density_criterion,
+    free_lambda_set,
     lambda_set,
     region_map,
     region_map_csv,
@@ -121,14 +122,8 @@ class TestInclusion:
 class TestCountingBound:
     @pytest.mark.parametrize("x0", [0.5, 1.0 / 3.0, 1.0 / np.sqrt(2.0)])
     def test_reference_bounds(self, x0):
-        n = np.arange(0, 3000)
-        keep = np.abs(np.cos(n * np.pi * x0)) > 1e-6
-        keep[0] = True  # constant mode never vanishes
-        vals = (n[keep] * np.pi) ** 2
-        lam = CountedSet(vals, "lambda-set")
         s_grid = np.geomspace(10.0, 1e6, 41)
-        rep = counting_bound_check(lam, x0, s_grid)
-        assert rep.passed
+        assert counting_bound_check(free_lambda_set(3000, x0), x0, s_grid).passed
 
     def test_upper_half_only(self):
         lam = CountedSet((np.arange(1, 400) * 2 * np.pi) ** 2, "lambda-set")
