@@ -314,7 +314,7 @@ def validate(config_text: str) -> list[str]:
     if not isinstance(params, dict):
         return errors + ["parameters: object required"]
     _check_fields(params, SCHEMA[command], "parameters", errors)
-    if not errors and command in ("eigensolve", "forward", "kernel") \
+    if not errors and command in ("eigensolve", "forward", "kernel", "reconstruct") \
             and params.get("method") != "l1fd":
         try:
             q, _, n_max, grid = _eigen_problem(command, _with_defaults(command, params))
@@ -334,7 +334,13 @@ def _with_defaults(command, params):
 
 def _eigen_problem(command, params):
     """(q, robin, n_max, grid_size) of the eigen_system call of an eigensolve,
-    forward or kernel run; grid_size None means q's own grid."""
+    forward or kernel run, or of a reconstruct run's truth (its candidates
+    change q, but the winding limit is set by n_max); grid_size None means
+    q's own grid."""
+    if command == "reconstruct":
+        grid = params["grid_size"]
+        rb = RobinPair(float(params["h_true"]), float(params["H"]))
+        return _build_q(params["truth"], grid), rb, int(params["n_max"]), grid
     grid = params["grid_size"] if command == "eigensolve" else 1024
     n_max = params["n_max"]
     if command == "kernel":  # at least n_modes - 1; 8 when n_max is None

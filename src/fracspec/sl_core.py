@@ -9,17 +9,18 @@ with a continuous potential q represented by piecewise-linear samples on a
 uniform grid.  Initial-value solutions are propagated by a Magnus transfer
 matrix per grid interval (fourth-order, lambda-uniform), which keeps the phase
 error bounded uniformly in lambda and vectorizes over batches of spectral
-parameters.  The march is blocked: the n cells form B blocks of K ~ sqrt(n)
-cells, every block's 2x2 product is formed at once in K vectorized steps, and
-the start vector then crosses the B block products; a node trace fills in the
-inside of all blocks at once from their start nodes.  That is about 3 sqrt(n)
-Python-level steps per march instead of n.  Eigenvalues are isolated by the
-winding of a scaled Pruefer angle, whose integer part counts interior zeros of
-the shooting solution, so mode indices cannot be skipped; a cold solve first
-splits its range where the winding, taken linear in sqrt(lambda), crosses
-(k + 1/2) pi.  Each root of Delta(lambda) = -phi'(1) - H phi(1) is then
-polished by secant steps in sqrt(lambda) on the wrapped Pruefer phase, nearly
-linear there, until it meets a residual test.
+parameters.  A march to x multiplies the n cell matrices by pairwise halving,
+ceil(log2 n) vectorized levels, and applies the product to the start vector
+once.  A node trace takes B blocks of K ~ sqrt(n) cells: every block product
+is formed the same way, the start vector crosses the B block products, and
+the inside of all blocks fills in at once from their start nodes, about
+2 sqrt(n) Python-level steps.  Eigenvalues are isolated by the winding of a
+scaled Pruefer angle, pi times the zeros of the shooting solution counted by
+sign changes over the node trace plus the end angle, so mode indices cannot
+be skipped; a cold solve first splits its range where the winding, taken
+linear in sqrt(lambda), crosses (k + 1/2) pi.  Each root of Delta(lambda) =
+-phi'(1) - H phi(1) is then polished by secant steps in sqrt(lambda) on the
+wrapped Pruefer phase, nearly linear there, until it meets a residual test.
 """
 
 from __future__ import annotations
@@ -179,16 +180,17 @@ def _cosh_sinhc(musq):
         s = np.where(small, 1.0 + musq / 6.0, np.sinh(mu_safe) / mu_safe)
         return c, s
     if musq.size and musq.max() <= 0.0:
-        # one sign (zero-width cells give mu = 0): the masked path's cos/sinc
-        # branch without its gathers, and the same bits since sinc(0) = 1
+        # one sign (zero-width cells give mu = 0): the masked path's cos and
+        # sin(rho)/rho without its gathers, and the same bits, 1 at rho = 0
         rho = np.sqrt(-musq)
-        return np.cos(rho), np.sinc(rho / np.pi)
+        return np.cos(rho), np.divide(np.sin(rho), rho, out=np.ones_like(rho),
+                                      where=rho > 0.0)
     c = np.empty_like(musq)
     s = np.empty_like(musq)
     rho = np.sqrt(np.abs(musq))
     neg = musq < 0
     c[neg] = np.cos(rho[neg])
-    s[neg] = np.sinc(rho[neg] / np.pi)
+    s[neg] = np.sin(rho[neg]) / rho[neg]
     pos = ~neg
     small = pos & (rho < 1e-8)
     c[pos] = np.cosh(rho[pos])
@@ -201,17 +203,36 @@ def _cosh_sinhc(musq):
 def _cell_factors(qmid, slope, width, lams):
     """Magnus transfer-matrix entries for cells given by (qmid, slope, width).
 
-    Shape (n_lam, n_cells).  On each cell the potential is exactly linear, so
-    the fourth-order Magnus term only involves the cell mean and slope of
-    lambda + q.
+    The entries t00, t01, t10, t11 stacked, shape (4, n_lam, n_cells).  On
+    each cell the potential is exactly linear, so the fourth-order Magnus term
+    only involves the cell mean and slope of lambda + q.
     """
     w2 = lams[:, None] + qmid[None, :]
     a = slope * width ** 3 / 12.0
     musq = a[None, :] ** 2 - (width * width) * w2
     c, s = _cosh_sinhc(musq)
     sa = s * a[None, :]
-    t01 = s * width
-    return c + sa, t01, -t01 * w2, c - sa
+    t = np.empty((4,) + musq.shape, dtype=musq.dtype)
+    np.add(c, sa, out=t[0])
+    np.multiply(s, width, out=t[1])
+    np.multiply(t[1], -w2, out=t[2])
+    np.subtract(c, sa, out=t[3])
+    return t
+
+
+def _chain(t):
+    """Products T_{n-1} ... T_0 of the 2x2 matrices t[:, :, ..., k], k < n.
+
+    Pairwise halving along the last axis: ceil(log2 n) vectorized levels,
+    each multiplying every later matrix of a pair into the earlier one; an
+    odd count carries its last matrix up one level.  Shape (2, 2, ...).
+    """
+    while t.shape[-1] > 1:
+        m = t.shape[-1] // 2
+        later, earlier = t[..., 1:2 * m:2], t[..., 0:2 * m:2]
+        p = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        t = p if 2 * m == t.shape[-1] else np.concatenate([p, t[..., -1:]], axis=-1)
+    return t[..., 0]
 
 
 def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
@@ -231,10 +252,11 @@ def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
     part = x - n_full * h
     has_part = part > 1e-14
     n_cells = n_full + has_part
-    # B blocks of K ~ sqrt(n) cells; the cells past n_cells have zero width,
-    # so their factors are exactly the identity
-    K = max(int(np.ceil(np.sqrt(n_cells))), 1)
-    B = -(-n_cells // K)
+    # the pair at x needs only the product of all cells, one block; a trace
+    # takes B blocks of K ~ sqrt(n) cells.  The cells past n_cells have zero
+    # width, so their factors are exactly the identity
+    K = max(int(np.ceil(np.sqrt(n_cells))) if keep_trace else n_cells, 1)
+    B = max(-(-n_cells // K), 1)
     qmid, slope, width = np.zeros((3, B * K))
     lo, hi = q_samples[:n_cells], q_samples[1:n_cells + 1]
     qmid[:n_cells], slope[:n_cells] = 0.5 * (lo + hi), (hi - lo) / h
@@ -243,45 +265,38 @@ def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
         qmid[n_cells - 1] = lo[-1] + slope[n_cells - 1] * part / 2.0
         width[n_cells - 1] = part
     n_lam = lams.size
-    t00, t01, t10, t11 = (f.reshape(n_lam, B, K)
-                          for f in _cell_factors(qmid, slope, width, lams))
-    v = np.full(n_lam, v0, dtype=t00.dtype)
-    d = np.full(n_lam, d0, dtype=t00.dtype)
-    if keep_trace:
-        vals = np.empty((n_lam, B * K + 1), dtype=t00.dtype)
-        ders = np.empty_like(vals)
-        vals[:, 0], ders[:, 0] = v, d
+    t = _cell_factors(qmid, slope, width, lams).reshape(2, 2, n_lam, B, K)
     with np.errstate(over="ignore", invalid="ignore"):
-        # every block's product P = T_{K-1} ... T_0 at once; each column of P
-        # steps like (v, d), so pv holds the top row (p00, p01), pd the bottom
-        pv = np.stack([t00[:, :, 0], t01[:, :, 0]])
-        pd = np.stack([t10[:, :, 0], t11[:, :, 0]])
-        for k in range(1, K):
-            pv, pd = (t00[:, :, k] * pv + t01[:, :, k] * pd,
-                      t10[:, :, k] * pv + t11[:, :, k] * pd)
+        # every block's product P = T_{K-1} ... T_0 at once, shape
+        # (2, 2, n_lam, B)
+        p = _chain(t)
+        if not keep_trace:
+            return (p[0, 0, :, 0] * v0 + p[0, 1, :, 0] * d0,
+                    p[1, 0, :, 0] * v0 + p[1, 1, :, 0] * d0)
+        vals = np.empty((n_lam, B * K + 1), dtype=t.dtype)
+        ders = np.empty_like(vals)
+        vals[:, 0], ders[:, 0] = v, d = v0, d0
         # march the start vector across the blocks
         for b in range(B):
-            v, d = (pv[0, :, b] * v + pv[1, :, b] * d,
-                    pd[0, :, b] * v + pd[1, :, b] * d)
-            if keep_trace:
-                vals[:, (b + 1) * K], ders[:, (b + 1) * K] = v, d
-        if not keep_trace:
-            return v, d
+            v, d = (p[0, 0, :, b] * v + p[0, 1, :, b] * d,
+                    p[1, 0, :, b] * v + p[1, 1, :, b] * d)
+            vals[:, (b + 1) * K], ders[:, (b + 1) * K] = v, d
         # march inside every block at once from its start node; the block
         # ends are already in place
         vb, db = vals[:, 0:B * K:K], ders[:, 0:B * K:K]
         vals_in = vals[:, 1:].reshape(n_lam, B, K)
         ders_in = ders[:, 1:].reshape(n_lam, B, K)
         for k in range(K - 1):
-            vb, db = (t00[:, :, k] * vb + t01[:, :, k] * db,
-                      t10[:, :, k] * vb + t11[:, :, k] * db)
+            vb, db = (t[0, 0, :, :, k] * vb + t[0, 1, :, :, k] * db,
+                      t[1, 0, :, :, k] * vb + t[1, 1, :, :, k] * db)
             vals_in[:, :, k], ders_in[:, :, k] = vb, db
     return vals[:, :n_cells + 1], ders[:, :n_cells + 1]
 
 
 def _check_finite(*arrays):
     for arr in arrays:
-        if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > _OVERFLOW_GUARD):
+        # False for NaN and +-inf as well as past the guard
+        if not np.all(np.abs(arr) <= _OVERFLOW_GUARD):
             raise NonFiniteBlowup(
                 "trajectory magnitude exceeded the overflow guard")
 
@@ -346,8 +361,9 @@ def winding_bracket(q: np.ndarray, n_max: int):
     # (n_max + 1)^2 pi^2 - min q
     lam_lo = min(0.0, -qmax) - 1.0
     lam_hi = (n_max + 2.0) ** 2 * np.pi ** 2 + max(0.0, -q.min()) + 10.0
-    # np.unwrap drops a winding once the angle turns by pi within one cell;
-    # the scaled Pruefer angle turns at most at rate max(omega, k^2/omega)
+    # the winding counts one zero per sign change between nodes, so it drops
+    # one once the angle turns by pi within a cell; the scaled Pruefer angle
+    # crosses k pi only upward and turns at most at rate max(omega, k^2/omega)
     omega = np.sqrt(max(lam_hi + float(np.mean(q)), 1.0))
     rate = max(omega, (lam_hi + qmax) / omega)
     n_cells = q.size - 1
@@ -372,16 +388,24 @@ class _ShootingProblem:
         """G_0(lambda) and Delta(lambda) from one traced march per distinct lambda.
 
         G_0 is the Pruefer winding minus the first right-condition angle; the
-        n-th eigenvalue solves G_0 = n pi.
+        n-th eigenvalue solves G_0 = n pi.  The winding is pi times the number
+        Z of zeros of the solution in (0, 1], counted as sign changes over the
+        node trace (a node zero once, the start node never), plus the end
+        angle turned by Z pi, in [0, pi).  This needs the angle to start in
+        [0, pi): v0 > 0, or v0 = 0 < d0.
         """
         lams, inverse = np.unique(np.asarray(lams, dtype=float), return_inverse=True)
         vals, ders = _propagate(self.q, self.v0, self.d0, lams, keep_trace=True)
         omega = np.sqrt(np.maximum(lams + self.q_mean, 1.0))
-        theta = np.unwrap(np.arctan2(omega[:, None] * vals, ders), axis=1)
+        sign = np.sign(vals[:, 1:])
+        zeros = (np.count_nonzero(sign * np.sign(vals[:, :-1]) < 0.0, axis=1)
+                 + np.count_nonzero(sign == 0.0, axis=1))
+        s = 1.0 - 2.0 * (zeros % 2)
+        phi = np.arctan2(s * omega * vals[:, -1], s * ders[:, -1])
         target = np.arctan2(omega * self.cd, -self.cv)
         target = np.where(target <= 1e-12, target + np.pi, target)
         delta = -(self.cd * ders[:, -1] + self.cv * vals[:, -1])
-        return (theta[:, -1] - target)[inverse], delta[inverse]
+        return (np.pi * zeros + phi - target)[inverse], delta[inverse]
 
     def phase(self, lams, n):
         """Phase g of mode n and Delta at lams, from one untraced march.

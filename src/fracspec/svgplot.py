@@ -41,6 +41,8 @@ def _ticks(lo: float, hi: float, n: int = 5):
     t = first
     while t <= hi + 1e-12 * span:
         out.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:  # step below the spacing of doubles at t
+            break
         t += step
     return out
 
@@ -52,6 +54,11 @@ def _span(values):
 
 
 def _axes(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label, logx, logy):
+    for label, lo, hi in ((x_label, x_lo, x_hi), (y_label, y_lo, y_hi)):
+        if not 0.0 < hi - lo < math.inf:
+            raise ValueError(f"column {label!r}: no axis spans {lo:g} to {hi:g} "
+                             "in double precision")
+
     def sx(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
 

@@ -13,7 +13,7 @@ from fracspec import forward as fwd
 from fracspec.cli import COMMANDS, ExperimentConfig, main, plot, run, validate
 from fracspec.errors import EmptyData, MissingColumn
 from fracspec.mittleff import ALPHA_MAX, ALPHA_MIN
-from fracspec.svgplot import render_heatmap
+from fracspec.svgplot import _ticks, render_heatmap
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
 
 
@@ -54,6 +54,19 @@ class TestValidate:
 
     def test_unknown_command(self):
         assert validate(json.dumps({"command": "nope"})) != []
+
+    def test_reconstruct_grid_too_coarse_for_n_max_exits_2(self, tmp_path, capsys):
+        # the run would stop in DomainError (exit 3) at its first eigensolve
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg_text("reconstruct", with_params(
+            MINIMAL["reconstruct"], grid_size=16, n_max=24)))
+        expected = GRID_LIMIT.format(25, 27, 16)
+        assert validate(cfg_file.read_text()) == [expected]
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg_file), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == expected + "\n"
+        assert not out.exists()
 
 
 # one valid config per command, small enough to run in well under a second;
@@ -527,6 +540,27 @@ class TestPlot:
         p = self.write_csv(tmp_path / "d.csv", text)
         with pytest.raises(ValueError, match="column 'u' holds a non-finite"):
             plot(p, spec)
+
+    @pytest.mark.parametrize("text,spec,column", [
+        ("t,u\n0,-1e308\n1,1e308\n", {"x": "t", "y": "u"}, "u"),
+        ("t,u\n-1e308,0\n1e308,1\n", {"x": "t", "y": "u"}, "t"),
+        ("t,x,u\n-1e308,0,1\n1e308,0,2\n", {"kind": "heatmap", "x": "t",
+                                             "y": "x", "value": "u"}, "t"),
+    ], ids=["line-y", "line-x", "heatmap-x"])
+    def test_span_beyond_double_range_exits_2(self, tmp_path, capsys, text,
+                                              spec, column):
+        p = self.write_csv(tmp_path / "d.csv", text)
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "out.svg"
+        assert main(["plot", "--csv", p, "--spec", str(spec_file), "--out",
+                     str(out)]) == 2
+        assert f"column {column!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ticks_finer_than_double_spacing_end(self):
+        # 1e16 + 1 rounds back to 1e16, so the tick step cannot advance
+        assert _ticks(1e16, 1e16 + 4) == [1e16]
 
     def test_log_nonpositive_diagnostic(self, tmp_path):
         p = self.write_csv(tmp_path / "d.csv", "t,y\n1,1\n2,0\n3,2\n")

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from fracspec import sl_core
 from fracspec.errors import DomainError, InsufficientModes, NonFiniteBlowup
 from fracspec.sl_core import (
     PotentialSpec,
     RobinPair,
     _ShootingProblem,
     _cell_factors,
+    _check_finite,
     _propagate,
     char_delta,
     eigen_system,
@@ -217,6 +219,94 @@ class TestBlockedMarch:
         for f, g in zip(one_sign, mixed):
             assert np.array_equal(f, g[:-1])
         assert all(np.all(f[:, -17:] == e) for f, e in zip(one_sign, (1, 0, 0, 1)))
+
+
+def unwrapped_angle_excess(problem, lams):
+    """Oracle for _ShootingProblem.angle_excess: the unwrapped Pruefer angle.
+
+    Unwraps arctan2(omega v, d) over the whole node trace and returns the end
+    angle minus the first right-condition angle, with Delta.
+    """
+    lams, inverse = np.unique(np.asarray(lams, dtype=float), return_inverse=True)
+    vals, ders = sl_core._propagate(problem.q, problem.v0, problem.d0, lams,
+                                    keep_trace=True)
+    omega = np.sqrt(np.maximum(lams + problem.q_mean, 1.0))
+    theta = np.unwrap(np.arctan2(omega[:, None] * vals, ders), axis=1)
+    target = np.arctan2(omega * problem.cd, -problem.cv)
+    target = np.where(target <= 1e-12, target + np.pi, target)
+    delta = -(problem.cd * ders[:, -1] + problem.cv * vals[:, -1])
+    return (theta[:, -1] - target)[inverse], delta[inverse]
+
+
+def windings(problem, lams, g0):
+    """Integer winding of G_0 at lams: the nearest integer to
+    (G_0 + target - end angle) / pi, the end angle taken in [0, pi)."""
+    lams = np.asarray(lams, dtype=float)
+    v, d = _propagate(problem.q, problem.v0, problem.d0, lams)
+    omega = np.sqrt(np.maximum(lams + problem.q_mean, 1.0))
+    target = np.arctan2(omega * problem.cd, -problem.cv)
+    target = np.where(target <= 1e-12, target + np.pi, target)
+    phi = np.arctan2(omega * v, d) % np.pi
+    return np.rint((g0 + target - phi) / np.pi).astype(int)
+
+
+class TestAngleExcess:
+    """angle_excess (zeros counted by sign changes) against the unwrapped angle."""
+
+    @pytest.mark.parametrize("grid_size", [16, 512, 2048])
+    @pytest.mark.parametrize("well", [0.0, 3.0])
+    @pytest.mark.parametrize("start", ["neumann", "dirichlet"])
+    def test_matches_unwrapped_angle(self, grid_size, well, start):
+        q = cos2_well(well, grid_size).samples
+        # Neumann start with a Robin right end; Dirichlet start with a
+        # Dirichlet right end, whose eigenfunctions vanish at x = 1
+        problem = (_ShootingProblem(q, 1.0, 0.0, 0.8, 1.0) if start == "neumann"
+                   else _ShootingProblem(q, 0.0, 1.0, 1.0, 0.0))
+        n_max = min(40, grid_size - 3)
+        lam_lo, lam_hi = sl_core.winding_bracket(q, n_max)
+        eigen, _ = problem.solve(n_max)
+        # for q = 0 the Dirichlet modes (k pi)^2 vanish at the nodes j/k
+        exact = (np.arange(1, n_max + 1) * np.pi) ** 2 if well == 0.0 else []
+        lams = np.concatenate([np.linspace(lam_lo, lam_hi, 200), eigen, exact])
+        g, delta = problem.angle_excess(lams)
+        g_ref, delta_ref = unwrapped_angle_excess(problem, lams)
+        assert np.array_equal(delta, delta_ref)
+        assert np.abs(g - g_ref).max() <= 1e-12
+        assert np.array_equal(windings(problem, lams, g), windings(problem, lams, g_ref))
+
+    def test_exact_zeros_at_nodes(self, monkeypatch):
+        # a trace whose angle lands on k pi at interior nodes and at x = 1,
+        # with v = +0.0 and -0.0 there, after a Dirichlet start v(0) = 0
+        lams = np.array([50.0, 400.0])
+        omega = np.sqrt(lams)
+        theta = np.array([[0.0, 1.0, np.pi, 4.0, 5.5, 2 * np.pi, 7.0, 3 * np.pi],
+                          [0.0, 0.5, np.pi, 3.5, 2 * np.pi, 8.0, 3 * np.pi, 9.5]])
+        vals = np.sin(theta) / omega[:, None]
+        ders = np.cos(theta)
+        on_zero = np.isclose(theta / np.pi, np.rint(theta / np.pi), rtol=0.0, atol=1e-12)
+        vals[on_zero] = np.where(np.arange(theta.size).reshape(theta.shape) % 2, 0.0, -0.0)[on_zero]
+        monkeypatch.setattr(sl_core, "_propagate",
+                            lambda *args, **kwargs: (vals, ders))
+        problem = _ShootingProblem(np.zeros(8), 0.0, 1.0, 1.0, 0.0)
+        g, _ = problem.angle_excess(lams)
+        g_ref, _ = unwrapped_angle_excess(problem, lams)
+        # G_0 = theta(1) - pi for the Dirichlet right end
+        assert np.abs(g - (theta[:, -1] - np.pi)).max() <= 1e-14
+        assert np.abs(g - g_ref).max() <= 1e-14
+
+
+class TestOverflowGuard:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e250,
+                                     -1.0000001e250])
+    def test_trips(self, bad):
+        for arr in (np.array([0.0, 1.0, bad]), np.array([1.0, bad + 0.0j]),
+                    np.array([1.0j, 1.0j * bad])):
+            with pytest.raises(NonFiniteBlowup):
+                _check_finite(np.ones(3), arr)
+
+    def test_passes_at_the_guard(self):
+        _check_finite(np.array([1e250, -1e250, 0.0]),
+                      np.array([1e250 + 0.0j, -1e250j, 0.0j]))
 
 
 class TestCharDelta:
