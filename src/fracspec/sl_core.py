@@ -14,7 +14,8 @@ ceil(log2 n) vectorized levels, and applies the product to the start vector
 once.  A node trace takes B blocks of K ~ sqrt(n) cells: every block product
 is formed the same way, the start vector crosses the B block products, and
 the inside of all blocks fills in at once from their start nodes, about
-2 sqrt(n) Python-level steps.  Eigenvalues are isolated by the winding of a
+2 sqrt(n) Python-level steps.  The march guards what it returns: past 1e250
+it raises NonFiniteBlowup.  Eigenvalues are isolated by the winding of a
 scaled Pruefer angle, pi times the zeros of the shooting solution counted by
 sign changes over the node trace plus the end angle, so mode indices cannot
 be skipped; a cold solve first splits its range where the winding, taken
@@ -241,7 +242,8 @@ def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
     The full cells below x are followed by one part-cell ending at x, built by
     the same Magnus factor with the part width.  Returns the pair at x of
     shape (n_lam,), or with keep_trace the values and derivatives at every
-    marched node, shape (n_lam, n_cells + 1).
+    marched node, shape (n_lam, n_cells + 1).  Whatever it returns has
+    passed the overflow guard, so no caller checks again.
     """
     lams = np.atleast_1d(np.asarray(lams))
     if not np.iscomplexobj(lams):
@@ -271,8 +273,8 @@ def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
         # (2, 2, n_lam, B)
         p = _chain(t)
         if not keep_trace:
-            return (p[0, 0, :, 0] * v0 + p[0, 1, :, 0] * d0,
-                    p[1, 0, :, 0] * v0 + p[1, 1, :, 0] * d0)
+            return _check_finite(p[0, 0, :, 0] * v0 + p[0, 1, :, 0] * d0,
+                                 p[1, 0, :, 0] * v0 + p[1, 1, :, 0] * d0)
         vals = np.empty((n_lam, B * K + 1), dtype=t.dtype)
         ders = np.empty_like(vals)
         vals[:, 0], ders[:, 0] = v, d = v0, d0
@@ -290,36 +292,38 @@ def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
             vb, db = (t[0, 0, :, :, k] * vb + t[0, 1, :, :, k] * db,
                       t[1, 0, :, :, k] * vb + t[1, 1, :, :, k] * db)
             vals_in[:, :, k], ders_in[:, :, k] = vb, db
-    return vals[:, :n_cells + 1], ders[:, :n_cells + 1]
+    return _check_finite(vals[:, :n_cells + 1], ders[:, :n_cells + 1])
 
 
 def _check_finite(*arrays):
     for arr in arrays:
         # False for NaN and +-inf as well as past the guard
-        if not np.all(np.abs(arr) <= _OVERFLOW_GUARD):
+        if not np.abs(arr).max(initial=0.0) <= _OVERFLOW_GUARD:
             raise NonFiniteBlowup(
-                "trajectory magnitude exceeded the overflow guard")
+                f"shooting solution passed {_OVERFLOW_GUARD:.0e}: lambda lies too far "
+                "below the spectrum, or the wells of q are too deep for a double-"
+                "precision march; shoot nearer the spectrum or make q shallower")
+    return arrays
 
 
 # ---------------------------------------------------------------------------
 # public IVP surface
 # ---------------------------------------------------------------------------
 
-def _validate_ivp_args(q: PotentialSpec, grid_size: int | None) -> int:
+def _validate_ivp_args(q: PotentialSpec, grid_size: int | None) -> PotentialSpec:
+    """q on the solver grid (q's own when grid_size is None), at least 16 cells."""
     grid_size = q.grid_size if grid_size is None else int(grid_size)
     if grid_size < 16:
         raise DomainError("grid_size must be at least 16")
-    return grid_size
+    return q.resampled(grid_size)
 
 
 def solve_ivp_left(q: PotentialSpec, h: float, lam, grid_size: int | None = None) -> SolutionTrace:
     """Left solution phi(.; lambda): phi(0) = 1, phi'(0) = h."""
     if h < 0:
         raise DomainError("left Robin coefficient must be nonnegative")
-    grid_size = _validate_ivp_args(q, grid_size)
-    qs = q.resampled(grid_size).samples
+    qs = _validate_ivp_args(q, grid_size).samples
     vals, ders = _propagate(qs, 1.0, h, [lam], keep_trace=True)
-    _check_finite(vals, ders)
     return SolutionTrace(lam=lam, values=vals[0], derivs=ders[0], side="left")
 
 
@@ -330,20 +334,16 @@ def solve_ivp_right(q: PotentialSpec, H: float, lam, grid_size: int | None = Non
     """
     if H < 0:
         raise DomainError("right Robin coefficient must be nonnegative")
-    grid_size = _validate_ivp_args(q, grid_size)
-    qs = q.resampled(grid_size).samples[::-1].copy()
+    qs = _validate_ivp_args(q, grid_size).samples[::-1].copy()
     vals, ders = _propagate(qs, 1.0, H, [lam], keep_trace=True)
-    _check_finite(vals, ders)
     return SolutionTrace(lam=lam, values=vals[0, ::-1].copy(),
                          derivs=-ders[0, ::-1].copy(), side="right")
 
 
 def char_delta(q: PotentialSpec, robin: RobinPair, lam, grid_size: int | None = None):
     """Characteristic function Delta(lambda) = -phi'(1) - H phi(1); zero at eigenvalues."""
-    grid_size = _validate_ivp_args(q, grid_size)
-    qs = q.resampled(grid_size).samples
+    qs = _validate_ivp_args(q, grid_size).samples
     v, d = _propagate(qs, 1.0, robin.h, [lam])
-    _check_finite(v, d)
     out = -(d + robin.H * v)
     return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
 
@@ -403,7 +403,6 @@ class _ShootingProblem:
         s = 1.0 - 2.0 * (zeros % 2)
         phi = np.arctan2(s * omega * vals[:, -1], s * ders[:, -1])
         target = np.arctan2(omega * self.cd, -self.cv)
-        target = np.where(target <= 1e-12, target + np.pi, target)
         delta = -(self.cd * ders[:, -1] + self.cv * vals[:, -1])
         return (np.pi * zeros + phi - target)[inverse], delta[inverse]
 
@@ -534,7 +533,7 @@ class _ShootingProblem:
 def _isolated(g_lo, g_hi, f_lo, f_hi):
     """Brackets whose winding holds root n alone and across which Delta changes sign."""
     return ((-np.pi < g_lo) & (g_lo < 0.0) & (0.0 < g_hi) & (g_hi < np.pi)
-            & (f_lo * f_hi <= 0.0))
+            & (np.sign(f_lo) * np.sign(f_hi) <= 0.0))
 
 
 def _corrected_trapezoid(f, f_prime, h):
@@ -562,22 +561,24 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
     if not q.admissible and not allow_inadmissible:
         raise DomainError("potential is not admissible (samples must be <= 0); "
                           "pass allow_inadmissible=True to override")
-    grid_size = _validate_ivp_args(q, grid_size)
-    q = q.resampled(grid_size)
+    q = _validate_ivp_args(q, grid_size)
     problem = _ShootingProblem(q.samples, 1.0, robin.h, robin.H, 1.0)
     lambdas, residuals = problem.solve(n_max, guesses=lambda_guess)
 
     vals, ders = _propagate(q.samples, 1.0, robin.h, lambdas, keep_trace=True)
-    _check_finite(vals, ders)
-    h = 1.0 / grid_size
-    beta = _corrected_trapezoid(vals ** 2, 2.0 * vals * ders, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = _corrected_trapezoid(vals ** 2, 2.0 * vals * ders, 1.0 / q.grid_size)
+    if not np.all(np.isfinite(beta)):
+        raise NonFiniteBlowup(
+            f"mode {np.argmin(np.isfinite(beta))}: its squared norm leaves the double "
+            "range (|phi| past ~1e154); the wells of q are too deep, make q shallower")
     root_beta = np.sqrt(beta)
     efuncs = vals / root_beta[:, None]
     defuncs = ders / root_beta[:, None]
     k = 1.0 / vals[:, -1]
     return EigenSystem(lambdas=lambdas, efuncs=efuncs, defuncs=defuncs, k=k,
                        beta=beta, n_max=n_max, residuals=residuals,
-                       q=q, robin=robin, grid_size=grid_size)
+                       q=q, robin=robin, grid_size=q.grid_size)
 
 
 def eval_modes_at(es: EigenSystem, x: float):
@@ -588,8 +589,7 @@ def eval_modes_at(es: EigenSystem, x: float):
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError("x must lie in [0, 1]")
-    qs = es.q.samples
-    v, d = _propagate(qs, 1.0, es.robin.h, es.lambdas, x=x)
+    v, d = _propagate(es.q.samples, 1.0, es.robin.h, es.lambdas, x=x)
     root_beta = np.sqrt(es.beta)
     return np.real(v) / root_beta, np.real(d) / root_beta
 
@@ -607,8 +607,7 @@ def split_spectra(q: PotentialSpec, x0: float, robin: RobinPair, n_max: int,
         raise DomainError("x0 must lie strictly inside (0, 1)")
     if not q.admissible and not allow_inadmissible:
         raise DomainError("potential is not admissible")
-    grid_size = _validate_ivp_args(q, grid_size)
-    x = np.linspace(0.0, 1.0, grid_size + 1)
+    x = _validate_ivp_args(q, grid_size).x_grid
 
     q_left = x0 ** 2 * q(x0 * x)
     left = _ShootingProblem(q_left, 1.0, x0 * robin.h, 1.0, 0.0)

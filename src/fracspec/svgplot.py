@@ -48,9 +48,10 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 
 def _span(values):
-    """(min, max) of values, widened by 1 each way when they are all equal."""
+    """(min, max) of values, all equal ones widened by max(1, |v| 2^-50)."""
     lo, hi = min(values), max(values)
-    return (lo - 1.0, hi + 1.0) if lo == hi else (lo, hi)
+    pad = max(1.0, abs(lo) * 2.0 ** -50)
+    return (lo - pad, hi + pad) if lo == hi else (lo, hi)
 
 
 def _axes(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label, logx, logy):
@@ -148,10 +149,11 @@ def render_line(series: dict[str, tuple], title="", x_label="", y_label="",
 
 
 def _value_color(v: float, lo: float, hi: float) -> str:
-    """Five-stop blue-to-red linear colormap."""
+    """Five-stop blue-to-red linear colormap.  Values are halved before they
+    are subtracted, so a span past the double range stays finite."""
     stops = [(0.0, (5, 48, 97)), (0.25, (67, 147, 195)), (0.5, (247, 247, 247)),
              (0.75, (214, 96, 77)), (1.0, (103, 0, 31))]
-    u = 0.5 if hi == lo else (v - lo) / (hi - lo)
+    u = 0.5 if hi == lo else (0.5 * v - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
     u = min(max(u, 0.0), 1.0)
     for (u0, c0), (u1, c1) in zip(stops[:-1], stops[1:]):
         if u <= u1:

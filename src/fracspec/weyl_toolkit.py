@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteBlowup,
     ZeroEigenvalue,
 )
-from .sl_core import PotentialSpec, _check_finite, _propagate
+from .sl_core import PotentialSpec, _propagate
 
 RAY_SQRT_CAP = 40.0
 POLE_GUARD = 1e-10
@@ -111,9 +111,7 @@ class ExponentFit:
 def _left_terminal(q: PotentialSpec, h: float, lams, x: float):
     if not (0.0 < x <= 1.0):
         raise DomainError("x must lie in (0, 1]")
-    v, d = _propagate(q.samples, 1.0, h, lams, x=x)
-    _check_finite(v, d)
-    return v, d
+    return _propagate(q.samples, 1.0, h, lams, x=x)
 
 
 def _shaped(out: np.ndarray, lam):

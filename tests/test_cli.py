@@ -13,7 +13,7 @@ from fracspec import forward as fwd
 from fracspec.cli import COMMANDS, ExperimentConfig, main, plot, run, validate
 from fracspec.errors import EmptyData, MissingColumn
 from fracspec.mittleff import ALPHA_MAX, ALPHA_MIN
-from fracspec.svgplot import _ticks, render_heatmap
+from fracspec.svgplot import _ticks, _value_color, render_heatmap
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
 
 
@@ -477,6 +477,27 @@ class TestRun:
                               timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
+    @pytest.mark.parametrize("amp", [3e5, 1e6])
+    def test_deep_well_exits_3_naming_blowup(self, tmp_path, amp):
+        # under -W error a RuntimeWarning anywhere would end in a traceback
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg_text("eigensolve", {
+            "q": {"type": "cosine", "mean": 0.0, "amplitude": amp,
+                  "frequency": 1.0},
+            "h": 0.5, "H": 1.0, "n_max": 10, "grid_size": 1024}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        done = subprocess.run([sys.executable, "-W", "error", "-m",
+                               "fracspec.cli", "eigensolve", "--config",
+                               str(cfg_file), "--out", str(out)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (3, "")
+        [check] = json.loads((out / "manifest.json").read_text())["checks"]
+        assert check["detail"].startswith("NonFiniteBlowup: ")
+
     def test_command_mismatch(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(cfg_text("eigensolve", MINIMAL_EIGEN))
@@ -557,6 +578,20 @@ class TestPlot:
                      str(out)]) == 2
         assert f"column {column!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_constant_column_past_2_to_53_plots(self, tmp_path):
+        # a pad of 1 rounds away at 1e16, where doubles are 2 apart
+        p = self.write_csv(tmp_path / "d.csv", "t,u\n0,1e16\n1,1e16\n")
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"x": "t", "y": "u"}))
+        out = tmp_path / "out.svg"
+        assert main(["plot", "--csv", p, "--spec", str(spec_file), "--out",
+                     str(out)]) == 0
+        assert out.read_text().count("<polyline") == 1
+
+    def test_value_colors_across_double_range(self):
+        assert [_value_color(v, -1e308, 1e308) for v in (-1e308, 0.0, 1e308)] \
+            == ["rgb(5,48,97)", "rgb(247,247,247)", "rgb(103,0,31)"]
 
     def test_ticks_finer_than_double_spacing_end(self):
         # 1e16 + 1 rounds back to 1e16, so the tick step cannot advance

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from fracspec import sl_core
-from fracspec.errors import DomainError, InsufficientModes, NonFiniteBlowup
+from fracspec.errors import (
+    DomainError,
+    FracspecError,
+    InsufficientModes,
+    NonFiniteBlowup,
+)
 from fracspec.sl_core import (
     PotentialSpec,
     RobinPair,
@@ -307,6 +314,58 @@ class TestOverflowGuard:
     def test_passes_at_the_guard(self):
         _check_finite(np.array([1e250, -1e250, 0.0]),
                       np.array([1e250 + 0.0j, -1e250j, 0.0j]))
+
+
+class TestGuardedMarch:
+    """Every caller of the march inherits its overflow guard."""
+
+    @pytest.mark.parametrize("lam", [-3.6e5, -1e6])
+    def test_shooting_callers_trip(self, lam):
+        # on q = 0 the march stays finite at -3.6e5 (~1e260) but passes the
+        # guard, which sits near -3.25e5
+        problem = _ShootingProblem(Q0.samples, 1.0, 0.0, 0.0, 1.0)
+        es = replace(eigen_system(Q0, FREE, 2), lambdas=np.array([lam]),
+                     beta=np.ones(1))
+        for call in (lambda: problem.angle_excess([lam]),
+                     lambda: problem.phase(np.array([lam]), np.array([0])),
+                     lambda: eval_modes_at(es, 1.0)):
+            with pytest.raises(NonFiniteBlowup, match="too far below the spectrum"):
+                call()
+
+
+def cosine_well(amp):
+    return PotentialSpec.from_callable(lambda x: amp * np.cos(np.pi * x), 1024)
+
+
+class TestDeepWells:
+    """q = A cos(pi x): a depth either solves with finite output or raises an
+    error naming its cause; the suite turns any RuntimeWarning into a failure."""
+
+    @pytest.mark.parametrize("amp", [1e3, 1e5])
+    def test_eigen_system_solves(self, amp):
+        es = eigen_system(cosine_well(amp), RobinPair(0.5, 1.0), 10,
+                          allow_inadmissible=True)
+        for arr in (es.lambdas, es.beta, es.efuncs, es.defuncs, es.k):
+            assert np.all(np.isfinite(arr))
+
+    @pytest.mark.parametrize("amp,cause", [
+        (3e5, "mode 0: its squared norm leaves the double range"),
+        (5e5, "shooting solution passed 1e\\+250"),
+        (1e6, "shooting solution passed 1e\\+250"),
+    ])
+    def test_eigen_system_blows_up(self, amp, cause):
+        with pytest.raises(NonFiniteBlowup, match=cause):
+            eigen_system(cosine_well(amp), RobinPair(0.5, 1.0), 10,
+                         allow_inadmissible=True)
+
+    @pytest.mark.parametrize("amp", [1e3, 1e5, 3e5, 5e5, 1e6])
+    def test_split_spectra(self, amp):
+        try:
+            spectra = split_spectra(cosine_well(amp), 0.37, RobinPair(0.5, 1.0),
+                                    10, allow_inadmissible=True)
+        except FracspecError:
+            return
+        assert all(np.all(np.isfinite(mu)) for mu in spectra)
 
 
 class TestCharDelta:
