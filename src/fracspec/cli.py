@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -31,7 +32,7 @@ from . import uniqueness as uniq
 from . import weyl_toolkit as weyl
 from .mittleff import (ALPHA_MAX, ALPHA_MIN, l1_weights, ml,
                        ml_closed_form_errors, relax_primitive)
-from .sl_core import (PotentialSpec, RobinPair, eigen_system,
+from .sl_core import (MIN_GRID, PotentialSpec, RobinPair, eigen_system,
                       neumann_reference_error, winding_bracket)
 
 
@@ -166,9 +167,7 @@ class _Certificate:
     default: object = None
 
     def check(self, v, path, obj, errors):
-        if v is not None and not (isinstance(v, dict)
-                                  and _is_finite_num(v.get("A"))
-                                  and _is_finite_num(v.get("B"))):
+        if v is not None and not isinstance(v, dict):
             errors.append(f"{path}: object with numeric A and B required")
         elif v is not None:
             _check_fields(v, {"A": _Num(), "B": _Num()}, path, errors)
@@ -189,7 +188,7 @@ _Q = _Kinds("potential", {
     "bump": {"depth": _Num(), "width": _Num(positive=True)},
     "cosine": {"mean": _Num(), "amplitude": _Num(), "frequency": _Num()},
     "samples": {"samples": _List(size_key="grid_size"),
-                "grid_size": _Num(lo=16, integer=True)},
+                "grid_size": _Num(lo=MIN_GRID, integer=True)},
 })
 _ETA = _Kinds("drive", {
     "ramp": {},
@@ -205,6 +204,7 @@ _ML_ALPHA = _MLAlpha()
 _T = _Num(lo=1e-12)
 _UNIT = _Num(lo=0.0, hi=1.0)
 _OPEN_UNIT = _Num(lo=1e-9, hi=1.0 - 1e-9)
+_FD_NODES = _Num(lo=fwd.MIN_FD_NODES, integer=True)
 
 # The parameters of each command in the order validate reports them: type,
 # bounds and default (_REQUIRED: the config must give it).
@@ -212,12 +212,11 @@ SCHEMA = {
     "eigensolve": {
         "q": _Q, "h": _ROBIN, "H": _ROBIN, "n_max": _Num(lo=0, integer=True),
         # None: solve on the potential's own grid
-        "grid_size": _Num(lo=16, integer=True, default=None)},
+        "grid_size": _Num(lo=MIN_GRID, integer=True, default=None)},
     "forward": {
         "q": _Q, "h": _ROBIN, "H": _ROBIN,
         "alpha": _MLAlpha(key="method", fd_only="l1fd"), "eta": _ETA,
-        "T": _T, "nt": _Num(lo=32, integer=True),
-        "nx": _Num(lo=32, integer=True),
+        "T": _T, "nt": _FD_NODES, "nx": _FD_NODES,
         "method": _Choice(("spectral", "l1fd", "both"), default="both"),
         "n_max": _Num(lo=0, integer=True, default=64)},
     "kernel": {
@@ -230,27 +229,29 @@ SCHEMA = {
         "q": _Q, "h": _ROBIN, "x": _Num(lo=1e-9, hi=1.0),
         "mag_lo": _Num(lo=1e-9),
         "mag_hi": _Num(lo=1e-9, hi=weyl.RAY_SQRT_CAP ** 2, above="mag_lo"),
-        "count": _Num(lo=3, integer=True),
+        "count": _Num(lo=weyl.MIN_FIT_POINTS, integer=True),
         "direction": _Choice(("imaginary-axis", "sector"),
                              default="imaginary-axis"),
         "angle": _Num(lo=0.0, hi=np.pi, default=np.pi / 2)},
     "counting": {
         "x0": _UNIT, "n_modes": _Num(lo=10, integer=True),
         "s_lo": _Num(lo=1e-9), "s_hi": _Num(lo=1e-9, above="s_lo"),
-        "s_count": _Num(lo=4, integer=True), "A": _Num(lo=1e-9, default=None)},
+        "s_count": _Num(lo=uniq.MIN_S_POINTS, integer=True),
+        "A": _Num(lo=1e-9, default=None)},
     "region-map": {
-        "resolution": _Num(lo=10, integer=True), "certificate": _Certificate()},
+        "resolution": _Num(lo=uniq.MIN_RESOLUTION, integer=True),
+        "certificate": _Certificate()},
     "reconstruct": {
         "alpha": _ML_ALPHA, "d": _OPEN_UNIT, "x0": _UNIT, "h_true": _ROBIN,
         "H": _ROBIN,
-        "truth": _Q, "M": _Num(lo=0, hi=16, integer=True),
+        "truth": _Q, "M": _Num(lo=0, hi=inv.MAX_BASIS, integer=True),
         "gamma": _Num(lo=0.0), "noise_level": _Num(lo=0.0), "T": _T,
         "n_samples": _Num(lo=4, integer=True), "eta": _HELD_RAMP,
         "n_max": _Num(lo=1, integer=True, default=24),
-        "grid_size": _Num(lo=16, integer=True, default=512),
+        "grid_size": _Num(lo=MIN_GRID, integer=True, default=512),
         "max_iter": _Num(lo=1, integer=True, default=40),
-        "data_nx": _Num(lo=32, integer=True, default=256),
-        "data_nt": _Num(lo=32, integer=True, default=512)},
+        "data_nx": replace(_FD_NODES, default=256),
+        "data_nt": replace(_FD_NODES, default=512)},
     "distinguish": {
         "n_pairs": _Num(lo=1, integer=True), "d": _OPEN_UNIT, "x0": _UNIT,
         "alpha": _ML_ALPHA, "H": _ROBIN, "T": _T,
@@ -290,8 +291,9 @@ def _build_eta(obj, T: float, nt: int = 512) -> fwd.DriveSignal:
     if kind == "poly":
         return fwd.DriveSignal.from_callable(
             lambda t: t ** float(obj["power"]), T, nt)
-    return fwd.DriveSignal(np.asarray(obj["t"], dtype=float),
-                           np.asarray(obj["values"], dtype=float))
+    t, v = np.asarray(obj["t"], dtype=float), np.asarray(obj["values"], dtype=float)
+    keep = t < T  # validate saw t reach T: cut a longer drive there
+    return fwd.DriveSignal(np.append(t[keep], T), np.append(v[keep], np.interp(T, t, v)))
 
 
 def validate(config_text: str) -> list[str]:
@@ -314,6 +316,9 @@ def validate(config_text: str) -> list[str]:
     if not isinstance(params, dict):
         return errors + ["parameters: object required"]
     _check_fields(params, SCHEMA[command], "parameters", errors)
+    eta = params.get("eta", {})
+    if not errors and eta.get("type") == "samples" and eta["t"][-1] < params["T"]:
+        errors.append(f"parameters.eta.t: ends at {eta['t'][-1]}, before T = {params['T']}")
     if not errors and command in ("eigensolve", "forward", "kernel", "reconstruct") \
             and params.get("method") != "l1fd":
         try:
@@ -432,14 +437,10 @@ def _run_eigensolve(params, writer, seed):
              float(es.residuals[n])) for n in range(es.n_max + 1)]
     writer.write_text("eigen.csv",
                       _csv_text(["n", "lambda", "k", "beta", "residual"], rows))
-    e_rows = []
-    stride = max(1, es.grid_size // 256)
-    for i in range(0, es.grid_size + 1, stride):
-        e_rows.append((float(es.x_grid[i]),
-                       *[float(es.efuncs[n, i]) for n in
-                         range(min(es.n_max + 1, 6))]))
-    writer.write_text("efuncs.csv", _csv_text(
-        ["x"] + [f"e{n}" for n in range(min(es.n_max + 1, 6))], e_rows))
+    n_e, stride = min(es.n_max + 1, 6), max(1, es.grid_size // 256)
+    e_rows = [(float(es.x_grid[i]), *map(float, es.efuncs[:n_e, i]))
+              for i in range(0, es.grid_size + 1, stride)]
+    writer.write_text("efuncs.csv", _csv_text(["x"] + [f"e{n}" for n in range(n_e)], e_rows))
     increasing = bool(np.all(np.diff(es.lambdas) > 0))
     return [_check("eigenvalues-increasing", increasing, f"n_max={es.n_max}"),
             _check("residuals-small",
@@ -556,28 +557,25 @@ def _run_region_map(params, writer, seed):
 def _run_reconstruct(params, writer, seed):
     alpha, d, x0 = (float(params["alpha"]), float(params["d"]),
                     float(params["x0"]))
-    h_true, H = float(params["h_true"]), float(params["H"])
+    q_true, rb, n_max, grid = _eigen_problem("reconstruct", params)
     T = float(params["T"])
-    grid = int(params["grid_size"])
-    q_true = _build_q(params["truth"], grid)
     eta = _build_eta(params["eta"], T)
     t_samples = np.linspace(0.0, T, int(params["n_samples"]) + 1)[1:]
     noise = float(params["noise_level"])
-    data = inv.synthesize_data(q_true, h_true, H, alpha, eta, x0, t_samples,
+    data = inv.synthesize_data(q_true, rb.h, rb.H, alpha, eta, x0, t_samples,
                                noise, seed, nx=int(params["data_nx"]),
                                nt=int(params["data_nt"]))
     tail = PotentialSpec.from_callable(
         lambda x: q_true(x) if x >= d else q_true(d), grid)
-    spec = inv.InverseProblemSpec(alpha=alpha, x0=x0, d=d, q_tail=tail, H=H,
+    spec = inv.InverseProblemSpec(alpha=alpha, x0=x0, d=d, q_tail=tail, H=rb.H,
                                   eta=eta, data=data, noise_level=noise,
-                                  n_max=int(params["n_max"]),
-                                  grid_size=grid)
+                                  n_max=n_max, grid_size=grid)
     init = inv.CandidateParam(np.zeros(int(params["M"])), 0.1)
     floor = inv.estimate_solver_floor(spec, init)
     res = inv.reconstruct(spec, init, gamma=float(params["gamma"]),
                           max_iter=int(params["max_iter"]),
                           lm_damping=True, floor_stop=2.0 * floor,
-                          q_truth=q_true, h_truth=h_true)
+                          q_truth=q_true, h_truth=rb.h)
     writer.write_text("result.json", res.to_json() + "\n")
     writer.write_text("misfit.csv", _csv_text(
         ["iteration", "misfit"],
@@ -628,8 +626,7 @@ def _run_verify_all(params, writer, seed):
         ["x", "E_05_1"], [(float(x), float(v)) for x, v in
                           zip(xs, ml(0.5, 1.0, -xs))]))
 
-    from scipy.special import gamma as gfun
-    gaps = [abs(relax_primitive(0.5, 10.0 ** (-k), 1.0) - 1.0 / gfun(1.5))
+    gaps = [abs(relax_primitive(0.5, 10.0 ** (-k), 1.0) - 1.0 / math.gamma(1.5))
             for k in range(4, 9)]
     checks.append(_check("relax-continuity", all(g < 2e-4 for g in gaps),
                          f"max_gap={max(gaps):.2e}"))

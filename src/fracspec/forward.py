@@ -36,6 +36,7 @@ from .sl_core import EigenSystem, PotentialSpec, RobinPair, eval_modes_at
 
 
 _BLOCK_POINTS = 1 << 18  # most (mode, time) points in one relaxation call
+MIN_FD_NODES = 32  # fewest x and t steps of the L1-FD grid
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -158,18 +159,21 @@ def _mode_tail_bound(es: EigenSystem, n_used: int, drive_sup: float) -> float:
     return 2.0 * drive_sup * tail
 
 
-def _modes_at_points(es: EigenSystem, xs: np.ndarray, n_used: int) -> np.ndarray:
-    """e_n(x) for n < n_used at each requested x (grid column when aligned)."""
+def _mode_weights(es: EigenSystem, xs: np.ndarray, n_modes: int | None) -> np.ndarray:
+    """e_n(x) e_n(1) for n < n_modes (all modes when None) at each x, shape
+    (n_modes, xs.size); e_n(x) is a grid column at a node, else re-propagated."""
+    n_used = es.n_max + 1 if n_modes is None else int(n_modes)
+    if n_used > es.n_max + 1:
+        raise DomainError("n_modes exceeds the computed eigensystem")
     out = np.empty((n_used, xs.size))
-    N = es.grid_size
     for i, x in enumerate(xs):
-        idx = x * N
+        idx = x * es.grid_size
         if abs(idx - round(idx)) < 1e-9:
             out[:, i] = es.efuncs[:n_used, int(round(idx))]
         else:
             vals, _ = eval_modes_at(es, float(x))
             out[:, i] = vals[:n_used]
-    return out
+    return out * es.efuncs[:n_used, -1, None]
 
 
 def _exact_convolutions(es, alpha, eta, t_grid, n_used):
@@ -181,12 +185,11 @@ def _exact_convolutions(es, alpha, eta, t_grid, n_used):
     Returns an array (n_used, len(t_grid)).
     """
     tau = eta.t_grid
-    slopes = np.diff(eta.values) / np.diff(tau)
-    t_grid = np.asarray(t_grid, dtype=float)
+    dt_eta = np.diff(tau)
+    slopes = np.diff(eta.values) / dt_eta
     out = np.empty((n_used, t_grid.size))
     lams = _lam_nonneg(es.lambdas[:n_used])
 
-    dt_eta = np.diff(tau)
     uniform = (np.allclose(dt_eta, dt_eta[0], rtol=1e-12, atol=1e-15)
                and t_grid.size > 1)
     if uniform:
@@ -230,9 +233,8 @@ def solve_spectral(es: EigenSystem, alpha: float, eta: DriveSignal,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] < 0 or t_grid[-1] > eta.T * (1 + 1e-12) + 1e-15:
         raise IncompatibleGrids("t_grid must lie inside the drive support")
-    n_used = es.n_max + 1 if n_modes is None else int(n_modes)
-    if n_used > es.n_max + 1:
-        raise DomainError("n_modes exceeds the computed eigensystem")
+    weights = _mode_weights(es, xs, n_modes)
+    n_used = weights.shape[0]
     drive_sup = float(np.abs(eta.values).max())
     tail = _mode_tail_bound(es, n_used, drive_sup)
     if drive_sup > 0 and tail > trunc_tol * drive_sup:
@@ -240,9 +242,7 @@ def solve_spectral(es: EigenSystem, alpha: float, eta: DriveSignal,
             f"tail bound {tail:.3e} exceeds {trunc_tol:.1e} * sup|eta|; "
             "increase n_max")
     conv = _exact_convolutions(es, alpha, eta, t_grid, n_used)
-    emat = _modes_at_points(es, xs, n_used)
-    weights = es.efuncs[:n_used, -1]
-    u = np.einsum("ni,nj->ij", emat * weights[:, None], conv)
+    u = np.einsum("ni,nj->ij", weights, conv)
     return SpaceTimeField(x_grid=xs, t_grid=t_grid, values=u,
                           method="spectral", n_modes_used=n_used,
                           tail_bound=tail)
@@ -255,11 +255,8 @@ def kernel_K(es: EigenSystem, alpha: float, x: float, t_grid,
     The lam = 0 mode contributes t^a/Gamma(a+1) through the primitive's
     zero-rate branch; the tail bound follows the 1/lam_n decay.
     """
-    if n_modes > es.n_max + 1:
-        raise DomainError("n_modes exceeds the computed eigensystem")
+    coef = _mode_weights(es, np.asarray([x], dtype=float), n_modes)[:, 0]
     t_grid = np.asarray(t_grid, dtype=float)
-    e_x = _modes_at_points(es, np.asarray([x], dtype=float), n_modes)[:, 0]
-    coef = e_x * es.efuncs[:n_modes, -1]
     lams = _lam_nonneg(es.lambdas[:n_modes])
     vals = np.zeros_like(t_grid)
     for blk in _mode_blocks(n_modes, t_grid.size):
@@ -326,10 +323,8 @@ def _l1_fd_system(q: PotentialSpec, robin: RobinPair, alpha: float,
     """The fixed parts of solve_l1_fd's scheme: the x and t nodes, the history
     coefficients c_j = b_j - b_{j+1}, the LU factor of the implicit step
     matrix and the Robin drive term 2 eta(t_m) / dx of every step."""
-    if nx < 32 or nt < 32:
-        raise DomainError("nx and nt must be at least 32")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
+    if min(nx, nt) < MIN_FD_NODES:
+        raise DomainError(f"nx and nt must be at least {MIN_FD_NODES}")
     T = eta.T
     tau = T / nt
     t_nodes = np.linspace(0.0, T, nt + 1)

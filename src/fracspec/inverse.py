@@ -33,6 +33,7 @@ FD_REL_STEP = 1e-6  # Jacobian column step, relative to max(|theta_i|, 0.1)
 GRAD_TOL = 1e-8     # Gauss-Newton stops when |2 J^T r| falls below this
 STEP_TOL = 1e-10    # ... or when |step| < STEP_TOL (1 + |theta|)
 MOROZOV_TAU = 1.2   # reconstruct_morozov stops at MOROZOV_TAU times the noise norm^2
+MAX_BASIS = 16      # most cosine coefficients of a candidate head
 
 
 @dataclass
@@ -54,8 +55,8 @@ class CandidateParam:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.size > 16:
-            raise DomainError("basis dimension capped at 16")
+        if self.coeffs.size > MAX_BASIS:
+            raise DomainError(f"basis dimension capped at {MAX_BASIS}")
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.coeffs, [self.h]])
@@ -91,8 +92,7 @@ class InverseProblemSpec:
             "alpha": self.alpha, "x0": self.x0, "d": self.d, "H": self.H,
             "noise_level": self.noise_level, "n_max": self.n_max,
             "grid_size": self.grid_size,
-            "q_tail": {"grid_size": self.q_tail.grid_size,
-                       "samples": self.q_tail.samples.tolist()},
+            "q_tail": json.loads(self.q_tail.to_json()),
             "eta": {"t": self.eta.t_grid.tolist(),
                     "values": self.eta.values.tolist()},
             "data": {"t": self.data.t.tolist(), "u": self.data.u.tolist(),
@@ -105,8 +105,7 @@ class InverseProblemSpec:
         return cls(alpha=o["alpha"], x0=o["x0"], d=o["d"], H=o["H"],
                    noise_level=o["noise_level"], n_max=int(o["n_max"]),
                    grid_size=int(o["grid_size"]),
-                   q_tail=PotentialSpec(np.asarray(o["q_tail"]["samples"]),
-                                        int(o["q_tail"]["grid_size"])),
+                   q_tail=PotentialSpec.from_json(json.dumps(o["q_tail"])),
                    eta=DriveSignal(np.asarray(o["eta"]["t"]),
                                    np.asarray(o["eta"]["values"])),
                    data=ObservationSeries(np.asarray(o["data"]["t"]),
@@ -133,8 +132,7 @@ class ReconstructionResult:
                "error_metrics": self.error_metrics,
                "iterations": self.iterations, "termination": self.termination,
                "jacobian_condition": self.jacobian_condition,
-               "q_hat": {"grid_size": self.q_hat.grid_size,
-                         "samples": self.q_hat.samples.tolist()}}
+               "q_hat": json.loads(self.q_hat.to_json())}
         return json.dumps(out)
 
 
@@ -153,16 +151,21 @@ def _project_h(theta) -> np.ndarray:
     return np.append(theta[:-1], max(theta[-1], 0.0))
 
 
+def _half_waves(x, d, coeffs, base=0.0):
+    """base + sum_m c_m cos((m + 1/2) pi x / d), added in order of m."""
+    out = np.full(np.shape(x), base)
+    for m, c in enumerate(coeffs):
+        out += c * np.cos((m + 0.5) * np.pi * x / d)
+    return out
+
+
 def candidate_potential(spec: InverseProblemSpec, candidate: CandidateParam,
                         project_q: bool = False) -> PotentialSpec:
     """Glue the parameterized head onto the known tail (continuous at d)."""
     x, head = _head(spec)
     samples = spec.q_tail(x)
-    anchor = float(spec.q_tail(spec.d))
-    vals = np.full(head.sum(), anchor)
-    for m, c in enumerate(candidate.coeffs):
-        vals += c * np.cos((m + 0.5) * np.pi * x[head] / spec.d)
-    samples[head] = vals
+    samples[head] = _half_waves(x[head], spec.d, candidate.coeffs,
+                                float(spec.q_tail(spec.d)))
     if project_q:
         samples = np.minimum(samples, 0.0)
     return PotentialSpec(samples, spec.grid_size)
@@ -182,6 +185,12 @@ def _observation(q: PotentialSpec, robin: RobinPair, alpha: float,
     return f.values[0]
 
 
+def _fd_observation(q, robin, alpha, eta, x0, t, nx, nt):
+    """u(x0, t) by the L1-FD solver on nx x nt steps, linear between its nodes."""
+    fd = solve_l1_fd(q, robin, alpha, eta, nx, nt)
+    return np.interp(t, fd.t_grid, fd.at_x(x0))
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -196,9 +205,7 @@ def synthesize_data(q_true: PotentialSpec, h_true: float, H: float,
     signal; a fixed rng_seed reproduces the data bitwise.
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    fd = solve_l1_fd(q_true, RobinPair(h_true, H), alpha, eta, nx, nt)
-    series = fd.at_x(x0)
-    clean = np.interp(t_samples, fd.t_grid, series)
+    clean = _fd_observation(q_true, RobinPair(h_true, H), alpha, eta, x0, t_samples, nx, nt)
     if noise_level > 0.0:
         rng = np.random.default_rng(rng_seed)
         rms = float(np.sqrt(np.mean(clean ** 2)))
@@ -233,8 +240,7 @@ def estimate_solver_floor(spec: InverseProblemSpec, candidate: CandidateParam,
     robin = RobinPair(cand.h, spec.H)
     pred = _observation(q, robin, spec.alpha, spec.eta, spec.x0, spec.data.t,
                         spec.n_max, spec.grid_size)
-    fd = solve_l1_fd(q, robin, spec.alpha, spec.eta, nx, nt)
-    u_fd = np.interp(spec.data.t, fd.t_grid, fd.at_x(spec.x0))
+    u_fd = _fd_observation(q, robin, spec.alpha, spec.eta, spec.x0, spec.data.t, nx, nt)
     return float(np.sum((pred - u_fd) ** 2))
 
 
@@ -393,8 +399,7 @@ def random_head(rng, d: float, grid: int) -> PotentialSpec:
     """A random potential on grid cells that is zero beyond d: three modes
     cos((m + 1/2) pi x / d) with amplitudes uniform in [-0.6, 0], cut at 0."""
     x = np.linspace(0.0, 1.0, grid + 1)
-    amps = rng.uniform(-0.6, 0.0, size=3)
-    prof = sum(a * np.cos((m + 0.5) * np.pi * x / d) for m, a in enumerate(amps))
+    prof = _half_waves(x, d, rng.uniform(-0.6, 0.0, size=3))
     return PotentialSpec(np.minimum(np.where(x <= d, prof, 0.0), 0.0), grid)
 
 
@@ -407,7 +412,6 @@ def distinguishability_scan(pairs, x0: float, alpha: float, eta: DriveSignal,
     Positive gaps for parameter pairs that differ on the unknown region
     witness the injectivity of the data map.
     """
-    t_samples = np.asarray(t_samples, dtype=float)
     out = []
     for idx, (q1, h1, q2, h2) in enumerate(pairs):
         u1, u2 = (_observation(q, RobinPair(h, H), alpha, eta, x0, t_samples,

@@ -40,6 +40,7 @@ from .errors import (
 )
 
 DEFAULT_GRID_SIZE = 2048
+MIN_GRID = 16  # fewest cells of a solver grid
 _OVERFLOW_GUARD = 1e250
 _RESIDUAL_TOL = 1e-9  # relative |Delta| that accepts a root whose bracket stayed wide
 
@@ -310,11 +311,15 @@ def _check_finite(*arrays):
 # public IVP surface
 # ---------------------------------------------------------------------------
 
-def _validate_ivp_args(q: PotentialSpec, grid_size: int | None) -> PotentialSpec:
-    """q on the solver grid (q's own when grid_size is None), at least 16 cells."""
+def _validate_ivp_args(q: PotentialSpec, grid_size: int | None, allow_inadmissible=True):
+    """q on the solver grid (q's own when grid_size is None), at least MIN_GRID
+    cells; an inadmissible q raises DomainError unless allow_inadmissible."""
+    if not (allow_inadmissible or q.admissible):
+        raise DomainError("potential is not admissible (samples must be <= 0); "
+                          "pass allow_inadmissible=True to override")
     grid_size = q.grid_size if grid_size is None else int(grid_size)
-    if grid_size < 16:
-        raise DomainError("grid_size must be at least 16")
+    if grid_size < MIN_GRID:
+        raise DomainError(f"grid_size must be at least {MIN_GRID}")
     return q.resampled(grid_size)
 
 
@@ -558,10 +563,7 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    if not q.admissible and not allow_inadmissible:
-        raise DomainError("potential is not admissible (samples must be <= 0); "
-                          "pass allow_inadmissible=True to override")
-    q = _validate_ivp_args(q, grid_size)
+    q = _validate_ivp_args(q, grid_size, allow_inadmissible)
     problem = _ShootingProblem(q.samples, 1.0, robin.h, robin.H, 1.0)
     lambdas, residuals = problem.solve(n_max, guesses=lambda_guess)
 
@@ -605,21 +607,15 @@ def split_spectra(q: PotentialSpec, x0: float, robin: RobinPair, n_max: int,
     """
     if not (0.0 < x0 < 1.0):
         raise DomainError("x0 must lie strictly inside (0, 1)")
-    if not q.admissible and not allow_inadmissible:
-        raise DomainError("potential is not admissible")
-    x = _validate_ivp_args(q, grid_size).x_grid
+    x = _validate_ivp_args(q, grid_size, allow_inadmissible).x_grid
 
-    q_left = x0 ** 2 * q(x0 * x)
-    left = _ShootingProblem(q_left, 1.0, x0 * robin.h, 1.0, 0.0)
-    mu_minus, _ = left.solve(n_max)
-    mu_minus = mu_minus / x0 ** 2
+    def spectrum(a, length, v0, d0, cv, cd):
+        mu, _ = _ShootingProblem(length ** 2 * q(a + length * x), v0, d0, cv, cd).solve(n_max)
+        return mu / length ** 2
 
     len_r = 1.0 - x0
-    q_right = len_r ** 2 * q(x0 + len_r * x)
-    right = _ShootingProblem(q_right, 0.0, 1.0, len_r * robin.H, 1.0)
-    mu_plus, _ = right.solve(n_max)
-    mu_plus = mu_plus / len_r ** 2
-    return mu_minus, mu_plus
+    return (spectrum(0.0, x0, 1.0, x0 * robin.h, 1.0, 0.0),
+            spectrum(x0, len_r, 0.0, 1.0, len_r * robin.H, 1.0))
 
 
 def neumann_reference_error(lambdas) -> float:

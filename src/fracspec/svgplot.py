@@ -47,6 +47,17 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
+def _labelled_ticks(lo: float, hi: float, log: bool):
+    """(tick, label) pairs of _ticks(lo, hi); labels give the ticks (10^tick when
+    log) to the fewest significant digits, 6 to 17, that tell neighbours apart."""
+    ticks = _ticks(lo, hi)
+    for digits in range(6, 18):
+        labels = [f"{10.0 ** t if log else t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return zip(ticks, labels)
+
+
 def _span(values):
     """(min, max) of values, all equal ones widened by max(1, |v| 2^-50)."""
     lo, hi = min(values), max(values)
@@ -71,16 +82,14 @@ def _axes(x_lo, x_hi, y_lo, y_hi, title, x_label, y_label, logx, logy):
                  f'width="{_fmt(WIDTH - MARGIN_L - MARGIN_R)}" '
                  f'height="{_fmt(HEIGHT - MARGIN_T - MARGIN_B)}" '
                  'fill="none" stroke="#333333" stroke-width="1"/>')
-    for t in _ticks(x_lo, x_hi):
+    for t, label in _labelled_ticks(x_lo, x_hi, logx):
         px = sx(t)
-        label = _fmt(10.0 ** t) if logx else _fmt(t)
         parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(HEIGHT - MARGIN_B)}" '
                      f'x2="{_fmt(px)}" y2="{_fmt(HEIGHT - MARGIN_B + 5)}" stroke="#333333"/>')
         parts.append(f'<text x="{_fmt(px)}" y="{_fmt(HEIGHT - MARGIN_B + 18)}" '
                      f'font-size="11" text-anchor="middle">{label}</text>')
-    for t in _ticks(y_lo, y_hi):
+    for t, label in _labelled_ticks(y_lo, y_hi, logy):
         py = sy(t)
-        label = _fmt(10.0 ** t) if logy else _fmt(t)
         parts.append(f'<line x1="{_fmt(MARGIN_L - 5)}" y1="{_fmt(py)}" '
                      f'x2="{_fmt(MARGIN_L)}" y2="{_fmt(py)}" stroke="#333333"/>')
         parts.append(f'<text x="{_fmt(MARGIN_L - 8)}" y="{_fmt(py + 4)}" '

@@ -33,6 +33,8 @@ from .sl_core import EigenSystem, PotentialSpec, RobinPair, eval_modes_at, split
 
 TRACE_TAU = 1e-6  # mode n vanishes at x0 when |e_n(x0)| <= TRACE_TAU max_x |e_n(x)|
 MATCH_TOL = 1e-6  # relative distance at which a complement eigenvalue is matched
+MIN_S_POINTS = 4  # fewest points of a counting grid s_grid
+MIN_RESOLUTION = 10  # fewest cells per side of a region map
 _LABELS = ("full-spectrum", "lambda-set", "lambda-complement", "mu-minus", "mu-plus")
 
 
@@ -171,19 +173,18 @@ def complement_inclusion_check(es: EigenSystem, x0: float, robin: RobinPair,
                            violations=violations, passed=not violations)
 
 
-def _validate_s_grid(s_grid) -> np.ndarray:
+def _upper_counts(lam: CountedSet, s_grid):
+    """The upper half s of s_grid, from its middle point on, and N(s) there."""
     s = np.asarray(s_grid, dtype=float)
-    if s.ndim != 1 or s.size < 4 or np.any(np.diff(s) <= 0) or s[0] <= 0:
-        raise DomainError("s_grid must be positive increasing with >= 4 points")
-    return s
+    if s.ndim != 1 or s.size < MIN_S_POINTS or np.any(np.diff(s) <= 0) or s[0] <= 0:
+        raise DomainError(f"s_grid must be positive increasing with >= {MIN_S_POINTS} points")
+    s_up = s[s >= s[s.size // 2]]
+    return s_up, np.searchsorted(lam.values, s_up, side="right").astype(float)
 
 
 def counting_bound_check(lam: CountedSet, x0: float, s_grid) -> BoundCheckReport:
     """Check N(s) >= (1 - min(1 - x0, x0)) sqrt(s)/pi on the upper half of s_grid."""
-    s = _validate_s_grid(s_grid)
-    upper = s >= s[s.size // 2]
-    s_up = s[upper]
-    counts = np.asarray([counting(lam, si) for si in s_up], dtype=float)
+    s_up, counts = _upper_counts(lam, s_grid)
     factor = 1.0 - min(1.0 - x0, x0)
     bounds = factor * np.sqrt(s_up) / np.pi
     return BoundCheckReport(s_values=s_up, counts=counts, bounds=bounds,
@@ -198,11 +199,8 @@ def density_criterion(lam: CountedSet, A: float, s_grid) -> DensityReport:
     """
     if A <= 0:
         raise DomainError("A must be positive")
-    s = _validate_s_grid(s_grid)
-    upper = s >= s[s.size // 2]
-    s_up = s[upper]
-    ratios = np.asarray([counting(lam, si) / np.sqrt(si) for si in s_up])
-    est = float(ratios.min())
+    s_up, counts = _upper_counts(lam, s_grid)
+    est = float((counts / np.sqrt(s_up)).min())
     return DensityReport(liminf_estimate=est, threshold=A / np.pi,
                          passed=est > A / np.pi, implied_d_max=A / 2.0)
 
@@ -238,8 +236,8 @@ def classify_region(d: float, x0: float, certificate=None) -> RegionVerdict:
 
 def region_map(grid_resolution: int, certificate=None) -> list[RegionVerdict]:
     """Verdicts at cell centers of a grid_resolution^2 lattice over (0,1)^2."""
-    if grid_resolution < 10:
-        raise DomainError("grid_resolution must be at least 10")
+    if grid_resolution < MIN_RESOLUTION:
+        raise DomainError(f"grid_resolution must be at least {MIN_RESOLUTION}")
     out = []
     for i in range(grid_resolution):
         d = (i + 0.5) / grid_resolution

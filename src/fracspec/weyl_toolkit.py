@@ -36,6 +36,7 @@ RAY_SQRT_CAP = 40.0
 POLE_GUARD = 1e-10
 EIG_GUARD = 1e-8
 _LOG_MAX = float(np.log(np.finfo(float).max))
+MIN_FIT_POINTS = 3  # fewest ray points of a power-law fit
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def m_exponent_fit(lams: np.ndarray, m_values) -> ExponentFit:
     i.e. exponent +1/2 on the imaginary axis.
     """
     mags = np.abs(m_values)
-    if np.any(mags <= 0) or lams.size < 3:
+    if np.any(mags <= 0) or lams.size < MIN_FIT_POINTS:
         raise FitFailure("degenerate scan data")
     coef, rank, resid = _loglog_fit(np.log(np.abs(lams)), np.log(mags))
     if rank < 2:

@@ -10,11 +10,15 @@ import numpy as np
 import pytest
 
 from fracspec import forward as fwd
-from fracspec.cli import COMMANDS, ExperimentConfig, main, plot, run, validate
-from fracspec.errors import EmptyData, MissingColumn
+from fracspec import inverse as inv
+from fracspec import uniqueness as uniq
+from fracspec import weyl_toolkit as weyl
+from fracspec.cli import (COMMANDS, ExperimentConfig, _build_eta, main, plot, run,
+                          validate)
+from fracspec.errors import DomainError, EmptyData, FitFailure, MissingColumn
 from fracspec.mittleff import ALPHA_MAX, ALPHA_MIN
 from fracspec.svgplot import _ticks, _value_color, render_heatmap
-from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
+from fracspec.sl_core import MIN_GRID, PotentialSpec, RobinPair, eigen_system
 
 
 def cfg_text(command, parameters, seed=0):
@@ -234,7 +238,45 @@ class TestAlphaRange:
         assert manifest.status in ("ok", "check-failure")
 
 
+UNIT_RAMP = fwd.DriveSignal(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+# each bound cli.SCHEMA reads from the library: (command, its parameters at
+# n, the bound, the step past it, the library call at n, the error it raises)
+SHARED_BOUNDS = {
+    "grid": ("eigensolve", lambda n: with_params(MINIMAL_EIGEN, grid_size=n),
+             MIN_GRID, -1, lambda n: eigen_system(
+                 PotentialSpec.constant(0.0, 64), RobinPair(0.0, 0.0), 2,
+                 grid_size=n), DomainError),
+    "fd-nodes": ("forward", lambda n: with_params(MINIMAL["forward"], nx=n, nt=n),
+                 fwd.MIN_FD_NODES, -1, lambda n: fwd.solve_l1_fd(
+                     PotentialSpec.constant(0.0, 64), RobinPair(0.0, 0.0), 0.5,
+                     UNIT_RAMP, n, n), DomainError),
+    "basis": ("reconstruct", lambda n: with_params(MINIMAL["reconstruct"], M=n),
+              inv.MAX_BASIS, 1, lambda n: inv.CandidateParam(np.zeros(n), 0.1),
+              DomainError),
+    "resolution": ("region-map", lambda n: {"resolution": n}, uniq.MIN_RESOLUTION,
+                   -1, uniq.region_map, DomainError),
+    "s-grid": ("counting", lambda n: with_params(MINIMAL["counting"], s_count=n),
+               uniq.MIN_S_POINTS, -1, lambda n: uniq.counting_bound_check(
+                   uniq.free_lambda_set(100, 0.5), 0.5, np.geomspace(1e2, 1e4, n)),
+               DomainError),
+    "fit": ("weyl-scan", lambda n: with_params(MINIMAL["weyl-scan"], count=n),
+            weyl.MIN_FIT_POINTS, -1, lambda n: weyl.m_exponent_fit(
+                1j * np.geomspace(1e2, 9e2, n), np.ones(n)), FitFailure),
+}
+
+
 class TestSchema:
+    @pytest.mark.parametrize("bound", SHARED_BOUNDS)
+    def test_shared_bound_holds_in_validate_and_library(self, bound, tmp_path):
+        command, params, limit, past, call, error = SHARED_BOUNDS[bound]
+        cfg_file = tmp_path / "cfg.json"
+        for n, code in ((limit, 0), (limit + past, 2)):
+            cfg_file.write_text(cfg_text(command, params(n)))
+            assert main(["validate", "--config", str(cfg_file)]) == code
+        call(limit)
+        with pytest.raises(error):
+            call(limit + past)
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_minimal_config_runs_from_the_command_line(self, command,
                                                        tmp_path):
@@ -418,6 +460,40 @@ class TestRun:
         assert main(["validate", "--config", str(cfg_file)]) == 0
         assert main(["validate", "--config", str(bad)]) == 2
 
+    # a drive given by samples and a horizon T = 1 they do not end at
+    HORIZON = {"q": Q_ZERO, "h": 0.5, "H": 1.0, "alpha": 0.5, "T": 1.0,
+               "nt": 64, "nx": 32}
+    SHORT_DRIVE = {"type": "samples", "t": [0.0, 0.5], "values": [0.0, 1.0]}
+
+    def test_drive_past_T_is_cut_at_T(self, tmp_path):
+        eta = {"type": "samples", "t": [0.0, 0.5, 2.0], "values": [0.0, 1.0, 0.0]}
+        cut = _build_eta(eta, 1.0)
+        assert cut.t_grid.tolist() == [0.0, 0.5, 1.0]
+        assert cut.values.tolist() == [0.0, 1.0, np.interp(1.0, [0.5, 2.0], [1.0, 0.0])]
+        # both solvers work on [0, T], so their fields compare node by node
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg_text("forward", dict(
+            self.HORIZON, method="both", eta=dict(eta, values=[0.0, 1.0, 1.0]))))
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(cfg_file), "--out", str(out)]) == 0
+        for name in ("spectral", "l1fd"):
+            rows = (out / f"field_{name}.csv").read_text().splitlines()[1:]
+            assert max(float(row.split(",")[1]) for row in rows) == 1.0
+
+    @pytest.mark.parametrize("command,params", [
+        ("forward", dict(HORIZON, method="l1fd", eta=SHORT_DRIVE)),
+        ("distinguish", with_params(MINIMAL["distinguish"], eta=SHORT_DRIVE))],
+        ids=["forward-l1fd", "distinguish"])
+    def test_drive_ending_before_T_exits_2(self, command, params, tmp_path,
+                                           capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg_text(command, params))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "parameters.eta.t: ends at 0.5, before T = 1.0\n"
+        assert not out.exists()
+
     RAMP = fwd.DriveSignal(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("q,eta,q_lib,eta_lib", [
@@ -588,6 +664,19 @@ class TestPlot:
         assert main(["plot", "--csv", p, "--spec", str(spec_file), "--out",
                      str(out)]) == 0
         assert out.read_text().count("<polyline") == 1
+
+    def test_tick_labels_tell_ticks_apart(self, tmp_path):
+        # at 1e16 the y ticks lie 2 apart: 6 significant digits print them
+        # all as 1e+16, 17 tell them apart
+        p = self.write_csv(tmp_path / "d.csv", "t,u\n0,1e16\n1,1e16\n")
+        svg = plot(p, {"x": "t", "y": "u"})
+        labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+        assert len(labels) >= 2 and len(set(labels)) == len(labels)
+        # 6 digits stay where they already tell the ticks apart
+        p = self.write_csv(tmp_path / "e.csv", "t,u\n0,0\n1,1\n")
+        svg = plot(p, {"x": "t", "y": "u"})
+        assert re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:6] \
+            == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
 
     def test_value_colors_across_double_range(self):
         assert [_value_color(v, -1e308, 1e308) for v in (-1e308, 0.0, 1e308)] \

@@ -475,6 +475,12 @@ class TestEigenSystem:
             eigen_system(q_pos, FREE, 2)
         es = eigen_system(q_pos, FREE, 2, allow_inadmissible=True)
         assert es.lambdas[0] < 0  # shifted down by the positive potential
+        with pytest.raises(DomainError):
+            split_spectra(q_pos, 0.5, FREE, 2)
+        mu_minus, mu_plus = split_spectra(q_pos, 0.5, FREE, 2, allow_inadmissible=True)
+        # Neumann-Dirichlet on (0, 1/2) and its mirror, shifted down by q = 1/2
+        assert mu_minus[0] == pytest.approx(np.pi ** 2 - 0.5, rel=1e-8)
+        assert mu_plus[0] == pytest.approx(np.pi ** 2 - 0.5, rel=1e-8)
 
     def test_positive_constant_spectrum(self):
         # for q = 5 the mode-2 bracket collapses onto the root with the winding

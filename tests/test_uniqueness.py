@@ -131,6 +131,19 @@ class TestCountingBound:
         rep = counting_bound_check(lam, 0.5, s_grid)
         assert rep.s_values[0] >= s_grid[10]
 
+    def test_window_matches_pointwise_counting(self):
+        # the batched window counts as counting() does one s at a time,
+        # members hit exactly included
+        lam = free_lambda_set(500, 0.3)
+        s_grid = np.concatenate([np.geomspace(1.0, 1e5, 20), lam.values[100:103]])
+        s_grid.sort()
+        rep = counting_bound_check(lam, 0.3, s_grid)
+        counts = [counting(lam, s) for s in rep.s_values]
+        assert rep.counts.tolist() == counts
+        dens = density_criterion(lam, 0.5, s_grid)
+        assert dens.liminf_estimate == min(c / np.sqrt(s) for c, s in
+                                           zip(counts, rep.s_values))
+
 
 class TestDensity:
     def test_case_full_spectrum(self):
