@@ -38,7 +38,7 @@ class LinearSolveFailure(FracspecError):
 
 
 class QuadratureNonConvergence(FracspecError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance."""
 
 
 class NearPole(FracspecError):

@@ -21,6 +21,13 @@ from fracspec.svgplot import _ticks, _value_color, render_heatmap
 from fracspec.sl_core import MIN_GRID, PotentialSpec, RobinPair, eigen_system
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def cfg_text(command, parameters, seed=0):
     return json.dumps({"command": command, "parameters": parameters,
                        "seed": seed})
@@ -541,15 +548,20 @@ class TestRun:
         assert check["name"] == "execution" and not check["passed"]
         assert check["detail"].startswith("TruncationTooCoarse: ")
 
+    def test_import_leaves_out_scipy_integrate(self):
+        done = subprocess.run([sys.executable, "-c",
+                               "import sys, fracspec, fracspec.cli; "
+                               "print('scipy.integrate' in sys.modules)"],
+                              capture_output=True, text=True, env=_src_env(),
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
     def test_module_entry_point_validates(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(cfg_text("eigensolve", MINIMAL_EIGEN))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "fracspec.cli", "validate",
                                "--config", str(cfg_file)],
-                              capture_output=True, text=True, env=env,
+                              capture_output=True, text=True, env=_src_env(),
                               timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
@@ -561,14 +573,11 @@ class TestRun:
             "q": {"type": "cosine", "mean": 0.0, "amplitude": amp,
                   "frequency": 1.0},
             "h": 0.5, "H": 1.0, "n_max": 10, "grid_size": 1024}))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "out"
         done = subprocess.run([sys.executable, "-W", "error", "-m",
                                "fracspec.cli", "eigensolve", "--config",
                                str(cfg_file), "--out", str(out)],
-                              capture_output=True, text=True, env=env,
+                              capture_output=True, text=True, env=_src_env(),
                               timeout=120)
         assert (done.returncode, done.stderr) == (3, "")
         [check] = json.loads((out / "manifest.json").read_text())["checks"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma, rgamma
 
-from fracspec.errors import DomainError
+from fracspec import mittleff
+from fracspec.errors import DomainError, QuadratureNonConvergence
 from fracspec.mittleff import (
     ALPHA_MAX,
     NODE_CAP,
@@ -480,6 +481,26 @@ class TestLaplaceResidual:
     def test_offgrid_case(self):
         assert ml_laplace_residual(0.7, 4 * np.pi ** 2, 0.5) < 1e-6
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.9, 0.99])
+    @pytest.mark.parametrize("zeta", [0.01, 0.05, 50.0])
+    def test_wide_inputs(self, alpha, zeta):
+        assert ml_laplace_residual(alpha, 1e4, zeta) < 1e-6
+
+    def test_step_halving_estimate_fires(self, monkeypatch):
+        # a +-1e-6 node-alternating error cancels in the rule at step h but
+        # not in the one at 2h, which sums every other node
+        exact_ml = mittleff.ml
+
+        def perturbed(alpha, beta, z):
+            out = exact_ml(alpha, beta, z)
+            if np.ndim(out):
+                out = out + 1e-6 * (-1.0) ** np.arange(out.size)
+            return out
+
+        monkeypatch.setattr(mittleff, "ml", perturbed)
+        with pytest.raises(QuadratureNonConvergence, match="error estimate"):
+            ml_laplace_residual(0.5, 1.0, 1.0)
+
 
 class TestL1Weights:
     def test_backward_difference_limit(self):
@@ -504,3 +525,20 @@ class TestL1Weights:
         with pytest.raises(DomainError):
             l1_weights(0.5, 1.0, 0)
         assert isinstance(l1_weights(0.5, 1.0, 1), L1Weights)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (ml_laplace_residual, (0.5, np.inf, 1.0), "lambda"),
+    (ml_laplace_residual, (0.5, np.nan, 1.0), "lambda"),
+    (ml_laplace_residual, (0.5, 1.0, np.inf), "zeta"),
+    (ml_laplace_residual, (0.5, 1.0, np.nan), "zeta"),
+    (ml_asymptotic_residual, (0.5, np.inf, [1.0, 10.0]), "lambda"),
+    (ml_asymptotic_residual, (0.5, np.nan, [1.0, 10.0]), "lambda"),
+    (ml_asymptotic_residual, (0.5, 1.0, [1.0, np.inf]), "t_values"),
+    (ml_asymptotic_residual, (0.5, 1.0, [1.0, np.nan]), "t_values"),
+    (l1_weights, (0.5, np.nan, 4), "tau"),
+    (l1_weights, (0.5, np.inf, 4), "tau"),
+])
+def test_non_finite_arguments_named(fn, args, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        fn(*args)
