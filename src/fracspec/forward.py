@@ -161,19 +161,11 @@ def _mode_tail_bound(es: EigenSystem, n_used: int, drive_sup: float) -> float:
 
 def _mode_weights(es: EigenSystem, xs: np.ndarray, n_modes: int | None) -> np.ndarray:
     """e_n(x) e_n(1) for n < n_modes (all modes when None) at each x, shape
-    (n_modes, xs.size); e_n(x) is a grid column at a node, else re-propagated."""
+    (n_modes, xs.size)."""
     n_used = es.n_max + 1 if n_modes is None else int(n_modes)
     if n_used > es.n_max + 1:
         raise DomainError("n_modes exceeds the computed eigensystem")
-    out = np.empty((n_used, xs.size))
-    for i, x in enumerate(xs):
-        idx = x * es.grid_size
-        if abs(idx - round(idx)) < 1e-9:
-            out[:, i] = es.efuncs[:n_used, int(round(idx))]
-        else:
-            vals, _ = eval_modes_at(es, float(x))
-            out[:, i] = vals[:n_used]
-    return out * es.efuncs[:n_used, -1, None]
+    return (eval_modes_at(es, xs)[0] * es.efuncs[:, -1, None])[:n_used]
 
 
 def _exact_convolutions(es, alpha, eta, t_grid, n_used):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, FracspecError
 from .forward import DriveSignal, solve_l1_fd, solve_spectral
 from .sl_core import EigenSystem, PotentialSpec, RobinPair, eigen_system, eval_modes_at
-from .uniqueness import TRACE_TAU, classify_region
+from .uniqueness import classify_region, lambda_set
 
 DEFAULT_INV_GRID = 512
 DEFAULT_INV_MODES = 32
@@ -442,28 +442,22 @@ def spectral_match_audit(es1: EigenSystem, es2: EigenSystem, x0: float,
                          tol: float) -> MatchAuditReport:
     """Pair up eigenvalues and boundary-observation trace products.
 
-    For every mode n of es1 with |e_n(x0)| > TRACE_TAU max_x |e_n(x)|, a match
-    m requires |lam_1n - lam_2m| <= tol and agreement of the sign-convention-
-    free products e(1) e(x0) to tol; the report diagnoses why two parameter
-    sets produce (nearly) identical observations.
+    For every mode n of es1 in lambda_set(es1, x0), a match m requires
+    |lam_1n - lam_2m| <= tol and agreement of the sign-convention-free
+    products e(1) e(x0) to tol; the report diagnoses why two parameter sets
+    produce (nearly) identical observations.
     """
     if es1.n_max != es2.n_max:
         raise DomainError("both systems must be computed to the same n_max")
-    v1, _ = eval_modes_at(es1, x0)
-    v2, _ = eval_modes_at(es2, x0)
-    p1 = es1.efuncs[:, -1] * v1
-    p2 = es2.efuncs[:, -1] * v2
-    scale1 = np.abs(es1.efuncs).max(axis=1)
+    p1, p2 = (es.efuncs[:, -1] * eval_modes_at(es, x0)[0] for es in (es1, es2))
     entries = []
-    for n in range(es1.n_max + 1):
-        if abs(v1[n]) <= TRACE_TAU * scale1[n]:
-            continue
+    for n in np.flatnonzero(lambda_set(es1, x0).kept):
         lam_gap = np.abs(es2.lambdas - es1.lambdas[n])
         m = int(np.argmin(lam_gap))
         dlam = float(lam_gap[m])
         dtrace = float(abs(p1[n] - p2[m]))
         ok = dlam <= tol and dtrace <= tol
-        entries.append(MatchAuditEntry(n=n, m=m if ok else None,
+        entries.append(MatchAuditEntry(n=int(n), m=m if ok else None,
                                        lambda_gap=dlam, trace_gap=dtrace,
                                        matched=ok))
     n_matched = sum(1 for e in entries if e.matched)

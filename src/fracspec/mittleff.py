@@ -385,15 +385,20 @@ def ml_asymptotic_residual(alpha: float, lam: float, t_values):
     """|E_{a,1}(-lam t^a) - (1/Gamma(1-a)) (lam t^a)^{-1}| * (lam t^a)^2 per t.
 
     A bounded sequence over increasing t confirms the second-order remainder
-    of the large-time expansion.
+    of the large-time expansion.  DomainError when some lam t^a has its
+    reciprocal or its square outside the double range.
     """
     _check_positive("lambda", lam)
     t = np.asarray(t_values, dtype=float)
     if not np.isfinite(t).all() or np.any(t < 1.0) or np.any(np.diff(t) <= 0):
         raise DomainError("t_values must be finite, increasing and >= 1")
-    xs = lam * t ** alpha
-    lead = rgamma(1.0 - alpha) / xs
-    return np.abs(ml(alpha, 1.0, -xs) - lead) * xs ** 2
+    with np.errstate(over="ignore"):
+        xs = lam * t ** alpha
+        lead, square = rgamma(1.0 - alpha) / xs, xs ** 2
+    if not np.isfinite([lead, square]).all():
+        raise DomainError(f"lambda t^alpha spans {xs.min():.3g} to {xs.max():.3g}; the "
+                          "residual needs its reciprocal and square in the double range")
+    return np.abs(ml(alpha, 1.0, -xs) - lead) * square
 
 
 def ml_closed_form_errors(n_points: int):
@@ -484,11 +489,18 @@ def ml_laplace_residual(alpha: float, lam: float, zeta: float) -> float:
     step h = pi d / 30 gives even the rule at step 2h (every other node) the
     exp(-30) target of _integral_nodes; their difference is the error
     estimate.  A small residual certifies the termwise Laplace transform
-    identity.
+    identity.  A zeta whose transform, or whose T, is past what a double-
+    precision check to LAPLACE_TOL resolves raises DomainError.
     """
     _check_positive("lambda", lam)
     _check_positive("zeta", zeta)
-    T = max(-np.log(0.25 * LAPLACE_TOL * zeta) / zeta, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        exact = np.float64(zeta) ** (alpha - 1.0) / (np.float64(zeta) ** alpha + lam)
+        T = max(-np.log(0.25 * LAPLACE_TOL * zeta) / zeta, 1.0)
+    if not (exact * np.finfo(float).eps <= 0.5 * LAPLACE_TOL and T < np.inf):
+        raise DomainError(f"zeta = {zeta:.3g} is too small: the transform {exact:.3g}, or "
+                          f"the end {T:.3g} of its tail bound, is past what a double-"
+                          f"precision check to {LAPLACE_TOL:g} resolves")
     h = np.pi ** 2 / 60.0
     t = np.exp(np.arange(np.log(T), S_LO, -h))
     g = t * np.exp(-zeta * t) * ml(alpha, 1.0, -lam * t ** alpha)
@@ -499,7 +511,6 @@ def ml_laplace_residual(alpha: float, lam: float, zeta: float) -> float:
     if err > 0.5 * LAPLACE_TOL:
         raise QuadratureNonConvergence(
             f"quadrature error estimate {err:.2e} above tolerance")
-    exact = zeta ** (alpha - 1.0) / (zeta ** alpha + lam)
     return abs(val - exact)
 
 

@@ -14,7 +14,9 @@ ceil(log2 n) vectorized levels, and applies the product to the start vector
 once.  A node trace takes B blocks of K ~ sqrt(n) cells: every block product
 is formed the same way, the start vector crosses the B block products, and
 the inside of all blocks fills in at once from their start nodes, about
-2 sqrt(n) Python-level steps.  The march guards what it returns: past 1e250
+2 sqrt(n) Python-level steps.  The modes at a point never march: one part
+cell factor steps the stored eigenfunction trace on from the node below.
+The march guards what it returns: past 1e250
 it raises NonFiniteBlowup.  Eigenvalues are isolated by the winding of a
 scaled Pruefer angle, pi times the zeros of the shooting solution counted by
 sign changes over the node trace plus the end angle, so mode indices cannot
@@ -92,8 +94,7 @@ class PotentialSpec:
     def resampled(self, grid_size: int) -> "PotentialSpec":
         if grid_size == self.grid_size:
             return self
-        x_new = np.linspace(0.0, 1.0, grid_size + 1)
-        return PotentialSpec(np.interp(x_new, self.x_grid, self.samples), grid_size)
+        return PotentialSpec(self(np.linspace(0.0, 1.0, grid_size + 1)), grid_size)
 
     def to_json(self) -> str:
         return json.dumps({"grid_size": self.grid_size,
@@ -205,15 +206,15 @@ def _cosh_sinhc(musq):
 def _cell_factors(qmid, slope, width, lams):
     """Magnus transfer-matrix entries for cells given by (qmid, slope, width).
 
-    The entries t00, t01, t10, t11 stacked, shape (4, n_lam, n_cells).  On
-    each cell the potential is exactly linear, so the fourth-order Magnus term
-    only involves the cell mean and slope of lambda + q.
+    The entries t00, t01, t10, t11 stacked, shape (4, n_lam) + qmid.shape.
+    On each cell the potential is exactly linear, so the fourth-order Magnus
+    term only involves the cell mean and slope of lambda + q.
     """
-    w2 = lams[:, None] + qmid[None, :]
+    w2 = np.add.outer(lams, qmid)
     a = slope * width ** 3 / 12.0
-    musq = a[None, :] ** 2 - (width * width) * w2
+    musq = a ** 2 - (width * width) * w2
     c, s = _cosh_sinhc(musq)
-    sa = s * a[None, :]
+    sa = s * a
     t = np.empty((4,) + musq.shape, dtype=musq.dtype)
     np.add(c, sa, out=t[0])
     np.multiply(s, width, out=t[1])
@@ -237,24 +238,38 @@ def _chain(t):
     return t[..., 0]
 
 
+def _part_cell(q_samples, x):
+    """Node n at or below each x and the part cell from node n to x.
+
+    Returns n and the part's mean and slope of q and its width; on a node
+    (within rounding) the width is 0, and the part's Magnus factor is then
+    exactly the identity.
+    """
+    N = q_samples.size - 1
+    h = 1.0 / N
+    n_full = np.minimum(np.floor(x * N + 1e-12).astype(int), N)
+    part = x - n_full * h
+    part = np.where(part > 1e-14, part, 0.0)
+    lo, hi = q_samples[n_full], q_samples[np.minimum(n_full + 1, N)]
+    slope = (hi - lo) / h
+    return n_full, lo + slope * part / 2.0, slope, part
+
+
 def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
     """March the shooting solution from 0 to x for a batch of lambdas.
 
-    The full cells below x are followed by one part-cell ending at x, built by
-    the same Magnus factor with the part width.  Returns the pair at x of
-    shape (n_lam,), or with keep_trace the values and derivatives at every
-    marched node, shape (n_lam, n_cells + 1).  Whatever it returns has
-    passed the overflow guard, so no caller checks again.
+    The full cells below x are followed by _part_cell's part ending at x.
+    Returns the pair at x of shape (n_lam,), or with keep_trace the values
+    and derivatives at every marched node, shape (n_lam, n_cells + 1).
+    Whatever it returns has passed the overflow guard, so no caller checks
+    again.
     """
     lams = np.atleast_1d(np.asarray(lams))
     if not np.iscomplexobj(lams):
         lams = lams.astype(float)
-    N = q_samples.size - 1
-    h = 1.0 / N
-    n_full = min(int(np.floor(x * N + 1e-12)), N)
-    part = x - n_full * h
-    has_part = part > 1e-14
-    n_cells = n_full + has_part
+    h = 1.0 / (q_samples.size - 1)
+    n_full, part_mean, _, part = _part_cell(q_samples, x)
+    n_cells = int(n_full + (part > 0.0))
     # the pair at x needs only the product of all cells, one block; a trace
     # takes B blocks of K ~ sqrt(n) cells.  The cells past n_cells have zero
     # width, so their factors are exactly the identity
@@ -264,9 +279,8 @@ def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
     lo, hi = q_samples[:n_cells], q_samples[1:n_cells + 1]
     qmid[:n_cells], slope[:n_cells] = 0.5 * (lo + hi), (hi - lo) / h
     width[:n_cells] = h
-    if has_part:
-        qmid[n_cells - 1] = lo[-1] + slope[n_cells - 1] * part / 2.0
-        width[n_cells - 1] = part
+    if part:
+        qmid[n_cells - 1], width[n_cells - 1] = part_mean, part
     n_lam = lams.size
     t = _cell_factors(qmid, slope, width, lams).reshape(2, 2, n_lam, B, K)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -530,8 +544,10 @@ class _ShootingProblem:
         width_ok = (b - a) <= 1e-9 * (1.0 + np.abs(best))
         res_ok = res <= _RESIDUAL_TOL * (1.0 + np.abs(best))
         if np.any(~width_ok & ~res_ok):
+            n = int(np.argmax(np.where(width_ok | res_ok, -1.0, res)))
             raise ResidualTooLarge(
-                f"max characteristic residual {res.max():.3e} after refinement")
+                f"mode {n}: characteristic residual {res[n]:.3e} with its bracket "
+                f"still {b[n] - a[n]:.3g} wide after refinement")
         return best, res
 
 
@@ -583,17 +599,22 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
                        q=q, robin=robin, grid_size=q.grid_size)
 
 
-def eval_modes_at(es: EigenSystem, x: float):
-    """Exact (e_n(x), e_n'(x)) for all computed modes at an arbitrary x in [0, 1].
+def eval_modes_at(es: EigenSystem, x):
+    """(e_n(x), e_n'(x)) for all computed modes at a scalar or array x in [0, 1].
 
-    Re-propagates the left IVP to x, so off-grid points carry no interpolation
-    error (needed for vanishing-trace classification at the observation point).
+    One Magnus factor over the part cell below each x steps the stored trace
+    on from that cell's left node, so a node returns its efuncs/defuncs
+    column exactly and an off-grid x carries no interpolation error (needed
+    for vanishing-trace classification at the observation point).  Shape
+    (n_modes,) + x.shape.
     """
-    if not (0.0 <= x <= 1.0):
+    x = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError("x must lie in [0, 1]")
-    v, d = _propagate(es.q.samples, 1.0, es.robin.h, es.lambdas, x=x)
-    root_beta = np.sqrt(es.beta)
-    return np.real(v) / root_beta, np.real(d) / root_beta
+    n, qmid, slope, part = _part_cell(es.q.samples, x)
+    t = _cell_factors(qmid, slope, part, es.lambdas)
+    v, d = es.efuncs[:, n], es.defuncs[:, n]
+    return t[0] * v + t[1] * d, t[2] * v + t[3] * d
 
 
 def split_spectra(q: PotentialSpec, x0: float, robin: RobinPair, n_max: int,

@@ -74,6 +74,7 @@ class LambdaSplit:
     complement: CountedSet
     traces: np.ndarray                 # |e_n(x0)| per mode
     relative_traces: np.ndarray        # |e_n(x0)| / max_x |e_n|
+    kept: np.ndarray                   # mode n is in lambda_set
     tau: float
     near_threshold: list = field(default_factory=list)
 
@@ -128,24 +129,20 @@ def free_lambda_set(n_modes: int, x0: float) -> CountedSet:
 def lambda_set(es: EigenSystem, x0: float, tau: float = TRACE_TAU) -> LambdaSplit:
     """Split modes by the relative size of e_n(x0).
 
-    Mode n is retained iff |e_n(x0)| > tau * max_x |e_n(x)|; traces are
-    evaluated by re-propagation (no interpolation error at off-grid x0).
+    Mode n is retained iff |e_n(x0)| > tau * max_x |e_n(x)|; traces come
+    from eval_modes_at (no interpolation error at off-grid x0).
     Modes within a decade of the threshold are flagged for audit.
     """
-    if not (0.0 <= x0 <= 1.0):
-        raise DomainError("x0 must lie in [0, 1]")
     if tau <= 0:
         raise DomainError("tau must be positive")
-    traces, _ = eval_modes_at(es, x0)
-    traces = np.abs(traces)
-    scale = np.abs(es.efuncs).max(axis=1)
-    rel = traces / scale
+    traces = np.abs(eval_modes_at(es, x0)[0])
+    rel = traces / np.abs(es.efuncs).max(axis=1)
     keep = rel > tau
     near = [int(n) for n in np.flatnonzero((rel > tau / 10) & (rel < tau * 10))]
     lam_in = CountedSet(es.lambdas[keep], "lambda-set")
     lam_out = CountedSet(es.lambdas[~keep], "lambda-complement")
     return LambdaSplit(lambda_set=lam_in, complement=lam_out, traces=traces,
-                       relative_traces=rel, tau=tau, near_threshold=near)
+                       relative_traces=rel, kept=keep, tau=tau, near_threshold=near)
 
 
 def complement_inclusion_check(es: EigenSystem, x0: float, robin: RobinPair,

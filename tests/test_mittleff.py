@@ -542,3 +542,18 @@ class TestL1Weights:
 def test_non_finite_arguments_named(fn, args, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn, args, cause", [
+    (ml_laplace_residual, (0.5, 1.0, 5e-324), "zeta = 4.94e-324 is too small"),
+    (ml_laplace_residual, (0.5, 1.0, 1e-300), "zeta = 1e-300 is too small"),
+    (ml_laplace_residual, (1.0, 1.0, 5e-324), "zeta = 4.94e-324 is too small"),
+    (ml_asymptotic_residual, (0.5, 1e300, [1.0, 1e300]), "lambda t\\^alpha spans"),
+    (ml_asymptotic_residual, (0.5, 1e200, [1.0, 1e200]), "lambda t\\^alpha spans"),
+    (ml_asymptotic_residual, (0.5, 5e-324, [1.0, 2.0]), "lambda t\\^alpha spans"),
+])
+def test_finite_extremes_named(fn, args, cause):
+    # finite arguments past what the check can resolve name the cause; the
+    # suite would turn a bare RuntimeWarning into a failure
+    with pytest.raises(DomainError, match=cause):
+        fn(*args)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +9,7 @@ from fracspec.errors import (
     FracspecError,
     InsufficientModes,
     NonFiniteBlowup,
+    ResidualTooLarge,
 )
 from fracspec.sl_core import (
     PotentialSpec,
@@ -324,13 +323,21 @@ class TestGuardedMarch:
         # on q = 0 the march stays finite at -3.6e5 (~1e260) but passes the
         # guard, which sits near -3.25e5
         problem = _ShootingProblem(Q0.samples, 1.0, 0.0, 0.0, 1.0)
-        es = replace(eigen_system(Q0, FREE, 2), lambdas=np.array([lam]),
-                     beta=np.ones(1))
         for call in (lambda: problem.angle_excess([lam]),
-                     lambda: problem.phase(np.array([lam]), np.array([0])),
-                     lambda: eval_modes_at(es, 1.0)):
+                     lambda: problem.phase(np.array([lam]), np.array([0]))):
             with pytest.raises(NonFiniteBlowup, match="too far below the spectrum"):
                 call()
+
+    def test_point_rule_never_marches(self, monkeypatch):
+        # eval_modes_at steps from the trace eigen_system built and guarded
+        es = eigen_system(Q0, FREE, 4)
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("eval_modes_at marched")
+
+        monkeypatch.setattr(sl_core, "_propagate", no_march)
+        v, dv = eval_modes_at(es, np.array([0.0, 0.37, 1.0]))
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(dv))
 
 
 def cosine_well(amp):
@@ -356,6 +363,15 @@ class TestDeepWells:
     def test_eigen_system_blows_up(self, amp, cause):
         with pytest.raises(NonFiniteBlowup, match=cause):
             eigen_system(cosine_well(amp), RobinPair(0.5, 1.0), 10,
+                         allow_inadmissible=True)
+
+    def test_unconverged_polish_names_its_mode(self):
+        # at 1e4 the polish stops modes 7 and 9 short of the width test;
+        # the error names the worse one, its residual and its bracket
+        with pytest.raises(ResidualTooLarge,
+                           match=r"mode 7: characteristic residual \S+ with its "
+                                 r"bracket still \S+ wide after refinement"):
+            eigen_system(cosine_well(1e4), RobinPair(0.5, 1.0), 10,
                          allow_inadmissible=True)
 
     @pytest.mark.parametrize("amp", [1e3, 1e5, 3e5, 5e5, 1e6])
@@ -515,6 +531,36 @@ class TestEigenSystem:
         root_beta = np.sqrt(es.beta)
         assert np.max(np.abs(v - phi / root_beta)) < 1e-9 * np.max(np.abs(v))
         assert np.max(np.abs(dv - dphi / root_beta)) < 1e-9 * np.max(np.abs(dv))
+
+    def test_eval_modes_at_nodes_return_the_trace(self):
+        q = PotentialSpec.from_callable(lambda s: -3.0 * s * (1.0 - s) - 1.0, 64)
+        es = eigen_system(q, RobinPair(0.5, 1.0), 12)
+        for i in range(65):
+            v, dv = eval_modes_at(es, i / 64)
+            assert np.array_equal(v, es.efuncs[:, i])
+            assert np.array_equal(dv, es.defuncs[:, i])
+
+    @pytest.mark.parametrize("x", [0.3 / 512, 100.5 / 512, 511.6 / 512, 0.37,
+                                   1.0 / np.sqrt(2.0)])
+    def test_eval_modes_at_matches_the_march(self, x):
+        q = PotentialSpec.from_callable(lambda s: -20.0 * np.sin(3.0 * s) ** 2, 512)
+        es = eigen_system(q, RobinPair(0.5, 1.0), 24)
+        v, dv = eval_modes_at(es, x)
+        mv, md = _propagate(es.q.samples, 1.0, es.robin.h, es.lambdas, x=x)
+        root_beta = np.sqrt(es.beta)
+        assert np.max(np.abs(v - mv / root_beta)) <= 1e-13 * np.abs(es.efuncs).max()
+        assert np.max(np.abs(dv - md / root_beta)) <= 1e-13 * np.abs(es.defuncs).max()
+
+    def test_eval_modes_at_array_x(self):
+        es = eigen_system(QM1, RobinPair(0.2, 0.7), 9)
+        xs = np.array([0.0, 0.1, 0.37, 0.5, 1.0 / np.sqrt(2.0), 1.0])
+        v, dv = eval_modes_at(es, xs)
+        assert v.shape == dv.shape == (10, xs.size)
+        for i, x in enumerate(xs):
+            vi, dvi = eval_modes_at(es, x)
+            assert np.array_equal(v[:, i], vi) and np.array_equal(dv[:, i], dvi)
+        with pytest.raises(DomainError, match="x must lie in"):
+            eval_modes_at(es, np.array([0.5, 1.5]))
 
     def test_too_many_modes_for_grid(self):
         for n_max, grid in ((150, 128), (500, 256)):
