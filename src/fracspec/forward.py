@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.special import polygamma
 
 from .errors import (
     DomainError,
@@ -143,11 +141,33 @@ def _mode_blocks(n_modes: int, points_per_mode: int):
     return [slice(i, i + step) for i in range(0, n_modes, step)]
 
 
+def _trigamma(n: int) -> float:
+    """psi'(n) = sum_{k >= n} 1/k^2 for an integer n >= 1, rounded up.
+
+    From m = max(n, 16) on it is Euler's summation formula for f(k) = 1/k^2,
+    1/m + 1/(2m^2) + sum_{j=1}^{7} B_2j / m^(2j+1), which stops on B_14 > 0.
+    Every even derivative of f is positive, so the remainder lies between 0
+    and the next term B_16 / m^17 < 0 (Graham, Knuth & Patashnik, Concrete
+    Mathematics, 2nd ed., sec. 9.5): the sum exceeds psi'(m), by less than
+    4e-19 psi'(m).  The terms 1/k^2 for k = m - 1 down to n are then added.
+    That sum of positive terms takes fewer than 20 roundings of eps/2
+    relative, so the factor 1 + 16 eps keeps the result above psi'(n).
+    """
+    m = max(n, 16)
+    x = 1.0 / m
+    y = x * x
+    total = x + y * (0.5 + x * (1 / 6 + y * (-1 / 30 + y * (1 / 42 + y * (
+        -1 / 30 + y * (5 / 66 + y * (-691 / 2730 + y * 7 / 6)))))))
+    for k in range(m - 1, n - 1, -1):
+        total += 1.0 / (k * k)
+    return total * (1.0 + 16.0 * np.finfo(float).eps)
+
+
 def _mode_tail_bound(es: EigenSystem, n_used: int, drive_sup: float) -> float:
     """Bound sum_{n >= n_used} |e_n e_n(1)| sup_t |conv_n| <= 2 ||eta||_inf / lam_n.
 
-    For admissible data lam_n >= n^2 pi^2 - shift with shift = max(q, 0); the
-    trigamma function gives the exact tail sum of 1/n^2.
+    For admissible data lam_n >= n^2 pi^2 - shift with shift = max(q, 0);
+    _trigamma bounds the tail sum of 1/n^2 from above.
     """
     shift = max(float(es.q.samples.max()), 0.0)
     lam_floor = n_used ** 2 * np.pi ** 2 - shift
@@ -155,7 +175,7 @@ def _mode_tail_bound(es: EigenSystem, n_used: int, drive_sup: float) -> float:
         return np.inf
     # sum_{n >= n_used} 1/(n^2 pi^2 - shift) <= trigamma(n_used)/pi^2 * margin
     margin = 1.0 / (1.0 - shift / (n_used ** 2 * np.pi ** 2))
-    tail = float(polygamma(1, n_used)) / np.pi ** 2 * margin
+    tail = _trigamma(n_used) / np.pi ** 2 * margin
     return 2.0 * drive_sup * tail
 
 
@@ -335,6 +355,7 @@ def _l1_fd_system(q: PotentialSpec, robin: RobinPair, alpha: float,
     diag[0] = b[0] + 2.0 * (1.0 + dx * robin.h) / dx ** 2 - qv[0]
     sub[nx - 1] = -2.0 / dx ** 2
     diag[nx] = b[0] + 2.0 * (1.0 + dx * robin.H) / dx ** 2 - qv[nx]
+    from scipy.linalg.lapack import dgttrf  # the oracle alone loads scipy
     *lu, info = dgttrf(sub, diag, sup)
     if info != 0:
         raise LinearSolveFailure(f"singular implicit step matrix (dgttrf info {info})")
@@ -356,6 +377,8 @@ def solve_l1_fd(q: PotentialSpec, robin: RobinPair, alpha: float,
     the steps m0..m-1 of its own block (near field).  Only the order of
     summation differs from a per-step sum over all earlier steps.
     """
+    from scipy.linalg.lapack import dgttrs
+
     x_nodes, t_nodes, c_hist, lu, drive = _l1_fd_system(q, robin, alpha, eta, nx, nt)
     U = np.zeros((nt + 1, nx + 1))
     B = int(np.ceil(np.sqrt(nt)))

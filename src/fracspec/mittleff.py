@@ -40,12 +40,12 @@ Caputo derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, rgamma
 
 from .errors import DomainError, QuadratureNonConvergence
 
@@ -80,6 +80,21 @@ class L1Weights:
     weights: np.ndarray
 
 
+def _rgamma(x):
+    """1/Gamma(x) from math.gamma, for a float or an array of floats.
+
+    Exactly 0 at the poles 0, -1, -2, ... and where Gamma overflows (x above
+    171.6).  Every x this module forms exceeds -40; Gamma underflows only
+    below -177.
+    """
+    if isinstance(x, np.ndarray):  # np.ndim would cost a float an exception
+        return np.array([_rgamma(v) for v in x.ravel()]).reshape(x.shape)
+    try:
+        return 1.0 / math.gamma(x)
+    except (ValueError, OverflowError):
+        return 0.0
+
+
 # ---------------------------------------------------------------------------
 # branches
 # ---------------------------------------------------------------------------
@@ -95,8 +110,9 @@ def _series(alpha, beta, x):
     whatever its later terms are: it leaves at once, untrusted.
 
     The margin covers the computed sum S.  Each of the N <= SERIES_TERMS terms
-    carries at most k roundings in z^k, one in the product and rgamma's own
-    error, together under 2 N eps relative, and compensated summation adds
+    carries at most k roundings in z^k, one in the product and _rgamma's own
+    error (under 4 eps against mpmath), together under 2 N eps relative for
+    the N >= 4 terms a finished point sums, and compensated summation adds
     about 2u per term; so |S - E| <= 2 N^2 eps M for a largest term M (the
     tail after the stopping test, below 1e-17 |S|, is orders smaller).  Hence
     SERIES_GUARD |S| <= SERIES_GUARD / Gamma(beta) + M (1 - 1/margin) < M
@@ -115,12 +131,12 @@ def _series(alpha, beta, x):
     reject = np.inf
     if 0.0 < alpha <= 1.0 and beta >= alpha:
         margin = 1.0 / (1.0 - 2.0 * SERIES_GUARD * SERIES_TERMS ** 2 * np.finfo(float).eps)
-        reject = margin * SERIES_GUARD * rgamma(beta)
+        reject = margin * SERIES_GUARD * _rgamma(beta)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(SERIES_TERMS):
             if not live.size:
                 break
-            term = zk * rgamma(alpha * k + beta)
+            term = zk * _rgamma(alpha * k + beta)
             y = term - comp
             t = total + y
             comp = (t - total) - y
@@ -258,7 +274,7 @@ def _asymptotic_coeffs(alpha: float, beta: float) -> _Expansion:
     k = np.arange(1, ASYMPTOTIC_TERMS)
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     arg = beta - alpha * k
-    coeffs = -((-1.0) ** k) * rgamma(arg)
+    coeffs = -((-1.0) ** k) * _rgamma(arg)
     # 1/Gamma vanishes at 0, -1, -2, ...; an arg that misses such a pole by
     # the rounding of alpha, beta and alpha k would leave noise, not 0
     coeffs[(arg < 0.5) & (np.abs(arg - np.rint(arg)) <= 4.0 * eps * (beta + alpha * k))] = 0.0
@@ -394,7 +410,7 @@ def ml_asymptotic_residual(alpha: float, lam: float, t_values):
         raise DomainError("t_values must be finite, increasing and >= 1")
     with np.errstate(over="ignore"):
         xs = lam * t ** alpha
-        lead, square = rgamma(1.0 - alpha) / xs, xs ** 2
+        lead, square = _rgamma(1.0 - alpha) / xs, xs ** 2
     if not np.isfinite([lead, square]).all():
         raise DomainError(f"lambda t^alpha spans {xs.min():.3g} to {xs.max():.3g}; the "
                           "residual needs its reciprocal and square in the double range")
@@ -408,7 +424,7 @@ def ml_closed_form_errors(n_points: int):
     x = np.linspace(0.0, 50.0, n_points)
     exp_err = float(np.abs(ml(1.0, 1.0, -x) - np.exp(-x)).max())
     x = np.linspace(0.0, 10.0, n_points)
-    ref = np.exp(x ** 2) * erfc(x)
+    ref = np.exp(x ** 2) * np.array([math.erfc(v) for v in x])
     return exp_err, float(np.abs(ml(0.5, 1.0, -x) - ref).max() / ref.min())
 
 
@@ -443,7 +459,7 @@ def _relax(alpha, order, lam, t):
     small = y <= 0.5
     zero = y == 0.0
     if zero.any():
-        out[zero] = t[zero] ** (order - 1.0 + alpha) * rgamma(alpha + order)
+        out[zero] = t[zero] ** (order - 1.0 + alpha) * _rgamma(alpha + order)
     series = small & ~zero
     if series.any():
         acc, _ = _series(alpha, alpha + order, y[series])
@@ -504,13 +520,17 @@ def ml_laplace_residual(alpha: float, lam: float, zeta: float) -> float:
     h = np.pi ** 2 / 60.0
     t = np.exp(np.arange(np.log(T), S_LO, -h))
     g = t * np.exp(-zeta * t) * ml(alpha, 1.0, -lam * t ** alpha)
-    if g[0] / (zeta * T) > 0.5 * LAPLACE_TOL:
-        raise QuadratureNonConvergence("tail bound cannot reach tolerance")
+    case = (f"alpha = {alpha:g}, lambda = {lam:g}, zeta = {zeta:.3g} (transform "
+            f"{exact:.3g}): the")
+    budget = f"above the budget 0.5 * LAPLACE_TOL = {0.5 * LAPLACE_TOL:g}"
+    tail = g[0] / (zeta * T)
+    if tail > 0.5 * LAPLACE_TOL:
+        raise QuadratureNonConvergence(f"{case} tail bound {tail:.2e} is {budget}")
     val = h * g.sum()
     err = abs(val - 2.0 * h * g[::2].sum())
     if err > 0.5 * LAPLACE_TOL:
         raise QuadratureNonConvergence(
-            f"quadrature error estimate {err:.2e} above tolerance")
+            f"{case} quadrature error estimate {err:.2e} is {budget}")
     return abs(val - exact)
 
 
@@ -527,5 +547,5 @@ def l1_weights(alpha: float, tau: float, count: int) -> L1Weights:
         raise DomainError("count must be at least 1")
     j = np.arange(count, dtype=float)
     jpow = np.where(j == 0, 0.0, j ** (1.0 - alpha))  # 0^0 -> 0 at alpha = 1
-    w = ((j + 1.0) ** (1.0 - alpha) - jpow) * tau ** (-alpha) * rgamma(2.0 - alpha)
+    w = ((j + 1.0) ** (1.0 - alpha) - jpow) * tau ** (-alpha) * _rgamma(2.0 - alpha)
     return L1Weights(alpha=alpha, tau=tau, count=count, weights=w)

@@ -135,6 +135,10 @@ def lambda_set(es: EigenSystem, x0: float, tau: float = TRACE_TAU) -> LambdaSpli
     """
     if tau <= 0:
         raise DomainError("tau must be positive")
+    neg = np.flatnonzero(es.lambdas < 0.0)
+    if neg.size:
+        raise DomainError(f"mode {neg[0]} has eigenvalue {es.lambdas[neg[0]]:.6g}; the "
+                          "counting split needs every lambda >= 0")
     traces = np.abs(eval_modes_at(es, x0)[0])
     rel = traces / np.abs(es.efuncs).max(axis=1)
     keep = rel > tau

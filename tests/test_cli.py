@@ -548,13 +548,30 @@ class TestRun:
         assert check["name"] == "execution" and not check["passed"]
         assert check["detail"].startswith("TruncationTooCoarse: ")
 
-    def test_import_leaves_out_scipy_integrate(self):
+    def test_import_leaves_out_scipy(self):
         done = subprocess.run([sys.executable, "-c",
                                "import sys, fracspec, fracspec.cli; "
-                               "print('scipy.integrate' in sys.modules)"],
+                               "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
                               capture_output=True, text=True, env=_src_env(),
                               timeout=120)
-        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_fd_oracle_loads_scipy_on_first_use(self):
+        # the L1-FD oracle imports its LAPACK routines inside the call
+        args = ("PotentialSpec.constant(-0.5, 64), RobinPair(0.5, 1.0), 0.5, "
+                "DriveSignal.from_callable(lambda t: t, 1.0, 64), 32, 40")
+        done = subprocess.run([sys.executable, "-c",
+                               "import sys, fracspec, fracspec.cli; "
+                               "from fracspec import DriveSignal, PotentialSpec, RobinPair; "
+                               "assert 'scipy' not in sys.modules; "
+                               f"print(fracspec.solve_l1_fd({args}).values.tobytes().hex()); "
+                               "print('scipy.linalg' in sys.modules)"],
+                              capture_output=True, text=True, env=_src_env(),
+                              timeout=120)
+        field = fwd.solve_l1_fd(PotentialSpec.constant(-0.5, 64), RobinPair(0.5, 1.0), 0.5,
+                                fwd.DriveSignal.from_callable(lambda t: t, 1.0, 64), 32, 40)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == field.values.tobytes().hex() + "\nTrue\n"
 
     def test_module_entry_point_validates(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

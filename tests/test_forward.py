@@ -1,7 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgttrs
-from scipy.special import gamma
+from scipy.special import gamma, polygamma
 
 from fracspec import forward
 from fracspec.errors import (
@@ -174,6 +175,29 @@ class TestBatchedConvolutions:
             solve_spectral(es, 0.5, ramp, np.array([0.5]), ramp.t_grid, trunc_tol=1.0)
         with pytest.raises(DomainError, match="negative eigenvalue .*relaxation undefined"):
             kernel_K(es, 0.5, 0.5, ramp.t_grid, 7)
+
+
+class TestTrigamma:
+    N = np.arange(1, 5001)
+
+    def test_matches_polygamma(self):
+        ours = np.array([forward._trigamma(int(n)) for n in self.N])
+        ref = polygamma(1, self.N)
+        assert (np.abs(ours - ref) / ref).max() <= 1e-14
+
+    def test_rounded_up(self):
+        # the tail bound needs psi'(n) from above
+        with mpmath.workdps(30):
+            assert all(mpmath.mpf(forward._trigamma(int(n))) >= mpmath.psi(1, int(n))
+                       for n in self.N)
+
+    def test_mode_tail_bound_holds_for_free_modes(self, es_free):
+        # q = 0 with Neumann ends: lam_n = n^2 pi^2, so the tail is exactly
+        # 2 ||eta|| psi'(n) / pi^2 and the bound has no slack beyond rounding
+        with mpmath.workdps(30):
+            for n in (1, 2, 15, 16, 17, 48, 49, 5000):
+                exact = 2 * mpmath.psi(1, n) / mpmath.pi ** 2
+                assert mpmath.mpf(forward._mode_tail_bound(es_free, n, 1.0)) >= exact
 
 
 class TestKernel:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma, rgamma
@@ -6,6 +7,7 @@ from fracspec import mittleff
 from fracspec.errors import DomainError, QuadratureNonConvergence
 from fracspec.mittleff import (
     ALPHA_MAX,
+    ASYMPTOTIC_TERMS,
     NODE_CAP,
     SERIES_GUARD,
     SERIES_TERMS,
@@ -16,6 +18,7 @@ from fracspec.mittleff import (
     _asymptotic_coeffs,
     _integral,
     _integral_nodes,
+    _rgamma,
     _series,
     l1_weights,
     ml,
@@ -69,7 +72,7 @@ def sequential_series(alpha, beta, x):
     done = np.zeros(x.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(SERIES_TERMS):
-            term = np.where(done, 0.0, zk * rgamma(alpha * k + beta))
+            term = np.where(done, 0.0, zk * _rgamma(alpha * k + beta))
             y = term - comp
             t = total + y
             comp = (t - total) - y
@@ -158,6 +161,52 @@ def betas(alpha):
     return sorted({1.0, alpha, 2.0, alpha + 1.0, alpha + 2.0, 0.5, 1.5})
 
 
+class TestRgamma:
+    """_rgamma against mpmath and scipy's rgamma at every argument it gets."""
+
+    @staticmethod
+    def arguments():
+        """alpha k + beta of the series, beta - alpha k of the expansion, and
+        the 1 - alpha, 2 - alpha and alpha + order of the residual check, the
+        L1 weights and the relaxation at y = 0 (betas holds alpha + order)."""
+        args = set()
+        for alpha in ALPHAS:
+            args.update([1.0 - alpha, 2.0 - alpha])
+            for beta in betas(alpha):
+                args.update(alpha * np.arange(SERIES_TERMS) + beta)
+                args.update(beta - alpha * np.arange(1, ASYMPTOTIC_TERMS))
+        return np.array(sorted(args))
+
+    def test_matches_mpmath_and_scipy(self):
+        x = self.arguments()
+        ours = _rgamma(x)
+        with mpmath.workprec(100):
+            exact = np.array([float(mpmath.rgamma(v)) for v in x])
+        eps = np.finfo(float).eps
+        normal = np.abs(exact) >= np.finfo(float).tiny
+        gap = np.abs(ours - exact)[normal] / np.abs(exact[normal])
+        assert gap.max() <= 4.0 * eps
+        gap = np.abs(ours - rgamma(x))[normal] / np.abs(exact[normal])
+        assert gap.max() <= 8.0 * eps
+
+    def test_zero_at_poles_and_past_overflow(self):
+        poles = np.arange(0.0, -41.0, -1.0)
+        assert np.array_equal(bits(_rgamma(poles)), bits(np.zeros_like(poles)))
+        x = self.arguments()
+        on_pole = (x <= 0.0) & (x == np.rint(x))
+        assert on_pole.any() and not _rgamma(x[on_pole]).any()
+        # Gamma overflows just above 171.62, where 1/Gamma is below 2^-1022
+        past = np.array([171.7, 180.0, 402.0, 1e300, np.inf])
+        assert not _rgamma(past).any() and not rgamma(past).any()
+        assert 0.0 < _rgamma(171.6) < np.finfo(float).tiny
+
+    def test_scalar_and_shape(self):
+        assert _rgamma(-3.0) == 0.0 and _rgamma(3.0) == 0.5
+        assert isinstance(_rgamma(np.float64(0.5)), float)
+        x = np.linspace(0.5, 3.0, 6).reshape(2, 3)
+        assert np.array_equal(_rgamma(x), [[_rgamma(v) for v in row] for row in x])
+
+
 class TestBatchedBranches:
     """_series and _asymptotic against loops that keep every point to the end."""
 
@@ -171,9 +220,9 @@ class TestBatchedBranches:
             edges = [edge(lambda v: sequential_series(alpha, beta, v)[1], grid[i], grid[i + 1])[0]
                      for i in np.flatnonzero(ok[1:] != ok[:-1])]
             k = np.arange(SERIES_TERMS)
-            limit = SERIES_GUARD * rgamma(beta)
+            limit = SERIES_GUARD * _rgamma(beta)
             def big(v):
-                return np.abs(np.power.outer(v, k) * rgamma(alpha * k + beta)).max(axis=1) > limit
+                return np.abs(np.power.outer(v, k) * _rgamma(alpha * k + beta)).max(axis=1) > limit
             over = np.flatnonzero(big(grid))
             if over.size and over[0] > 0:
                 edges.append(edge(big, grid[over[0] - 1], grid[over[0]])[0])
@@ -499,6 +548,23 @@ class TestLaplaceResidual:
 
         monkeypatch.setattr(mittleff, "ml", perturbed)
         with pytest.raises(QuadratureNonConvergence, match="error estimate"):
+            ml_laplace_residual(0.5, 1.0, 1.0)
+
+    def test_rounding_past_budget_names_the_case(self):
+        # the sum's rounding passes the absolute budget once the transform
+        # reaches a few thousand
+        with pytest.raises(QuadratureNonConvergence,
+                           match=r"^alpha = 0\.5, lambda = 1, zeta = 3\.2e-10 \(transform "
+                                 r"5\.59e\+04\): the quadrature error estimate \S+ is above "
+                                 r"the budget 0\.5 \* LAPLACE_TOL = 5e-09$"):
+            ml_laplace_residual(0.5, 1.0, 3.2e-10)
+
+    def test_tail_past_budget_names_the_case(self, monkeypatch):
+        # E = 3 at every node puts the tail bound at 0.75 LAPLACE_TOL
+        monkeypatch.setattr(mittleff, "ml", lambda alpha, beta, z: np.full(np.shape(z), 3.0))
+        with pytest.raises(QuadratureNonConvergence,
+                           match=r"^alpha = 0\.5, lambda = 1, zeta = 1 \(transform 0\.5\): "
+                                 r"the tail bound \S+ is above the budget"):
             ml_laplace_residual(0.5, 1.0, 1.0)
 
 

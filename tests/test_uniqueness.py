@@ -98,6 +98,13 @@ class TestLambdaSet:
             assert np.array_equal(a.lambda_set.values, b.lambda_set.values)
             assert not a.near_threshold and not b.near_threshold
 
+    def test_negative_eigenvalue_named(self):
+        es = eigen_system(PotentialSpec.constant(5.0, 256), RobinPair(0.0, 0.0), 6,
+                          allow_inadmissible=True)
+        with pytest.raises(DomainError, match=r"^mode 0 has eigenvalue -5; the counting "
+                                              r"split needs every lambda >= 0$"):
+            lambda_set(es, 0.3)
+
 
 class TestInclusion:
     def test_reference_exact(self, es_free):
