@@ -220,10 +220,13 @@ def _exact_convolutions(es, alpha, eta, t_grid, n_used):
                 out[n] = np.convolve(slopes[:kmax], dS_n)[:kmax + 1][idx_t]
         return out
 
-    # S at every knot offset; S_hi and S_lo are adjacent column slices
+    # S at every positive knot offset (S(0) = 0); S_hi and S_lo are adjacent
+    # column slices
     offs = np.maximum(t_grid[:, None] - tau[None, :], 0.0)
-    for blk in _mode_blocks(n_used, offs.size):
-        S = relax_antiderivative(alpha, lams[blk, None, None], offs)
+    pos = offs > 0.0
+    for blk in _mode_blocks(n_used, np.count_nonzero(pos)):
+        S = np.zeros(lams[blk].shape + offs.shape)
+        S[:, pos] = relax_antiderivative(alpha, lams[blk, None], offs[pos])
         out[blk] = ((S[:, :, :-1] - S[:, :, 1:]) * slopes).sum(axis=2)
     return out
 

@@ -6,9 +6,11 @@ by three branches:
 * power series with compensated summation for small |z|, guarded by the
   running maximum-term/partial-sum ratio (the series loses digits to
   cancellation long before it stops converging, especially for small alpha);
-  each point leaves the batch on its own last term, and for beta >= alpha a
-  point leaves rejected as soon as its largest term shows the guard must
-  fail, since E is completely monotone there and so at most 1/Gamma(beta);
+  each point leaves the batch with the sums of its own last term, and for
+  beta >= alpha a point leaves rejected as soon as its largest term shows the
+  guard must fail, since E is completely monotone there and so at most
+  1/Gamma(beta); terms are formed SERIES_BLOCK at a time, and who leaves is
+  decided once per block from the recorded partial sums;
 * a complete-monotonicity integral for the workhorse weights beta in
   {1, alpha, 2}: with x = -z and the substitution w = rho^alpha,
 
@@ -20,8 +22,11 @@ by three branches:
   integrands are positive (no cancellation) and decay at unit exponential
   rate in log w at both ends, so a trapezoid rule in s = log w converges
   geometrically at a step set by the half-width of the integrand's strip of
-  analyticity, and exp is evaluated only where its value is not exactly
-  known (0, or rounded to 1);
+  analyticity; exp is evaluated only on a window from t = T_CUT = 0.25 to
+  where it is exactly 0, and below the window a degree-HEAD_DEGREE (12)
+  Taylor polynomial over cached, rho-scaled moments of the weights stands in
+  (remainder at most T_CUT^13/13! ~ 2e-18 of each weight, cancellation at
+  most exp(2 T_CUT));
 * the algebraic expansion E_{a,b}(-x) ~ -sum_{k>=1} (-x)^{-k}/Gamma(b - a k)
   with optimal truncation for large x; above a threshold cached per
   (alpha, beta) no term can outgrow the last one kept, so those points sum
@@ -53,6 +58,7 @@ Z_SWITCH = 5.0     # series attempted below this |z|
 Z_BIG = 50.0       # asymptotic expansion beyond this |z|
 SERIES_GUARD = 1e4  # max-term / result ratio tolerated in double precision
 SERIES_TERMS = 400  # most power-series terms summed
+SERIES_BLOCK = 16   # most series terms formed per batch step (fewer past BUF_VALUES)
 ASYMPTOTIC_TERMS = 40  # the algebraic expansion sums k = 1 .. ASYMPTOTIC_TERMS - 1
 LAPLACE_TOL = 1e-8  # absolute error budget of ml_laplace_residual's integral
 
@@ -64,8 +70,10 @@ S_LO, S_HI = -46.0, 40.0
 NODE_CAP = 2 ** 18
 ALPHA_MIN = 0.01
 ALPHA_MAX = 1.0 - 30.0 * (S_HI - S_LO) / (2.0 * np.pi ** 2 * NODE_CAP)
-BUF_VALUES = 2 ** 18  # most exp arguments _integral holds at once
-T_ONE = 2.0 ** -55    # below this t, exp(-t) and expm1(-t)/(-t) round to 1
+BUF_VALUES = 2 ** 18  # most values _integral's exp buffer, or one _series array, holds
+T_CUT = 0.25          # below this t, a Taylor polynomial stands in for exp(-t)
+HEAD_DEGREE = 12      # its degree; the remainder is T_CUT^13/13! ~ 2e-18 relative
+HEAD_ANCHORS = 16     # head-moment anchors per live window
 T_ZERO = 746.0        # above this t, exp(-t) underflows to 0
 T_MINUS_ONE = 38.0    # above this t, expm1(-t) rounds to -1
 
@@ -99,6 +107,17 @@ def _rgamma(x):
 # branches
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _series_coeffs(alpha: float, beta: float):
+    """(1/Gamma(alpha k + beta) for k < SERIES_TERMS, _series's early-rejection
+    limit on the largest term: inf where E need not be completely monotone)."""
+    reject = np.inf
+    if 0.0 < alpha <= 1.0 and beta >= alpha:
+        margin = 1.0 / (1.0 - 2.0 * SERIES_GUARD * SERIES_TERMS ** 2 * np.finfo(float).eps)
+        reject = margin * SERIES_GUARD * _rgamma(beta)
+    return _rgamma(alpha * np.arange(SERIES_TERMS) + beta), reject
+
+
 def _series(alpha, beta, x):
     """Power series at z = -x; returns (values, trustworthy).
 
@@ -118,8 +137,17 @@ def _series(alpha, beta, x):
     SERIES_GUARD |S| <= SERIES_GUARD / Gamma(beta) + M (1 - 1/margin) < M
     once M > margin SERIES_GUARD / Gamma(beta), with
     margin = 1 / (1 - 2 SERIES_GUARD N^2 eps) ~ 1 + 7e-7.
+
+    The terms come SERIES_BLOCK at a time (fewer when a block of the live
+    points would pass BUF_VALUES values): the powers z^k by repeated
+    multiplication (the roundings of z^k = z^{k-1} z), the compensated sum
+    term by term with its partial sums recorded, and then, once per block,
+    the stopping and rejection tests on the recorded sums.  A point leaves
+    with the partial sums of its own last term, so the terms the block adds
+    after it change none of its bits.
     """
     x = np.asarray(x, dtype=float)
+    rgamma, reject = _series_coeffs(float(alpha), float(beta))
     vals = np.empty(x.size)
     ok = np.zeros(x.size, dtype=bool)
     live = np.arange(x.size)
@@ -128,51 +156,64 @@ def _series(alpha, beta, x):
     comp = np.zeros(x.size)
     zk = np.ones(x.size)
     maxterm = np.zeros(x.size)
-    reject = np.inf
-    if 0.0 < alpha <= 1.0 and beta >= alpha:
-        margin = 1.0 / (1.0 - 2.0 * SERIES_GUARD * SERIES_TERMS ** 2 * np.finfo(float).eps)
-        reject = margin * SERIES_GUARD * _rgamma(beta)
+    k0 = 0  # index of the block's first term
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(SERIES_TERMS):
-            if not live.size:
-                break
-            term = zk * _rgamma(alpha * k + beta)
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            maxterm = np.maximum(maxterm, np.abs(term))
-            zk = zk * neg
-            done = (k > 2) & (np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300))
-            leave = done | (maxterm > reject)
-            if leave.any():
-                # the zero-term step a point that stays would take next; comp
-                # is then the exact rounding error of the last addition, so
-                # no further step changes total
-                fin = total[leave] + (0.0 - comp[leave])
-                vals[live[leave]] = fin
-                ok[live[leave]] = (done[leave] & np.isfinite(fin)
-                                   & (maxterm[leave] <= SERIES_GUARD * np.abs(fin)))
-                stay = ~leave
-                live, neg, total, comp, zk, maxterm = (
-                    a[stay] for a in (live, neg, total, comp, zk, maxterm))
+        while k0 < SERIES_TERMS and live.size:
+            n = min(SERIES_BLOCK, SERIES_TERMS - k0, max(BUF_VALUES // live.size, 1))
+            zs = np.empty((n, live.size))
+            zs[0], zs[1:] = zk, neg
+            zs = np.multiply.accumulate(zs, axis=0)
+            terms = zs * rgamma[k0:k0 + n, None]
+            sums, comps, y = np.empty_like(terms), np.empty_like(terms), np.empty(live.size)
+            for b, term in enumerate(terms):
+                np.subtract(term, comp, out=y)
+                np.add(total, y, out=sums[b])
+                np.subtract(sums[b], total, out=comps[b])
+                total, comp = sums[b], np.subtract(comps[b], y, out=comps[b])
+            mag = np.abs(terms)
+            done = mag <= 1e-17 * (np.abs(sums) + 1e-300)
+            done[:max(3 - k0, 0)] = False
+            np.maximum(mag[0], maxterm, out=mag[0])
+            peak = np.maximum.accumulate(mag, axis=0, out=mag)
+            leave = done | (peak > reject)
+            gone = leave.any(axis=0)
+            left = np.flatnonzero(gone)
+            # the zero-term step a point that stays would take next; comp is
+            # then the exact rounding error of the last addition, so no
+            # further step changes total
+            b = leave[:, left].argmax(axis=0)
+            fin = sums[b, left] + (0.0 - comps[b, left])
+            vals[live[left]] = fin
+            ok[live[left]] = (done[b, left] & np.isfinite(fin)
+                              & (peak[b, left] <= SERIES_GUARD * np.abs(fin)))
+            stay = np.flatnonzero(~gone)
+            live, neg, total, comp = live[stay], neg[stay], sums[-1, stay], comps[-1, stay]
+            zk, maxterm = zs[-1, stay] * neg, peak[-1, stay]
+            k0 += n
     vals[live] = total
     return vals.reshape(x.shape), ok.reshape(x.shape)
 
 
 class _Nodes(NamedTuple):
-    """Log-grid nodes of one alpha, with the sums that stand in for exp."""
+    """Log-grid nodes of one alpha, with the sums that stand in for exp.
 
-    rho: np.ndarray          # w^{1/alpha}, increasing
+    Below a row's window (t < T_CUT = 0.25) the moments at anchor nodes feed
+    the degree-HEAD_DEGREE Taylor head of _integral (remainder at most
+    T_CUT^13/13! ~ 2e-18 of each weight, cancellation at most exp(2 T_CUT));
+    above it the suffix sums stand in for expm1(-t)/(-t) = 1/t.
+    """
+
+    rho: np.ndarray          # w^{1/alpha}, increasing and finite
     wd: np.ndarray           # trapezoid weights w h / D(w)
     rwd: np.ndarray          # rho * wd
-    head_wd: np.ndarray      # head_wd[k] = sum(wd[:k])
-    head_rwd: np.ndarray     # head_rwd[k] = sum(rwd[:k])
+    anchors: np.ndarray      # increasing node indices, from 0, where head moments are kept
+    moments: np.ndarray      # moments[m, j] = sum(wd[:k] (rho[:k] / rho[k])^j), k = anchors[m],
+                             # j = 0 .. HEAD_DEGREE + 1
     tail_wd_rho: np.ndarray  # tail_wd_rho[k] = sum(wd[k:] / rho[k:])
     pref: float              # C = sin(pi alpha) / (pi alpha)
 
 
-@lru_cache(maxsize=8)  # an entry holds up to ~13 MB near the ends of the alpha range
+@lru_cache(maxsize=8)  # an entry holds up to ~8 MB near the ends of the alpha range
 def _integral_nodes(alpha: float) -> _Nodes:
     """Nodes and weights of the spectral integral for alpha.
 
@@ -181,6 +222,15 @@ def _integral_nodes(alpha: float) -> _Nodes:
     at distance pi (1 - alpha), and exp(-e^{s/alpha}) stays bounded only for
     |Im s| < pi alpha/2.  h = min(0.05, 2 pi d / 30) puts the trapezoid error
     near exp(-30); alpha outside [ALPHA_MIN, ALPHA_MAX] raises DomainError.
+
+    The head moments are scaled by the anchor's own rho, so every ratio is at
+    most 1 and no power leaves the double range: each anchor's row is the
+    sum of the chunks of nodes before it, and the prefix sums over chunks are
+    renormalized at the end of every run of 32 anchors.  Anchors lie every
+    1/HEAD_ANCHORS of a live window (log(T_ZERO / T_CUT) in log t, alpha / h
+    nodes per unit), from node 0 and from the first normal rho on: below that
+    rho a row's t passes T_CUT only for x^{1/alpha} past 1e307, whose window
+    then starts at node 0.
     """
     if not ALPHA_MIN <= alpha <= ALPHA_MAX:
         raise DomainError(
@@ -189,43 +239,68 @@ def _integral_nodes(alpha: float) -> _Nodes:
             f"{ALPHA_MAX:.4f}]; alpha = 1 uses closed forms")
     d = np.pi * min(1.0 - alpha, 0.5 * alpha)
     h = min(0.05, 2.0 * np.pi * d / 30.0)
-    s = np.arange(S_LO, S_HI + h, h)
-    w = np.exp(s)
+    w = np.exp(np.arange(S_LO, S_HI + h, h))
+    # rho underflows to 0 or overflows at the far ends for small alpha; past
+    # the double range every term is exactly 0 for every x > 0
+    with np.errstate(over="ignore"):
+        rho = w ** (1.0 / alpha)
+    w, rho = w[rho < np.inf], rho[rho < np.inf]
     D = w * w + 2.0 * np.cos(np.pi * alpha) * w + 1.0
     wd = w * h / D
-    # rho overflows or underflows at the far ends for small alpha; those
-    # nodes never enter a live window, a head sum or a tail sum used
-    zero = np.zeros(1)
-    with np.errstate(over="ignore", divide="ignore"):
-        rho = w ** (1.0 / alpha)
-        rwd = rho * wd
-        return _Nodes(rho, wd, rwd,
-                      np.concatenate([zero, np.cumsum(wd)]),
-                      np.concatenate([zero, np.cumsum(rwd)]),
-                      np.concatenate([np.cumsum((wd / rho)[::-1])[::-1], zero]),
-                      np.sin(np.pi * alpha) / (np.pi * alpha))
+    step = math.ceil(math.log(T_ZERO / T_CUT) * alpha / h / HEAD_ANCHORS)
+    first = int(np.searchsorted(rho, np.finfo(float).tiny))
+    anchors = np.arange(first, rho.size, step)
+    if first:
+        anchors = np.append(0, anchors)
+    j = np.arange(HEAD_DEGREE + 2)
+    # chunk[j, m] = sum(wd[i] (rho[i] / rho[k])^j) over the nodes i from
+    # anchor m - 1 up to k = anchors[m]
+    ratio = rho[:anchors[-1]] / np.repeat(rho[anchors[1:]], np.diff(anchors))
+    chunk = np.zeros((j.size, anchors.size))
+    term = wd[:anchors[-1]].copy()
+    for row in chunk[:, 1:]:
+        np.add.reduceat(term, anchors[:-1], out=row)
+        term *= ratio
+    # prefix sums of the chunks, scaled by the last anchor of each run of 32;
+    # anchors lie at most 0.83 apart in log rho, so no scale passes e^-350
+    moments = np.zeros((anchors.size, j.size))
+    rho_a = rho[anchors]
+    for b in range(1, anchors.size, 32):
+        run = slice(b, b + 32)
+        up = np.power.outer(rho_a[run] / rho_a[run][-1], j)
+        moments[run] = (np.cumsum(chunk[:, run].T * up, axis=0)
+                        + moments[b - 1] * (rho_a[b - 1] / rho_a[run][-1]) ** j) / up
+    with np.errstate(over="ignore", divide="ignore"):  # inf only where no window ends
+        tail = np.append(np.cumsum((wd / rho)[::-1])[::-1], 0.0)
+    return _Nodes(rho, wd, rho * wd, anchors, moments, tail,
+                  np.sin(np.pi * alpha) / (np.pi * alpha))
 
 
 def _integral(alpha, beta, x):
     """Spectral-integral branch for beta in {1, alpha, 2}; 1-D x > 0.
 
     With t = x^{1/a} rho, each term is a weight times exp(-t) (expm1(-t)/(-t)
-    for beta = 2).  Below a row's live window t < T_ONE and the term is its
-    weight (a cached prefix sum); above it, exp(-t) = 0, or for beta = 2
+    for beta = 2).  Above a row's live window, exp(-t) = 0, or for beta = 2
     expm1(-t) = -1 and the terms sum to x^{-1/a} sum(wd / rho) (a cached
-    suffix sum).  The arguments are sorted, so a run of rows shares one
-    window: per chunk of at most BUF_VALUES values, the outer product
+    suffix sum).  Below it, from the anchor at or below the first node with
+    t >= T_CUT, the terms sum to a Taylor polynomial of degree HEAD_DEGREE in
+    tau = x^{1/a} rho_k over the anchor's scaled moments (the sum over j of
+    (-tau)^j / j! M_j, or / (j + 1)! for beta = 2, and rho_k M_{j+1} for
+    beta = alpha).  Each node's remainder is at most T_CUT^13 / 13! ~ 2e-18
+    of its weight, and the alternating terms cancel by at most
+    exp(2 T_CUT) ~ 1.65.  The arguments are sorted, so a run of rows shares
+    one window: per chunk of at most BUF_VALUES values, the outer product
     e = -t over the window, exp(e) (expm1(e)/e) in place, then a mat-vec.
     Rows of a chunk have overlapping windows, so no t in it underflows.
     """
     x = np.asarray(x, dtype=float)
     nodes = _integral_nodes(float(alpha))
-    vec, head = (nodes.rwd, nodes.head_rwd) if beta == alpha else (nodes.wd, nodes.head_wd)
+    rho, vec = nodes.rho, nodes.rwd if beta == alpha else nodes.wd
     order = np.argsort(x)
     xa = x[order] ** (1.0 / alpha)
-    lo = np.searchsorted(nodes.rho, T_ONE / xa)
-    hi = np.searchsorted(nodes.rho, (T_MINUS_ONE if beta == 2.0 else T_ZERO) / xa,
-                         side="right")
+    row = np.searchsorted(nodes.anchors, np.searchsorted(rho, T_CUT / xa), side="right") - 1
+    lo = nodes.anchors[row]
+    hi = np.searchsorted(rho, (T_MINUS_ONE if beta == 2.0 else T_ZERO) / xa, side="right")
     vals = np.empty_like(xa)
     buf = np.empty(BUF_VALUES)
     i = 0
@@ -237,14 +312,20 @@ def _integral(alpha, beta, x):
         m = max(int(np.count_nonzero(fits)), 1)
         a, b = lo[i + m - 1], hi[i]
         rows = slice(i, i + m)
-        e = np.multiply.outer(-xa[rows], nodes.rho[a:b],
-                              out=buf[:m * (b - a)].reshape(m, b - a))
+        row[rows] = row[i + m - 1]  # the head ends where the window starts
+        e = np.multiply.outer(-xa[rows], rho[a:b], out=buf[:m * (b - a)].reshape(m, b - a))
         if beta == 2.0:
-            vals[rows] = (head[a] + np.divide(np.expm1(e), e, out=e) @ vec[a:b]
+            vals[rows] = (np.divide(np.expm1(e), e, out=e) @ vec[a:b]
                           + nodes.tail_wd_rho[b] / xa[rows])
         else:
-            vals[rows] = head[a] + np.exp(e, out=e) @ vec[a:b]
+            vals[rows] = np.exp(e, out=e) @ vec[a:b]
         i += m
+    power = np.arange(HEAD_DEGREE + 1)
+    coef = (-1.0) ** power * _rgamma(power + (2.0 if beta == 2.0 else 1.0))
+    rho_k = rho[nodes.anchors[row]]
+    mom = nodes.moments[row]
+    mom = mom[:, 1:] * rho_k[:, None] if beta == alpha else mom[:, :-1]
+    vals += np.polynomial.polynomial.polyval(xa * rho_k, (mom * coef).T, tensor=False)
     res = np.empty_like(x)
     res[order] = vals * nodes.pref
     if beta == alpha:
@@ -434,7 +515,8 @@ def _relax(alpha, order, lam, t):
     Small y = lam t^a: t^(order-1+a) E_{a,a+order}(-y) by its power series, free
     of the 1 - E cancellation (at y = 0 the series is exactly 1/Gamma(a+order));
     otherwise t^(order-1) (1 - E_{a,order}(-y)) / lam with one ml call for all
-    points.  Powers of t are taken before broadcasting against lam.
+    points.  Powers of t are taken before broadcasting against lam.  A value
+    past the double range at a finite t raises DomainError naming t and lam.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError("alpha must lie in (0, 1]")
@@ -451,26 +533,35 @@ def _relax(alpha, order, lam, t):
     if order == 1 and np.any(t < 0):
         raise DomainError("t must be nonnegative")
     t = np.maximum(t, 0.0)
-    # y = 0 where lam = 0, also at t = inf, without forming 0 * inf
-    y = np.multiply(lam, t ** alpha, where=lam > 0.0,
-                    out=np.zeros(np.broadcast_shapes(lam.shape, t.shape)))
-    lam, t = np.broadcast_to(lam, y.shape), np.broadcast_to(t, y.shape)
-    out = np.empty_like(y)
-    small = y <= 0.5
-    zero = y == 0.0
-    if zero.any():
-        out[zero] = t[zero] ** (order - 1.0 + alpha) * _rgamma(alpha + order)
-    series = small & ~zero
-    if series.any():
-        acc, _ = _series(alpha, alpha + order, y[series])
-        out[series] = t[series] ** (order - 1.0 + alpha) * acc
-    big = ~small
-    if big.any():
-        E = ml(alpha, float(order), -y[big])
-        if order == 1:
-            out[big] = (1.0 - E) / lam[big]
-        else:
-            out[big] = t[big] / lam[big] * (1.0 - E)
+    with np.errstate(over="ignore"):  # a value past the double range raises below
+        # y = 0 where lam = 0, also at t = inf, without forming 0 * inf
+        y = np.multiply(lam, t ** alpha, where=lam > 0.0,
+                        out=np.zeros(np.broadcast_shapes(lam.shape, t.shape)))
+        lam, t = np.broadcast_to(lam, y.shape), np.broadcast_to(t, y.shape)
+        out = np.empty_like(y)
+        small = y <= 0.5
+        zero = y == 0.0
+        if zero.any():
+            out[zero] = t[zero] ** (order - 1.0 + alpha) * _rgamma(alpha + order)
+        series = small & ~zero
+        if series.any():
+            acc, _ = _series(alpha, alpha + order, y[series])
+            out[series] = t[series] ** (order - 1.0 + alpha) * acc
+        big = ~small
+        if big.any():
+            E = ml(alpha, float(order), -y[big])
+            if order == 1:
+                out[big] = (1.0 - E) / lam[big]
+            else:
+                out[big] = t[big] / lam[big] * (1.0 - E)
+    past = np.flatnonzero(~np.isfinite(out) & np.isfinite(t))
+    if past.size:
+        i = np.unravel_index(past[0], out.shape)
+        name = "relax_primitive" if order == 1 else "relax_antiderivative"
+        raise DomainError(
+            f"{name} at t = {t[i]:.3g}, lambda = {lam[i]:.3g} leaves the double range: it "
+            f"grows like t^{order - 1 + alpha:g} for small lambda t^alpha and like "
+            f"{'1' if order == 1 else 't'}/lambda for large")
     return out if out.ndim else float(out)
 
 

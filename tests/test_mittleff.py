@@ -7,6 +7,7 @@ from fracspec import mittleff
 from fracspec.errors import DomainError, QuadratureNonConvergence
 from fracspec.mittleff import (
     ALPHA_MAX,
+    ALPHA_MIN,
     ASYMPTOTIC_TERMS,
     NODE_CAP,
     SERIES_GUARD,
@@ -20,6 +21,7 @@ from fracspec.mittleff import (
     _integral_nodes,
     _rgamma,
     _series,
+    _series_coeffs,
     l1_weights,
     ml,
     ml_asymptotic_residual,
@@ -54,11 +56,20 @@ ORACLE = [
 
 
 def integral_all_nodes(alpha, beta, x):
-    """Reference for _integral: the same trapezoid sum over every node."""
+    """Reference for _integral: the same trapezoid sum over every node.
+
+    Where t = x^{1/a} rho overflows, every term is exactly 0; where rho
+    underflows to 0, expm1(-t)/(-t) takes its limit 1.
+    """
     nodes = _integral_nodes(alpha)
-    t = np.multiply.outer(x ** (1.0 / alpha), nodes.rho)
-    terms = -np.expm1(-t) / t if beta == 2.0 else np.exp(-t)
-    vals = terms @ (nodes.rwd if beta == alpha else nodes.wd) * nodes.pref
+    vals = np.empty_like(x)
+    rows = max(1, 2 ** 22 // nodes.rho.size)  # bounds the memory of t
+    for i in range(0, x.size, rows):
+        with np.errstate(over="ignore"):
+            t = np.multiply.outer(x[i:i + rows] ** (1.0 / alpha), nodes.rho)
+        terms = (np.divide(-np.expm1(-t), t, out=np.ones_like(t), where=t > 0.0)
+                 if beta == 2.0 else np.exp(-t))
+        vals[i:i + rows] = terms @ (nodes.rwd if beta == alpha else nodes.wd) * nodes.pref
     return vals * x ** ((1.0 - alpha) / alpha) if beta == alpha else vals
 
 
@@ -84,6 +95,30 @@ def sequential_series(alpha, beta, x):
                 break
     ok = done & np.isfinite(total) & (maxterm <= SERIES_GUARD * np.abs(total))
     return total, ok
+
+
+def leave_terms(alpha, beta, x):
+    """Term index where each point leaves _series's batch: its stopping test,
+    or its largest term passing the early-rejection limit."""
+    x = np.asarray(x, dtype=float)
+    rgamma, reject = _series_coeffs(alpha, beta)
+    total = np.zeros_like(x)
+    comp = np.zeros_like(x)
+    zk = np.ones_like(x)
+    peak = np.zeros_like(x)
+    leave = np.full(x.shape, SERIES_TERMS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(SERIES_TERMS):
+            term = zk * rgamma[k]
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            peak = np.maximum(peak, np.abs(term))
+            zk = zk * -x
+            hit = ((k > 2) & (np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300))) | (peak > reject)
+            leave = np.where(hit & (leave == SERIES_TERMS), k, leave)
+    return leave
 
 
 def sequential_asymptotic(alpha, beta, x):
@@ -235,6 +270,25 @@ class TestBatchedBranches:
             if alpha <= 0.5:  # both edges lie inside [0, Z_SWITCH] here
                 assert len(edges) >= 2, (alpha, beta)
 
+    @pytest.mark.parametrize("buf", (mittleff.BUF_VALUES, 3 * 8000))
+    @pytest.mark.parametrize("alpha", (0.3, 0.8))
+    def test_series_bits_across_block_edges(self, alpha, buf, monkeypatch):
+        # one batch whose points leave at every term index from 3 to its
+        # last, so a point leaves at every position of a block, trusted and
+        # rejected alike (the guard rejects from x ~ 4.5 on at alpha = 0.8;
+        # at alpha = 0.3 the last indices sit on [1.6, 2.3]); the smaller
+        # buffer starts at 3 terms a block and grows them as points leave
+        monkeypatch.setattr(mittleff, "BUF_VALUES", buf)
+        x = np.concatenate([np.geomspace(1e-7, 3.0 * Z_SWITCH, 4000), np.linspace(1.5, 2.5, 4000)])
+        for beta in (1.0, alpha, 2.0, alpha + 1.0, alpha + 2.0):
+            leave = leave_terms(alpha, beta, x)
+            assert set(leave) == set(range(3, leave.max() + 1)), (alpha, beta)
+            ref, ref_ok = sequential_series(alpha, beta, x)
+            val, ok = _series(alpha, beta, x)
+            assert ok.any() and not ok.all(), (alpha, beta)
+            assert np.array_equal(ok, ref_ok), (alpha, beta)
+            assert np.array_equal(bits(val[ok]), bits(ref[ok])), (alpha, beta)
+
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_asymptotic_matches_sequential(self, alpha):
         for beta in betas(alpha):
@@ -374,15 +428,26 @@ class TestML:
                 assert np.max(np.abs(asym - integ) / np.abs(integ)) < 1e-9
 
     def test_integral_window_matches_all_nodes(self):
-        # unsorted, spread over several chunks, some below the series switch
+        # unsorted, spread over several chunks from alpha = 0.97 on, some
+        # below the series switch; near both ends of alpha rho leaves the
+        # double range, or the nodes number up to NODE_CAP (a prefix of x
+        # keeps the reference's cost down there)
         x = np.random.default_rng(3).permutation(
             np.concatenate([np.geomspace(0.5, Z_SWITCH, 300), np.linspace(5.0, 50.0, 1700)]))
-        assert np.any(x < Z_SWITCH)
-        for alpha in (0.3, 0.5, 0.8):
+        for alpha in (0.01, 0.02, 0.05, 0.3, 0.5, 0.8, 0.97, 0.999, ALPHA_MAX):
+            xs = x[:max(128, 2 ** 25 // _integral_nodes(alpha).rho.size)]
+            assert np.any(xs < Z_SWITCH)
             for beta in (1.0, alpha, 2.0):
-                ref = integral_all_nodes(alpha, beta, x)
-                integ = _integral(alpha, beta, x)
-                assert np.max(np.abs(integ - ref) / np.abs(ref)) <= 1e-14
+                ref = integral_all_nodes(alpha, beta, xs)
+                integ = _integral(alpha, beta, xs)
+                assert np.max(np.abs(integ - ref) / np.abs(ref)) <= 1e-14, (alpha, beta)
+
+    def test_head_moments_stay_small(self):
+        # moments at anchors only: one row per node would take ~29 MB an
+        # entry near ALPHA_MAX
+        for alpha in (ALPHA_MIN, 0.5, ALPHA_MAX):
+            nodes = _integral_nodes(alpha)
+            assert nodes.moments.nbytes + nodes.anchors.nbytes <= 2 ** 20, alpha
 
     def test_alpha_outside_node_cap(self):
         assert _integral_nodes(ALPHA_MAX).rho.size <= NODE_CAP + 2
@@ -617,6 +682,10 @@ def test_non_finite_arguments_named(fn, args, name):
     (ml_asymptotic_residual, (0.5, 1e300, [1.0, 1e300]), "lambda t\\^alpha spans"),
     (ml_asymptotic_residual, (0.5, 1e200, [1.0, 1e200]), "lambda t\\^alpha spans"),
     (ml_asymptotic_residual, (0.5, 5e-324, [1.0, 2.0]), "lambda t\\^alpha spans"),
+    (relax_antiderivative, (0.3, 5e-324, 1e300),
+     "^relax_antiderivative at t = 1e\\+300, lambda = 4.94e-324 leaves the double range"),
+    (relax_antiderivative, (0.5, 1e-100, 1e300),
+     "^relax_antiderivative at t = 1e\\+300, lambda = 1e-100 leaves the double range"),
 ])
 def test_finite_extremes_named(fn, args, cause):
     # finite arguments past what the check can resolve name the cause; the
