@@ -12,7 +12,7 @@ are synthesized with the L1 finite-difference solver while the inversion runs
 the spectral solver (distinct discretizations, no inverse crime); the misfit
 is minimized by Gauss-Newton with a finite-difference Jacobian, Tikhonov
 penalty on the coefficients, step-halving line search, and projection of h
-(and optionally q) onto the admissible set.
+onto h >= 0.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ class ObservationSeries:
     u: np.ndarray
     noise_level: float = 0.0
     seed: int | None = None
+
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=float)
+        self.u = np.asarray(self.u, dtype=float)
+        if self.t.ndim != 1 or self.t.shape != self.u.shape \
+                or not np.all(np.isfinite(self.t) & np.isfinite(self.u)):
+            raise DomainError("t and u must be finite 1-D arrays of the same length")
 
 
 @dataclass
@@ -106,10 +113,8 @@ class InverseProblemSpec:
                    noise_level=o["noise_level"], n_max=int(o["n_max"]),
                    grid_size=int(o["grid_size"]),
                    q_tail=PotentialSpec.from_json(json.dumps(o["q_tail"])),
-                   eta=DriveSignal(np.asarray(o["eta"]["t"]),
-                                   np.asarray(o["eta"]["values"])),
-                   data=ObservationSeries(np.asarray(o["data"]["t"]),
-                                          np.asarray(o["data"]["u"]),
+                   eta=DriveSignal(o["eta"]["t"], o["eta"]["values"]),
+                   data=ObservationSeries(o["data"]["t"], o["data"]["u"],
                                           o["data"]["noise_level"], o["data"]["seed"]))
 
 
@@ -159,15 +164,13 @@ def _half_waves(x, d, coeffs, base=0.0):
     return out
 
 
-def candidate_potential(spec: InverseProblemSpec, candidate: CandidateParam,
-                        project_q: bool = False) -> PotentialSpec:
+def candidate_potential(spec: InverseProblemSpec,
+                        candidate: CandidateParam) -> PotentialSpec:
     """Glue the parameterized head onto the known tail (continuous at d)."""
     x, head = _head(spec)
     samples = spec.q_tail(x)
     samples[head] = _half_waves(x[head], spec.d, candidate.coeffs,
                                 float(spec.q_tail(spec.d)))
-    if project_q:
-        samples = np.minimum(samples, 0.0)
     return PotentialSpec(samples, spec.grid_size)
 
 
@@ -204,7 +207,6 @@ def synthesize_data(q_true: PotentialSpec, h_true: float, H: float,
     The noise standard deviation is noise_level times the RMS of the clean
     signal; a fixed rng_seed reproduces the data bitwise.
     """
-    t_samples = np.asarray(t_samples, dtype=float)
     clean = _fd_observation(q_true, RobinPair(h_true, H), alpha, eta, x0, t_samples, nx, nt)
     if noise_level > 0.0:
         rng = np.random.default_rng(rng_seed)
@@ -214,19 +216,19 @@ def synthesize_data(q_true: PotentialSpec, h_true: float, H: float,
                              seed=rng_seed)
 
 
-def _residual_vector(theta, spec, gamma, project_q, cache=None):
+def _residual_vector(theta, spec, gamma, cache=None):
     """Data residuals, then sqrt(gamma) coeffs, at theta with h projected to h >= 0."""
     cand = CandidateParam.from_vector(_project_h(theta))
-    q = candidate_potential(spec, cand, project_q)
+    q = candidate_potential(spec, cand)
     pred = _observation(q, RobinPair(cand.h, spec.H), spec.alpha, spec.eta,
                         spec.x0, spec.data.t, spec.n_max, spec.grid_size, cache)
     return np.concatenate([pred - spec.data.u, np.sqrt(gamma) * cand.coeffs])
 
 
 def misfit(candidate: CandidateParam, spec: InverseProblemSpec,
-           gamma: float = 0.0, project_q: bool = False) -> float:
+           gamma: float = 0.0) -> float:
     """Sum of squared data residuals plus the Tikhonov penalty gamma |coeffs|^2."""
-    r = _residual_vector(candidate.as_vector(), spec, gamma, project_q)
+    r = _residual_vector(candidate.as_vector(), spec, gamma)
     return float(r @ r)
 
 
@@ -245,22 +247,24 @@ def estimate_solver_floor(spec: InverseProblemSpec, candidate: CandidateParam,
 
 
 def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
-                gamma: float = 1e-10, project_q: bool = False,
-                max_iter: int = 200, lm_damping: bool = False,
-                floor_stop: float | None = None, gamma_path=None,
-                fix_h: bool = False, q_truth: PotentialSpec | None = None,
+                gamma: float = 1e-10, max_iter: int = 200,
+                lm_damping: bool = False, floor_stop: float | None = None,
+                gamma_path=None, q_truth: PotentialSpec | None = None,
                 h_truth: float | None = None) -> ReconstructionResult:
     """Gauss-Newton output least squares over (coeffs, h).
 
     Finite-difference Jacobian with relative step FD_REL_STEP, Tikhonov term
-    gamma |coeffs|^2, step-halving line search, projection of h onto h >= 0
-    (and of q onto q <= 0 when project_q).  Terminates on gradient norm
-    (GRAD_TOL), relative step size (STEP_TOL), the iteration cap, or -- when
-    floor_stop is given -- on reaching the solver-disagreement floor below
-    which the data carry no information.  lm_damping adds adaptive Levenberg
-    damping on top of the line search; gamma_path runs a warm-started
-    continuation ending at gamma.  Supplies error metrics when the truth is
-    given, rel_L2_q over the head nodes that candidate_potential glues.
+    gamma |coeffs|^2, step-halving line search, projection of h onto h >= 0.
+    Terminates on gradient norm (GRAD_TOL), relative step size (STEP_TOL),
+    the iteration cap, or -- when floor_stop is given -- on reaching the
+    solver-disagreement floor below which the data carry no information.
+    lm_damping adds adaptive Levenberg damping on top of the line search;
+    gamma_path runs warm-started stages ending at gamma, max_iter split
+    across them; misfit_history is the final stage's, and iterations,
+    jacobian_condition and rank_warnings cover every stage.  Supplies error
+    metrics when the truth is given, rel_L2_q over the head nodes that
+    candidate_potential glues.  Raises DomainError for a negative or
+    non-finite gamma, or a max_iter below the number of stages.
 
     Identifiability caveat: observation at a single interior point is
     severely ill-posed; the data-map singular values decay roughly
@@ -270,38 +274,69 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
     data-equivalent parameter sets; estimate_solver_floor provides the
     discrepancy level at which to stop.
     """
-    region_note = classify_region(spec.d, spec.x0).verdict
+    gammas = [*(() if gamma_path is None else gamma_path), gamma]
+    if not all(np.isfinite(g) and g >= 0.0 for g in gammas):
+        raise DomainError("gamma and every gamma_path entry must be finite and >= 0")
+    if max_iter < len(gammas):
+        raise DomainError(f"max_iter {max_iter} is below the number of gamma "
+                          f"stages ({len(gammas)})")
+    return _continuation(spec, init, gammas, max_iter // len(gammas),
+                         lm_damping, floor_stop, q_truth, h_truth)
+
+
+def reconstruct_morozov(spec: InverseProblemSpec, init: CandidateParam,
+                        noise_norm2: float, gamma0: float = 1e-4,
+                        gamma_min: float = 1e-12, max_iter: int = 200,
+                        lm_damping: bool = False,
+                        q_truth: PotentialSpec | None = None,
+                        h_truth: float | None = None) -> ReconstructionResult:
+    """Discrepancy principle: reconstruct's stages on gamma0, gamma0/10, ...
+    down to the first gamma <= gamma_min, max_iter iterations each, stopping
+    after the first stage whose data misfit is <= MOROZOV_TAU * noise_norm2.
+    misfit_history is the final stage's, and iterations, jacobian_condition
+    and rank_warnings cover every stage."""
+    if not (np.isfinite(gamma0) and gamma0 >= 0.0 and gamma_min > 0.0
+            and max_iter >= 1):
+        raise DomainError(f"reconstruct_morozov needs a finite gamma0 >= 0, "
+                          f"gamma_min > 0 and max_iter >= 1 (got {gamma0}, "
+                          f"{gamma_min}, {max_iter})")
+    gammas = [gamma0]
+    while gammas[-1] > gamma_min:
+        gammas.append(gammas[-1] / 10.0)
+    target = MOROZOV_TAU * noise_norm2
+    result = _continuation(spec, init, gammas, max_iter, lm_damping, None,
+                           q_truth, h_truth, target)
+    result.regularization["morozov_target"] = target
+    return result
+
+
+def _continuation(spec, init, gammas, stage_iters, lm_damping, floor_stop,
+                  q_truth, h_truth, target=None) -> ReconstructionResult:
+    """One warm-started Gauss-Newton stage per gamma, all sharing one
+    eigenvalue cache and Levenberg mu; stops on floor_stop in the final
+    gamma's stage, or after the first stage whose data misfit is <= target."""
     theta = _project_h(init.as_vector())
     n_par = theta.size
-    free = list(range(n_par - 1)) + ([] if fix_h else [n_par - 1])
     cache: dict = {}
-
-    gammas = list(gamma_path) + [gamma] if gamma_path else [gamma]
     cond_max = 0.0
     rank_warnings = 0
     iterations = 0
     mu = 1e-3 if lm_damping else 0.0
-    iters_per_gamma = max_iter // len(gammas)
 
     for gamma_now in gammas:
-        r = _residual_vector(theta, spec, gamma_now, project_q, cache)
+        r = _residual_vector(theta, spec, gamma_now, cache)
         phi = float(r @ r)
         history = [phi]
-        if not free:
-            # no coefficients, so no penalty: r is the same at every gamma
-            termination = "no_free_parameters"
-            break
         termination = "max_iterations"
-        for _ in range(max(iters_per_gamma, 1)):
+        for _ in range(stage_iters):
             iterations += 1
             J = np.zeros((r.size, n_par))
-            for i in free:
+            for i in range(n_par):
                 step = FD_REL_STEP * max(abs(theta[i]), 0.1)
                 tp = theta.copy()
                 tp[i] += step
-                J[:, i] = (_residual_vector(tp, spec, gamma_now, project_q,
-                                            cache) - r) / step
-            cond = float(np.linalg.cond(J[:, free]))
+                J[:, i] = (_residual_vector(tp, spec, gamma_now, cache) - r) / step
+            cond = float(np.linalg.cond(J))
             cond_max = max(cond_max, cond)
             gamma_eff = gamma_now
             if cond > 1e12:
@@ -318,26 +353,22 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
 
             # step-halving line search; only non-increasing steps accepted,
             # and trials that break the eigensolver count as rejected
-            accepted = False
             scale = 1.0
             for _ in range(25):
                 trial = _project_h(theta + scale * delta)
                 try:
-                    r_trial = _residual_vector(trial, spec, gamma_now,
-                                               project_q, cache)
+                    r_trial = _residual_vector(trial, spec, gamma_now, cache)
                     phi_trial = float(r_trial @ r_trial)
                 except FracspecError:
                     phi_trial = np.inf
                 if phi_trial <= phi:
-                    accepted = True
                     break
                 scale *= 0.5
-            if not accepted:
+            else:
                 termination = "line_search_stall"
                 break
             if lm_damping:
                 mu = max(mu / 3.0, 1e-14) if scale == 1.0 else min(mu * 4.0, 1e3)
-            step_norm = np.linalg.norm(scale * delta)
             theta = trial
             r = r_trial
             phi = phi_trial
@@ -346,15 +377,17 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
                     and phi <= floor_stop:
                 termination = "solver_floor"
                 break
-            if step_norm < STEP_TOL * (1.0 + np.linalg.norm(theta)):
+            if np.linalg.norm(scale * delta) < STEP_TOL * (1.0 + np.linalg.norm(theta)):
                 termination = "step_size"
                 break
-        if termination == "solver_floor":
+        if termination == "solver_floor" or (
+                target is not None
+                and phi - gamma_now * float(theta[:-1] @ theta[:-1]) <= target):
             break
 
     # every accepted theta has h >= 0 already
     cand = CandidateParam.from_vector(theta)
-    q_hat = candidate_potential(spec, cand, project_q)
+    q_hat = candidate_potential(spec, cand)
     metrics = None
     if q_truth is not None:
         x, head = _head(spec)
@@ -368,31 +401,10 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
             metrics["abs_err_h"] = abs(cand.h - h_truth)
     return ReconstructionResult(
         q_hat=q_hat, h_hat=cand.h, coeffs=cand.coeffs, misfit_history=history,
-        regularization={"gamma": gamma, "basis_dim": int(cand.coeffs.size),
-                        "region": region_note},
+        regularization={"gamma": gamma_now, "basis_dim": int(cand.coeffs.size),
+                        "region": classify_region(spec.d, spec.x0).verdict},
         error_metrics=metrics, iterations=iterations, termination=termination,
         jacobian_condition=cond_max, rank_warnings=rank_warnings)
-
-
-def reconstruct_morozov(spec: InverseProblemSpec, init: CandidateParam,
-                        noise_norm2: float, gamma0: float = 1e-4,
-                        gamma_min: float = 1e-12,
-                        **kwargs) -> ReconstructionResult:
-    """Discrepancy-principle outer loop: shrink gamma until the data misfit
-    reaches MOROZOV_TAU * noise_norm2, warm-starting each solve."""
-    target = MOROZOV_TAU * noise_norm2
-    gamma = gamma0
-    cand = init
-    while True:
-        result = reconstruct(spec, cand, gamma=gamma, **kwargs)
-        data_misfit = result.misfit_history[-1] \
-            - gamma * float(result.coeffs @ result.coeffs)
-        cand = CandidateParam(result.coeffs, result.h_hat)
-        if data_misfit <= target or gamma <= gamma_min:
-            result.regularization["gamma"] = gamma
-            result.regularization["morozov_target"] = target
-            return result
-        gamma /= 10.0
 
 
 def random_head(rng, d: float, grid: int) -> PotentialSpec:

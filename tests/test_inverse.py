@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracspec import inverse
 from fracspec.errors import DomainError
 from fracspec.forward import DriveSignal
 from fracspec.inverse import (
@@ -54,6 +55,20 @@ def twin(ramp_hold):
                               H=HBIG, eta=ramp_hold, data=data,
                               n_max=20, grid_size=256)
     return q_true, spec
+
+
+@pytest.fixture(scope="module")
+def noisy_twin(twin, ramp_hold):
+    """The twin's spec with 1% noise on its data, and the noise norm^2."""
+    q_true, spec = twin
+    noisy = synthesize_data(q_true, H_TRUE, HBIG, ALPHA, ramp_hold, X0,
+                            spec.data.t, 0.01, 11, nx=128, nt=256)
+    return (replace(spec, data=noisy, noise_level=0.01),
+            float(np.sum((noisy.u - spec.data.u) ** 2)))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a forward solve ran before the settings were checked")
 
 
 class TestSynthesize:
@@ -145,12 +160,6 @@ class TestCandidate:
         q = candidate_potential(spec, cand)
         assert abs(q(D) - spec.q_tail(D)) < 1e-9
 
-    def test_projection_enforces_admissibility(self, twin):
-        _, spec = twin
-        cand = CandidateParam(np.array([0.8, 0.5]), 0.3)  # strongly positive
-        q = candidate_potential(spec, cand, project_q=True)
-        assert q.admissible
-
     def test_basis_cap(self):
         with pytest.raises(DomainError):
             CandidateParam(np.zeros(17), 0.1)
@@ -159,8 +168,8 @@ class TestCandidate:
 class TestReconstruct:
     def test_zero_unknown_smoke(self, ramp_hold):
         # truth whose head is exactly the trivial tail extension: with M = 0
-        # and h fixed at truth, nothing is estimated and the misfit sits at
-        # the solver-agreement floor
+        # only h is fitted, the head stays the tail, and the misfit starts
+        # at the solver-agreement floor
         q_true = PotentialSpec.constant(0.0, 256)
         t_samples = np.linspace(0.0, 2.0, 33)[1:]
         data = synthesize_data(q_true, H_TRUE, HBIG, ALPHA, ramp_hold, X0,
@@ -170,13 +179,10 @@ class TestReconstruct:
                                   H=HBIG, eta=ramp_hold, data=data,
                                   n_max=20, grid_size=256)
         init = CandidateParam(np.zeros(0), H_TRUE)
-        res = reconstruct(spec, init, gamma=0.0, max_iter=3, fix_h=True,
+        res = reconstruct(spec, init, gamma=0.0, max_iter=3,
                           q_truth=q_true, h_truth=H_TRUE)
-        assert res.termination == "no_free_parameters"
-        assert res.h_hat == H_TRUE
         floor = estimate_solver_floor(spec, init, nx=128, nt=256)
-        assert res.misfit_history[-1] <= 4.0 * floor + 1e-12
-        assert res.error_metrics["abs_err_h"] == 0.0
+        assert res.misfit_history[-1] <= res.misfit_history[0] <= 4.0 * floor + 1e-12
         assert res.error_metrics["rel_L2_q"] == 0.0
 
     def test_fixed_point_at_truth(self, twin):
@@ -196,13 +202,6 @@ class TestReconstruct:
         res = reconstruct(spec, init, gamma=1e-10, max_iter=6)
         hist = np.asarray(res.misfit_history)
         assert np.all(np.diff(hist) <= 1e-14)
-
-    def test_admissibility_projection(self, twin):
-        _, spec = twin
-        init = CandidateParam(np.zeros(3), 0.0)
-        res = reconstruct(spec, init, gamma=1e-8, max_iter=4, project_q=True)
-        assert res.h_hat >= 0.0
-        assert res.q_hat.admissible
 
     def test_gamma_path_continuation(self, twin):
         # max_iter is shared across the path, each gamma warm-starts from the
@@ -259,6 +258,57 @@ class TestReconstruct:
         data_misfit = res.misfit_history[-1] - gamma * float(res.coeffs @ res.coeffs)
         assert data_misfit <= res.regularization["morozov_target"]
 
+    def test_morozov_runs_the_gamma_path_stage_loop(self, noisy_twin):
+        # a target no stage meets runs the whole ladder at max_iter per
+        # stage: the same stages, cache and mu as that ladder as a gamma path
+        spec_n, _ = noisy_twin
+        init = CandidateParam(np.zeros(3), 0.1)
+        ladder = [1e-4]
+        while ladder[-1] > 1e-6:
+            ladder.append(ladder[-1] / 10.0)
+        mor = reconstruct_morozov(spec_n, init, 0.0, gamma0=1e-4, gamma_min=1e-6,
+                                  max_iter=2, lm_damping=True)
+        path = reconstruct(spec_n, init, gamma=ladder[-1], gamma_path=ladder[:-1],
+                           max_iter=2 * len(ladder), lm_damping=True)
+        assert np.array_equal(mor.coeffs, path.coeffs)
+        assert mor.h_hat == path.h_hat
+        assert mor.misfit_history == path.misfit_history
+        assert mor.iterations == path.iterations == 2 * len(ladder)
+        assert mor.regularization["gamma"] == ladder[-1]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma0": np.inf}, {"gamma0": np.nan}, {"gamma0": -1e-4},
+        {"gamma_min": -1.0}, {"gamma_min": 0.0}, {"max_iter": 0}])
+    def test_morozov_rejects_a_ladder_it_cannot_run(self, twin, monkeypatch,
+                                                    kwargs):
+        # gamma0 = inf or gamma_min <= 0 never reaches gamma_min by tenfold
+        # steps (gamma_min = 0 only after 321 stages, at gamma = 0); a NaN or
+        # negative gamma0 would run its stage at that gamma
+        _, spec = twin
+        monkeypatch.setattr(inverse, "_residual_vector", _no_solve)
+        with pytest.raises(DomainError, match="gamma0 >= 0, gamma_min > 0"):
+            reconstruct_morozov(spec, CandidateParam(np.zeros(2), 0.1), 1.0,
+                                **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma": -1e-8}, {"gamma": np.nan}, {"gamma_path": [1e-4, np.inf]},
+        {"gamma_path": np.array([1e-4, -1e-6])}])
+    def test_rejects_a_negative_or_nonfinite_gamma(self, twin, monkeypatch,
+                                                   kwargs):
+        _, spec = twin
+        monkeypatch.setattr(inverse, "_residual_vector", _no_solve)
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            reconstruct(spec, CandidateParam(np.zeros(2), 0.1), max_iter=4,
+                        **kwargs)
+
+    def test_rejects_max_iter_below_the_stage_count(self, twin, monkeypatch):
+        # three stages cannot share one iteration
+        _, spec = twin
+        monkeypatch.setattr(inverse, "_residual_vector", _no_solve)
+        with pytest.raises(DomainError, match=r"number of gamma stages \(3\)"):
+            reconstruct(spec, CandidateParam(np.zeros(2), 0.1), gamma=1e-8,
+                        gamma_path=[1e-4, 1e-6], max_iter=2)
+
     def test_start_at_spectral_data_truth_ends_on_gradient(self, twin):
         # data made by the spectral solver at the start itself leave no
         # residual, so the first Gauss-Newton iteration stops on the gradient
@@ -286,9 +336,8 @@ class TestReconstruct:
                                     np.array([0.0, 1.0, 1.0])),
             data=ObservationSeries(t, np.zeros(t.size)), n_max=8,
             grid_size=grid)
-        res = reconstruct(spec, CandidateParam(np.zeros(0), 0.3), fix_h=True,
+        res = reconstruct(spec, CandidateParam(np.zeros(0), 0.3), max_iter=1,
                           q_truth=q_truth, h_truth=0.3)
-        assert res.termination == "no_free_parameters"
         xh = x[:701]
         assert np.all(res.q_hat.samples[:701] == -0.2)
         dq = res.q_hat.samples[:701] - q_truth.samples[:701]
@@ -382,6 +431,17 @@ class TestSpecSerialization:
         spec2 = InverseProblemSpec.from_json(noisy.to_json())
         assert spec2.data.noise_level == 0.01
         assert spec2.data.seed == 7
+
+    def test_observations_need_equal_lengths(self):
+        with pytest.raises(DomainError, match="same length"):
+            ObservationSeries(np.linspace(0.25, 2.0, 8), np.zeros(7))
+
+    @pytest.mark.parametrize("field", ["t", "u"])
+    def test_observations_must_be_finite(self, field):
+        values = {"t": np.linspace(0.25, 2.0, 8), "u": np.zeros(8)}
+        values[field][3] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            ObservationSeries(**values)
 
     def test_data_inside_drive_support(self, ramp_hold):
         with pytest.raises(DomainError):
