@@ -465,7 +465,10 @@ def _run_forward(params, writer, seed):
     if method in ("l1fd", "both"):
         fields["l1fd"] = fwd.solve_l1_fd(q, rb, alpha, eta, nx, nt)
     for name, f in fields.items():
-        writer.write_text(f"field_{name}.csv", f.to_csv())
+        writer.write_text(f"field_{name}.csv", _csv_text(
+            ["x", "t", "u", "method"],
+            [(x, t, f"{u:.15g}", f.method) for x, row in zip(f.x_grid, f.values)
+             for t, u in zip(f.t_grid, row)]))
         checks.append(_check(f"{name}-zero-initial",
                              np.abs(f.values[:, 0]).max() == 0.0))
     if method == "both":
@@ -505,7 +508,7 @@ def _run_weyl_scan(params, writer, seed):
              float(abs(m))) for lam, m in zip(lams, ms)]
     writer.write_text("scan.csv", _csv_text(
         ["re_lambda", "im_lambda", "re_value", "im_value", "magnitude"], rows))
-    writer.write_text("fit.json", fit.to_json() + "\n")
+    writer.write_text("fit.json", json.dumps(asdict(fit)) + "\n")
     return [_check("fit-converged", fit.residual < 1.0,
                    f"exponent={fit.exponent:.4f} "
                    f"(reference {fit.reference_exponent})")]
@@ -534,7 +537,8 @@ def _run_counting(params, writer, seed):
 
 def _write_region(writer, verdicts):
     """region.csv and its heatmap region.svg for region_map's verdicts."""
-    writer.write_text("region.csv", uniq.region_map_csv(verdicts))
+    writer.write_text("region.csv", _csv_text(
+        ["d", "x0", "verdict"], [(v.d, v.x0, v.verdict) for v in verdicts]))
     writer.write_text("region.svg", svgplot.render_heatmap(
         [v.d for v in verdicts], [v.x0 for v in verdicts],
         [v.verdict for v in verdicts], title="uniqueness regions",
@@ -576,7 +580,13 @@ def _run_reconstruct(params, writer, seed):
                           max_iter=int(params["max_iter"]),
                           lm_damping=True, floor_stop=2.0 * floor,
                           q_truth=q_true, h_truth=rb.h)
-    writer.write_text("result.json", res.to_json() + "\n")
+    writer.write_text("result.json", json.dumps({
+        "h_hat": res.h_hat, "misfit_history": res.misfit_history,
+        "regularization": res.regularization, "error_metrics": res.error_metrics,
+        "iterations": res.iterations, "termination": res.termination,
+        "jacobian_condition": res.jacobian_condition,
+        "q_hat": {"grid_size": res.q_hat.grid_size,
+                  "samples": res.q_hat.samples.tolist()}}) + "\n")
     writer.write_text("misfit.csv", _csv_text(
         ["iteration", "misfit"],
         [(i, float(m)) for i, m in enumerate(res.misfit_history)]))

@@ -17,7 +17,6 @@ central differences, Robin ghost nodes) used as a cross-validation oracle.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +61,7 @@ class DriveSignal:
     @classmethod
     def from_callable(cls, fn, T: float, nt: int) -> "DriveSignal":
         t = np.linspace(0.0, T, nt + 1)
-        vals = np.asarray([fn(ti) for ti in t], dtype=float)
-        vals[0] = 0.0
-        return cls(t, vals)
+        return cls(t, [fn(ti) for ti in t])
 
     def __call__(self, t):
         return np.interp(t, self.t_grid, self.values)
@@ -72,13 +69,6 @@ class DriveSignal:
     @property
     def T(self) -> float:
         return float(self.t_grid[-1])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,eta\n")
-        for t, v in zip(self.t_grid, self.values):
-            buf.write(f"{t:.12g},{v:.12g}\n")
-        return buf.getvalue()
 
 
 @dataclass
@@ -103,14 +93,6 @@ class SpaceTimeField:
         j = min(int(pos), self.x_grid.size - 2)  # -1 on a one-point grid
         w = pos - j
         return (1.0 - w) * self.values[j] + w * self.values[j + 1]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,t,u,method\n")
-        for i, x in enumerate(self.x_grid):
-            for j, t in enumerate(self.t_grid):
-                buf.write(f"{x:.12g},{t:.12g},{self.values[i, j]:.15g},{self.method}\n")
-        return buf.getvalue()
 
 
 @dataclass
@@ -238,13 +220,15 @@ def _exact_convolutions(es, alpha, eta, t_grid, n_used):
 def solve_spectral(es: EigenSystem, alpha: float, eta: DriveSignal,
                    x_points, t_grid, n_modes: int | None = None,
                    trunc_tol: float = 5e-3) -> SpaceTimeField:
-    """Eigenfunction-series solution at the requested space-time points.
+    """Eigenfunction-series solution at x_points (a point or a 1-D array) and t_grid.
 
     Modes are summed in ascending order; raises TruncationTooCoarse when the
     tail bound exceeds trunc_tol * sup|eta| and IncompatibleGrids when t_grid
     leaves the drive support.
     """
-    xs = np.asarray(x_points, dtype=float)
+    xs = np.atleast_1d(np.asarray(x_points, dtype=float))
+    if xs.ndim > 1:
+        raise DomainError(f"x_points must be a point or a 1-D array, got shape {xs.shape}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] < 0 or t_grid[-1] > eta.T * (1 + 1e-12) + 1e-15:
         raise IncompatibleGrids("t_grid must lie inside the drive support")

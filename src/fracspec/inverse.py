@@ -99,7 +99,8 @@ class InverseProblemSpec:
             "alpha": self.alpha, "x0": self.x0, "d": self.d, "H": self.H,
             "noise_level": self.noise_level, "n_max": self.n_max,
             "grid_size": self.grid_size,
-            "q_tail": json.loads(self.q_tail.to_json()),
+            "q_tail": {"grid_size": self.q_tail.grid_size,
+                       "samples": self.q_tail.samples.tolist()},
             "eta": {"t": self.eta.t_grid.tolist(),
                     "values": self.eta.values.tolist()},
             "data": {"t": self.data.t.tolist(), "u": self.data.u.tolist(),
@@ -112,7 +113,8 @@ class InverseProblemSpec:
         return cls(alpha=o["alpha"], x0=o["x0"], d=o["d"], H=o["H"],
                    noise_level=o["noise_level"], n_max=int(o["n_max"]),
                    grid_size=int(o["grid_size"]),
-                   q_tail=PotentialSpec.from_json(json.dumps(o["q_tail"])),
+                   q_tail=PotentialSpec(o["q_tail"]["samples"],
+                                        int(o["q_tail"]["grid_size"])),
                    eta=DriveSignal(o["eta"]["t"], o["eta"]["values"]),
                    data=ObservationSeries(o["data"]["t"], o["data"]["u"],
                                           o["data"]["noise_level"], o["data"]["seed"]))
@@ -130,15 +132,6 @@ class ReconstructionResult:
     termination: str
     jacobian_condition: float
     rank_warnings: int = 0
-
-    def to_json(self) -> str:
-        out = {"h_hat": self.h_hat, "misfit_history": self.misfit_history,
-               "regularization": self.regularization,
-               "error_metrics": self.error_metrics,
-               "iterations": self.iterations, "termination": self.termination,
-               "jacobian_condition": self.jacobian_condition,
-               "q_hat": json.loads(self.q_hat.to_json())}
-        return json.dumps(out)
 
 
 # ---------------------------------------------------------------------------

@@ -539,15 +539,11 @@ def _relax(alpha, order, lam, t):
                         out=np.zeros(np.broadcast_shapes(lam.shape, t.shape)))
         lam, t = np.broadcast_to(lam, y.shape), np.broadcast_to(t, y.shape)
         out = np.empty_like(y)
-        small = y <= 0.5
-        zero = y == 0.0
-        if zero.any():
-            out[zero] = t[zero] ** (order - 1.0 + alpha) * _rgamma(alpha + order)
-        series = small & ~zero
+        series = y <= 0.5
         if series.any():
             acc, _ = _series(alpha, alpha + order, y[series])
             out[series] = t[series] ** (order - 1.0 + alpha) * acc
-        big = ~small
+        big = ~series
         if big.any():
             E = ml(alpha, float(order), -y[big])
             if order == 1:

@@ -28,7 +28,6 @@ wrapped Pruefer phase, nearly linear there, until it meets a residual test.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,15 +94,6 @@ class PotentialSpec:
         if grid_size == self.grid_size:
             return self
         return PotentialSpec(self(np.linspace(0.0, 1.0, grid_size + 1)), grid_size)
-
-    def to_json(self) -> str:
-        return json.dumps({"grid_size": self.grid_size,
-                           "samples": self.samples.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PotentialSpec":
-        obj = json.loads(text)
-        return cls(np.asarray(obj["samples"], dtype=float), int(obj["grid_size"]))
 
 
 @dataclass(frozen=True)

@@ -246,10 +246,3 @@ def region_map(grid_resolution: int, certificate=None) -> list[RegionVerdict]:
             x0 = (j + 0.5) / grid_resolution
             out.append(classify_region(d, x0, certificate))
     return out
-
-
-def region_map_csv(verdicts: list[RegionVerdict]) -> str:
-    lines = ["d,x0,verdict"]
-    for v in verdicts:
-        lines.append(f"{v.d:.12g},{v.x0:.12g},{v.verdict}")
-    return "\n".join(lines) + "\n"

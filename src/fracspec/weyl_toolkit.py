@@ -17,7 +17,6 @@ inside double range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +97,6 @@ class ExponentFit:
     coefficient: float
     residual: float
     reference_exponent = -0.5  # the classical expansion's exponent, for comparison
-
-    def to_json(self) -> str:
-        return json.dumps({"exponent": self.exponent,
-                           "coefficient": self.coefficient,
-                           "residual": self.residual})
 
 
 # ---------------------------------------------------------------------------

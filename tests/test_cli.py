@@ -530,8 +530,29 @@ class TestRun:
                           allow_inadmissible=True)
         grid = np.linspace(0.0, 1.0, 33)
         field = fwd.solve_spectral(es, 0.5, eta_lib, grid, grid)
-        assert (tmp_path / "f" / "field_spectral.csv").read_text() \
-            == field.to_csv()
+        rows = np.loadtxt(tmp_path / "f" / "field_spectral.csv", delimiter=",",
+                          skiprows=1, usecols=(0, 1, 2))
+        x, t = np.meshgrid(grid, grid, indexing="ij")
+        assert np.array_equal(rows[:, 0], x.ravel())
+        assert np.array_equal(rows[:, 1], t.ravel())
+        assert rows[:, 2].tolist() == [float(f"{u:.15g}") for u in field.values.ravel()]
+
+    def test_digit_policy(self, tmp_path):
+        # a field's u has 15 significant digits; x, t and every other
+        # artifact number have 12
+        def digits(cell):
+            return len(cell.split("e")[0].lstrip("-").replace(".", "").lstrip("0"))
+
+        params = with_params(MINIMAL["forward"], method="both", nx=48, nt=48)
+        assert run(ExperimentConfig("forward", params, tmp_path / "f")).all_passed
+        assert run(ExperimentConfig("eigensolve", MINIMAL_EIGEN, tmp_path / "e")).all_passed
+        for name in ("field_spectral.csv", "field_l1fd.csv"):
+            rows = [line.split(",") for line in
+                    (tmp_path / "f" / name).read_text().splitlines()[1:]]
+            assert [max(digits(r[i]) for r in rows) for i in range(3)] == [12, 12, 15]
+        rows = [line.split(",") for line in
+                (tmp_path / "e" / "eigen.csv").read_text().splitlines()[1:]]
+        assert max(digits(cell) for r in rows for cell in r[1:]) == 12
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # one mode cannot hold the ramp's tail bound: the run's library

@@ -5,6 +5,7 @@ from scipy.linalg.lapack import dgttrs
 from scipy.special import gamma, polygamma
 
 from fracspec import forward
+from fracspec.cli import ExperimentConfig, run
 from fracspec.errors import (
     DomainError,
     IncompatibleGrids,
@@ -78,10 +79,10 @@ class TestDriveSignal:
         with pytest.raises(DomainError, match="drive values must be finite"):
             DriveSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, np.inf]))
 
-    def test_csv_roundtrip_header(self, ramp):
-        text = ramp.to_csv()
-        assert text.splitlines()[0] == "t,eta"
-        assert len(text.splitlines()) == ramp.t_grid.size + 1
+    def test_from_callable_keeps_the_start_value(self):
+        # a drive that does not start at zero is refused, not zeroed
+        with pytest.raises(DomainError, match="start at zero"):
+            DriveSignal.from_callable(lambda t: 1.0 + t, 1.0, 8)
 
 
 class TestSolveSpectral:
@@ -121,6 +122,14 @@ class TestSolveSpectral:
         es_small = eigen_system(Q0, FREE, 6, grid_size=256)
         with pytest.raises(TruncationTooCoarse):
             solve_spectral(es_small, 0.5, ramp, np.array([0.5]), ramp.t_grid)
+
+    def test_scalar_x_is_one_point(self, es_free, ramp):
+        t = ramp.t_grid[::32]
+        one = solve_spectral(es_free, 0.5, ramp, 0.5, t)
+        assert one.values.shape == (1, t.size)
+        assert np.array_equal(one.values, solve_spectral(es_free, 0.5, ramp, [0.5], t).values)
+        with pytest.raises(DomainError, match=r"shape \(1, 2\)"):
+            solve_spectral(es_free, 0.5, ramp, np.array([[0.2, 0.4]]), t)
 
     def test_drive_support_checked(self, es_free, ramp):
         with pytest.raises(IncompatibleGrids):
@@ -341,12 +350,16 @@ class TestL1FD:
 
 
 class TestSpaceTimeField:
-    def test_csv_format(self, es_free, ramp):
-        f = solve_spectral(es_free, 0.5, ramp, np.array([0.0, 1.0]), ramp.t_grid[:3])
-        lines = f.to_csv().splitlines()
+    def test_csv_format(self, tmp_path):
+        # the CLI writes the field as one x,t,u,method row per (x, t) node
+        params = {"q": {"type": "constant", "value": 0.0}, "h": 0.0, "H": 0.0,
+                  "alpha": 0.5, "eta": {"type": "ramp"}, "T": 1.0, "nt": 32,
+                  "nx": 32, "method": "spectral", "n_max": 48}
+        assert run(ExperimentConfig("forward", params, tmp_path)).all_passed
+        lines = (tmp_path / "field_spectral.csv").read_text().splitlines()
         assert lines[0] == "x,t,u,method"
-        assert len(lines) == 1 + 2 * 3
-        assert lines[1].endswith("spectral")
+        assert len(lines) == 1 + 33 * 33
+        assert all(line.endswith(",spectral") for line in lines[1:])
 
     def test_at_x_interpolates(self, es_free, ramp):
         f = solve_spectral(es_free, 0.5, ramp, np.array([0.2, 0.4]), ramp.t_grid)

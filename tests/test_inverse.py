@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracspec import inverse
+from fracspec.cli import ExperimentConfig, run
 from fracspec.errors import DomainError
 from fracspec.forward import DriveSignal
 from fracspec.inverse import (
@@ -346,14 +348,20 @@ class TestReconstruct:
         assert res.error_metrics["rel_L2_q"] == pytest.approx(expected,
                                                               rel=1e-14)
 
-    def test_result_serialization(self, twin):
-        _, spec = twin
-        res = reconstruct(spec, CandidateParam(np.zeros(2), 0.1),
-                          gamma=1e-8, max_iter=2)
-        import json
-        obj = json.loads(res.to_json())
-        assert set(obj) >= {"h_hat", "misfit_history", "regularization",
-                            "q_hat", "termination"}
+    def test_result_serialization(self, tmp_path):
+        # the CLI's result.json carries the result and q_hat's samples
+        params = {"alpha": ALPHA, "d": D, "x0": X0, "h_true": H_TRUE, "H": HBIG,
+                  "truth": {"type": "constant", "value": -0.3}, "M": 2,
+                  "gamma": 1e-8, "noise_level": 0.0, "T": 1.0, "n_samples": 4,
+                  "n_max": 6, "grid_size": 64, "max_iter": 2, "data_nx": 32,
+                  "data_nt": 32}
+        run(ExperimentConfig("reconstruct", params, tmp_path))
+        obj = json.loads((tmp_path / "result.json").read_text())
+        assert list(obj) == ["h_hat", "misfit_history", "regularization",
+                             "error_metrics", "iterations", "termination",
+                             "jacobian_condition", "q_hat"]
+        assert obj["q_hat"]["grid_size"] == 64
+        assert len(obj["q_hat"]["samples"]) == 65
 
 
 class TestDistinguishability:
@@ -418,10 +426,13 @@ class TestAudit:
 class TestSpecSerialization:
     def test_json_roundtrip(self, twin):
         _, spec = twin
-        spec2 = InverseProblemSpec.from_json(spec.to_json())
+        text = spec.to_json()
+        assert list(json.loads(text)["q_tail"]) == ["grid_size", "samples"]
+        spec2 = InverseProblemSpec.from_json(text)
         assert spec2.alpha == spec.alpha
         assert np.allclose(spec2.data.u, spec.data.u)
-        assert np.allclose(spec2.q_tail.samples, spec.q_tail.samples)
+        assert spec2.q_tail.grid_size == spec.q_tail.grid_size
+        assert np.array_equal(spec2.q_tail.samples, spec.q_tail.samples)
         assert spec2.n_max == spec.n_max == 20
         assert spec2.grid_size == spec.grid_size == 256
 

@@ -689,12 +689,6 @@ class TestPotentialSpec:
         assert PotentialSpec.constant(0.0, 64).admissible
         assert not PotentialSpec.constant(0.1, 64).admissible
 
-    def test_json_roundtrip(self):
-        q = PotentialSpec.from_callable(lambda x: -x * x, 64)
-        q2 = PotentialSpec.from_json(q.to_json())
-        assert q2.grid_size == 64
-        assert np.array_equal(q2.samples, q.samples)
-
     def test_sample_count_checked(self):
         with pytest.raises(DomainError):
             PotentialSpec(np.zeros(10), 64)

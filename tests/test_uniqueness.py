@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracspec.cli import ExperimentConfig, run
 from fracspec.errors import DomainError
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
 from fracspec.uniqueness import (
@@ -14,7 +15,6 @@ from fracspec.uniqueness import (
     free_lambda_set,
     lambda_set,
     region_map,
-    region_map_csv,
 )
 
 FREE = RobinPair(0.0, 0.0)
@@ -231,9 +231,12 @@ class TestRegionMap:
         assert n_cond > 0
         assert len(vs) == 10000
 
-    def test_csv_row_count(self):
-        text = region_map_csv(region_map(15))
-        assert len(text.strip().splitlines()) == 1 + 225
+    def test_csv_row_count(self, tmp_path):
+        # the CLI's region.csv has a header and one row per cell
+        run(ExperimentConfig("region-map", {"resolution": 15}, tmp_path))
+        lines = (tmp_path / "region.csv").read_text().splitlines()
+        assert lines[0] == "d,x0,verdict"
+        assert len(lines) == 1 + 225
 
     def test_resolution_validated(self):
         with pytest.raises(DomainError):

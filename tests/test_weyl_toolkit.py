@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.special import polygamma
 
 from fracspec import weyl_toolkit
+from fracspec.cli import ExperimentConfig, run
 from fracspec.errors import (
     DomainError,
     NearPole,
@@ -122,12 +124,13 @@ class TestMScan:
         fit = m_asymptotic_scan(Q0, 0.3, 0.5, ray)
         assert abs(fit.exponent - 0.5) < 0.05
 
-    def test_json_fields(self):
-        ray = ComplexRay(np.geomspace(100.0, 900.0, 8))
-        fit = m_asymptotic_scan(Q0, 0.0, 0.5, ray)
-        import json
-        obj = json.loads(fit.to_json())
-        assert set(obj) == {"exponent", "coefficient", "residual"}
+    def test_json_fields(self, tmp_path):
+        # the CLI's fit.json holds the fit's fields
+        params = {"q": {"type": "constant", "value": 0.0}, "h": 0.0, "x": 0.5,
+                  "mag_lo": 100.0, "mag_hi": 900.0, "count": 8}
+        assert run(ExperimentConfig("weyl-scan", params, tmp_path)).all_passed
+        obj = json.loads((tmp_path / "fit.json").read_text())
+        assert list(obj) == ["exponent", "coefficient", "residual"]
 
     def test_reciprocal_difference_decays(self):
         # potentials equal near x = 0.7: 1/m_2 - 1/m_1 -> 0 along the ray
