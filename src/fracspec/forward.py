@@ -170,14 +170,17 @@ def _mode_weights(es: EigenSystem, xs: np.ndarray, n_modes: int | None) -> np.nd
     return (eval_modes_at(es, xs)[0] * es.efuncs[:, -1, None])[:n_used]
 
 
-def _exact_convolutions(es, alpha, eta, t_grid, n_used):
+def _exact_convolutions(es, alpha, eta, t_grid, n_used, kernel=None):
     """conv_n(t) = int_0^t s^{a-1}E_{a,a}(-lam_n s^a) eta(t-s) ds for each mode.
 
     Exact against the piecewise-linear interpolant of eta: with S_n the
     relaxation antiderivative and m_j the drive slopes,
     conv_n(t) = sum_j m_j [S_n((t - tau_j)+) - S_n((t - tau_{j+1})+)].
-    Returns an array (n_used, len(t_grid)).
+    A kernel in place of relax_antiderivative (its lambda-derivative, for
+    d conv_n / d lam_n) goes through the same knot sum; it must vanish at
+    t = 0.  Returns an array (n_used, len(t_grid)).
     """
+    kernel = relax_antiderivative if kernel is None else kernel
     tau = eta.t_grid
     dt_eta = np.diff(tau)
     slopes = np.diff(eta.values) / dt_eta
@@ -196,7 +199,7 @@ def _exact_convolutions(es, alpha, eta, t_grid, n_used):
         grid_k = np.arange(kmax + 1) * step
         idx_t = np.round(t_grid / step).astype(int)
         for blk in _mode_blocks(n_used, kmax + 1):
-            S = relax_antiderivative(alpha, lams[blk, None], grid_k)
+            S = kernel(alpha, lams[blk, None], grid_k)
             dS = np.diff(S, axis=1, prepend=0.0)  # S(0) = 0
             for n, dS_n in enumerate(dS, start=blk.start):
                 out[n] = np.convolve(slopes[:kmax], dS_n)[:kmax + 1][idx_t]
@@ -208,7 +211,7 @@ def _exact_convolutions(es, alpha, eta, t_grid, n_used):
     pos = offs > 0.0
     for blk in _mode_blocks(n_used, np.count_nonzero(pos)):
         S = np.zeros(lams[blk].shape + offs.shape)
-        S[:, pos] = relax_antiderivative(alpha, lams[blk, None], offs[pos])
+        S[:, pos] = kernel(alpha, lams[blk, None], offs[pos])
         out[blk] = ((S[:, :, :-1] - S[:, :, 1:]) * slopes).sum(axis=2)
     return out
 
@@ -230,6 +233,15 @@ def solve_spectral(es: EigenSystem, alpha: float, eta: DriveSignal,
     if xs.ndim > 1:
         raise DomainError(f"x_points must be a point or a 1-D array, got shape {xs.shape}")
     t_grid = np.asarray(t_grid, dtype=float)
+    weights, conv, tail = _series_terms(es, alpha, eta, xs, t_grid, n_modes, trunc_tol)
+    return SpaceTimeField(x_grid=xs, t_grid=t_grid, values=_series_sum(weights, conv),
+                          method="spectral", n_modes_used=weights.shape[0],
+                          tail_bound=tail)
+
+
+def _series_terms(es, alpha, eta, xs, t_grid, n_modes, trunc_tol):
+    """solve_spectral's checks, then its mode weights e_n(x) e_n(1) (n_used,
+    xs.size), convolutions (n_used, t_grid.size) and tail bound."""
     if t_grid[0] < 0 or t_grid[-1] > eta.T * (1 + 1e-12) + 1e-15:
         raise IncompatibleGrids("t_grid must lie inside the drive support")
     weights = _mode_weights(es, xs, n_modes)
@@ -240,11 +252,12 @@ def solve_spectral(es: EigenSystem, alpha: float, eta: DriveSignal,
         raise TruncationTooCoarse(
             f"tail bound {tail:.3e} exceeds {trunc_tol:.1e} * sup|eta|; "
             "increase n_max")
-    conv = _exact_convolutions(es, alpha, eta, t_grid, n_used)
-    u = np.einsum("ni,nj->ij", weights, conv)
-    return SpaceTimeField(x_grid=xs, t_grid=t_grid, values=u,
-                          method="spectral", n_modes_used=n_used,
-                          tail_bound=tail)
+    return weights, _exact_convolutions(es, alpha, eta, t_grid, n_used), tail
+
+
+def _series_sum(weights, conv):
+    """u[i, j] = sum_n weights[n, i] conv[n, j], modes summed in ascending order."""
+    return np.einsum("ni,nj->ij", weights, conv)
 
 
 def kernel_K(es: EigenSystem, alpha: float, x: float, t_grid,

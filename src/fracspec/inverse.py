@@ -10,9 +10,17 @@ squares.  The head is parameterized by half-wave cosines that vanish at d,
 so every candidate glues continuously to the known tail.  Observation data
 are synthesized with the L1 finite-difference solver while the inversion runs
 the spectral solver (distinct discretizations, no inverse crime); the misfit
-is minimized by Gauss-Newton with a finite-difference Jacobian, Tikhonov
-penalty on the coefficients, step-halving line search, and projection of h
-onto h >= 0.
+is minimized by Gauss-Newton with a Tikhonov penalty on the coefficients,
+step-halving line search, and projection of h onto h >= 0.
+
+The observation depends on theta = (coeffs, h) only through the spectral data,
+u(x0, t) = sum_n a_n conv_n(t; lambda_n) with a_n = e_n(x0) e_n(1), so the
+Jacobian factors as J = J_spec S.  S = d(lambda_n, a_n)/d theta is
+tangents.eigen_tangents on the eigensystem of the current point; J_spec's
+a-columns are the convolutions conv_n that the point's residual already
+summed, and its lambda-columns a_n d conv_n / d lambda_n take the
+lambda-derivative of the relaxation antiderivative through the same knot sum.
+No eigensolve or relaxation of a perturbed theta is needed.
 """
 
 from __future__ import annotations
@@ -23,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FracspecError
-from .forward import DriveSignal, solve_l1_fd, solve_spectral
+from .forward import DriveSignal, _exact_convolutions, _series_sum, _series_terms, solve_l1_fd
+from .mittleff import _antiderivative_dlam
 from .sl_core import EigenSystem, PotentialSpec, RobinPair, eigen_system, eval_modes_at
 from .uniqueness import classify_region, lambda_set
 
 DEFAULT_INV_GRID = 512
 DEFAULT_INV_MODES = 32
-FD_REL_STEP = 1e-6  # Jacobian column step, relative to max(|theta_i|, 0.1)
 GRAD_TOL = 1e-8     # Gauss-Newton stops when |2 J^T r| falls below this
 STEP_TOL = 1e-10    # ... or when |step| < STEP_TOL (1 + |theta|)
 MOROZOV_TAU = 1.2   # reconstruct_morozov stops at MOROZOV_TAU times the noise norm^2
@@ -170,15 +178,17 @@ def candidate_potential(spec: InverseProblemSpec,
 def _observation(q: PotentialSpec, robin: RobinPair, alpha: float,
                  eta: DriveSignal, x0: float, t, n_max: int, grid_size: int,
                  cache: dict | None = None) -> np.ndarray:
-    """u(x0, t) by the spectral solve on modes 0..n_max of (q, robin); a cache
-    dict warm-starts the eigensolve and keeps its eigenvalues for the next."""
-    guess = cache.get("lambdas") if cache is not None else None
+    """u(x0, t) by solve_spectral's series on modes 0..n_max of (q, robin); a
+    cache dict warm-starts the eigensolve and keeps the eigensystem, mode
+    weights and convolutions of the last call for _jacobian."""
+    guess = cache["es"].lambdas if cache else None
     es = eigen_system(q, robin, n_max, grid_size=grid_size,
                       allow_inadmissible=True, lambda_guess=guess)
-    f = solve_spectral(es, alpha, eta, np.asarray([x0]), t, trunc_tol=np.inf)
+    weights, conv, _ = _series_terms(es, alpha, eta, np.asarray([x0]),
+                                     np.asarray(t, dtype=float), None, np.inf)
     if cache is not None:
-        cache["lambdas"] = es.lambdas
-    return f.values[0]
+        cache.update(es=es, weights=weights[:, 0], conv=conv)
+    return _series_sum(weights, conv)[0]
 
 
 def _fd_observation(q, robin, alpha, eta, x0, t, nx, nt):
@@ -218,6 +228,23 @@ def _residual_vector(theta, spec, gamma, cache=None):
     return np.concatenate([pred - spec.data.u, np.sqrt(gamma) * cand.coeffs])
 
 
+def _jacobian(spec, gamma, n_coeffs, cache):
+    """J = J_spec S of _residual_vector at the point of the last residual in
+    cache: data rows conv^T da + (a dconv/dlambda)^T dlambda, then the
+    penalty rows sqrt(gamma) I over the coefficients."""
+    from .tangents import eigen_tangents  # the first Jacobian loads it
+
+    es, a, conv = cache["es"], cache["weights"], cache["conv"]
+    x, head = _head(spec)
+    dq = np.zeros((n_coeffs, x.size))  # dq/dc_m: _half_waves' m-th cosine
+    dq[:, head] = np.cos((np.arange(n_coeffs)[:, None] + 0.5) * np.pi * x[head] / spec.d)
+    dlam, da = eigen_tangents(es, spec.x0, dq)
+    dconv = _exact_convolutions(es, spec.alpha, spec.eta, spec.data.t, a.size,
+                                kernel=_antiderivative_dlam)
+    J = conv.T @ da + (a[:, None] * dconv).T @ dlam
+    return np.vstack([J, np.sqrt(gamma) * np.eye(n_coeffs, n_coeffs + 1)])
+
+
 def misfit(candidate: CandidateParam, spec: InverseProblemSpec,
            gamma: float = 0.0) -> float:
     """Sum of squared data residuals plus the Tikhonov penalty gamma |coeffs|^2."""
@@ -246,8 +273,10 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
                 h_truth: float | None = None) -> ReconstructionResult:
     """Gauss-Newton output least squares over (coeffs, h).
 
-    Finite-difference Jacobian with relative step FD_REL_STEP, Tikhonov term
-    gamma |coeffs|^2, step-halving line search, projection of h onto h >= 0.
+    The Jacobian J = J_spec S is exact for the discrete model, from the
+    eigensystem and convolutions of the current point (module docstring);
+    Tikhonov term gamma |coeffs|^2, step-halving line search, projection of
+    h onto h >= 0.
     Terminates on gradient norm (GRAD_TOL), relative step size (STEP_TOL),
     the iteration cap, or -- when floor_stop is given -- on reaching the
     solver-disagreement floor below which the data carry no information.
@@ -323,12 +352,9 @@ def _continuation(spec, init, gammas, stage_iters, lm_damping, floor_stop,
         termination = "max_iterations"
         for _ in range(stage_iters):
             iterations += 1
-            J = np.zeros((r.size, n_par))
-            for i in range(n_par):
-                step = FD_REL_STEP * max(abs(theta[i]), 0.1)
-                tp = theta.copy()
-                tp[i] += step
-                J[:, i] = (_residual_vector(tp, spec, gamma_now, cache) - r) / step
+            # the cache holds theta's eigensystem: the last residual computed
+            # was theta's, at the stage start or as the accepted trial
+            J = _jacobian(spec, gamma_now, n_par - 1, cache)
             cond = float(np.linalg.cond(J))
             cond_max = max(cond_max, cond)
             gamma_eff = gamma_now

@@ -38,7 +38,8 @@ tests compare both loops with ones that keep every point to the end.
 
 Also provides the relaxation primitive int_0^t s^{a-1} E_{a,a}(-lam s^a) ds,
 its antiderivative (both needed for exact convolution against piecewise-linear
-drives), the termwise-Laplace-transform residual check (a trapezoid rule in
+drives) and the antiderivative's lambda-derivative (for the inverse problem's
+Jacobian), the termwise-Laplace-transform residual check (a trapezoid rule in
 s = log t, like the spectral integral), and L1 discretization weights for the
 Caputo derivative.
 """
@@ -61,6 +62,7 @@ SERIES_TERMS = 400  # most power-series terms summed
 SERIES_BLOCK = 16   # most series terms formed per batch step (fewer past BUF_VALUES)
 ASYMPTOTIC_TERMS = 40  # the algebraic expansion sums k = 1 .. ASYMPTOTIC_TERMS - 1
 LAPLACE_TOL = 1e-8  # absolute error budget of ml_laplace_residual's integral
+DLAM_TERMS = 64     # terms of _antiderivative_dlam's series (y <= 0.5)
 
 # spectral-integral nodes: s = log w on [S_LO, S_HI] with at most about NODE_CAP
 # nodes; ALPHA_MAX is where the step 2 pi^2 (1 - alpha) / 30 reaches
@@ -578,6 +580,31 @@ def relax_antiderivative(alpha: float, lam, t):
     and lam broadcasts against t.
     """
     return _relax(alpha, 2, lam, t)
+
+
+def _antiderivative_dlam(alpha, lam, t):
+    """d/dlam of relax_antiderivative at lam >= 0 and t >= 0, broadcast.
+
+    With y = lam t^a it is -(t / lam^2) (1 - E_{a,2}(-y) + (E_{a,1}(-y) -
+    E_{a,2}(-y)) / a), from a z E'_{a,2}(z) = E_{a,1}(z) - E_{a,2}(z); for
+    y <= 0.5 the termwise series -t^(1+2a) sum_j (j+1) (-y)^j / Gamma((j+2)a
+    + 2) over j < DLAM_TERMS, whose first omitted term is below 1e-17 of the
+    sum; it is exact at lam = 0.
+    """
+    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(t, dtype=float))
+    y = lam * t ** alpha
+    out = np.empty_like(y)
+    series = y <= 0.5
+    if series.any():
+        # (j + 1) / Gamma((j + 2) a + 2) = (j + 1) / Gamma(a j + 2a + 2)
+        rgamma = _series_coeffs(float(alpha), 2.0 * alpha + 2.0)[0][:DLAM_TERMS]
+        out[series] = -t[series] ** (1.0 + 2.0 * alpha) * np.polynomial.polynomial.polyval(
+            -y[series], np.arange(1.0, DLAM_TERMS + 1.0) * rgamma)
+    big = ~series
+    if big.any():
+        e1, e2 = ml(alpha, 1.0, -y[big]), ml(alpha, 2.0, -y[big])
+        out[big] = -t[big] / lam[big] ** 2 * (1.0 - e2 + (e1 - e2) / alpha)
+    return out
 
 
 def ml_laplace_residual(alpha: float, lam: float, zeta: float) -> float:

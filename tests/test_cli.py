@@ -577,6 +577,16 @@ class TestRun:
                               timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
+    def test_import_leaves_out_the_jacobian_tangents(self):
+        # inverse loads fracspec.tangents with its first Jacobian, so a
+        # process that never reconstructs compiles none of it
+        done = subprocess.run([sys.executable, "-c",
+                               "import sys, fracspec, fracspec.cli; "
+                               "print('fracspec.tangents' in sys.modules)"],
+                              capture_output=True, text=True, env=_src_env(),
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
     def test_fd_oracle_loads_scipy_on_first_use(self):
         # the L1-FD oracle imports its LAPACK routines inside the call
         args = ("PotentialSpec.constant(-0.5, 64), RobinPair(0.5, 1.0), 0.5, "

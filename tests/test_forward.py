@@ -155,6 +155,19 @@ class TestSolveSpectral:
 
 
 class TestBatchedConvolutions:
+    def test_uniform_drive_takes_the_toeplitz_path(self, es_free, ramp, monkeypatch):
+        # times on multiples of a uniform drive's step need S only on the step
+        # grid k dt, k = 0 .. t_max / dt, in one call for these 49 modes
+        seen = []
+
+        def recorded(alpha, lam, t):
+            seen.append(np.array(t))
+            return relax_antiderivative(alpha, lam, t)
+        monkeypatch.setattr(forward, "relax_antiderivative", recorded)
+        solve_spectral(es_free, 0.5, ramp, [0.3], ramp.t_grid[:129])
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.arange(129) * ramp.t_grid[1])
+
     @pytest.mark.parametrize("n_knots", [5, 240])
     def test_general_drive_matches_per_mode_loop(self, es_free, n_knots):
         rng = np.random.default_rng(n_knots)
@@ -207,6 +220,26 @@ class TestTrigamma:
             for n in (1, 2, 15, 16, 17, 48, 49, 5000):
                 exact = 2 * mpmath.psi(1, n) / mpmath.pi ** 2
                 assert mpmath.mpf(forward._mode_tail_bound(es_free, n, 1.0)) >= exact
+
+    @pytest.mark.parametrize("shift", [3.0, 50.0])
+    def test_mode_tail_bound_margin_for_positive_q(self, shift):
+        # q = shift > 0, reached only through allow_inadmissible: the bound
+        # takes lam_n >= n^2 pi^2 - shift, and its margin
+        # 1/(1 - shift/(n^2 pi^2)) puts it between the exact tail
+        # sum_{k >= n} 2/(k^2 pi^2 - shift) = (psi(n + a) - psi(n - a))/(a pi^2),
+        # a = sqrt(shift)/pi, and that tail times the margin
+        es = eigen_system(PotentialSpec.constant(shift, 256), FREE, 8,
+                          allow_inadmissible=True)
+        with mpmath.workdps(30):
+            a = mpmath.sqrt(shift) / mpmath.pi
+            for n in (1, 2, 3, 16, 17, 48):
+                bound = forward._mode_tail_bound(es, n, 1.0)
+                if n * n * np.pi ** 2 <= shift:
+                    assert bound == np.inf
+                    continue
+                exact = (mpmath.digamma(n + a) - mpmath.digamma(n - a)) / (a * mpmath.pi ** 2)
+                margin = 1 / (1 - shift / (n ** 2 * mpmath.pi ** 2))
+                assert exact <= mpmath.mpf(bound) <= exact * margin * (1 + mpmath.mpf(1e-14))
 
 
 class TestKernel:
@@ -273,6 +306,22 @@ class TestDuhamel:
         fd = solve_l1_fd(Q0, FREE, 0.5, ramp, 32, 32)
         with pytest.raises(IncompatibleGrids):
             duhamel_residual(fd, ker, ramp)
+
+
+class TestCrossValidationGap:
+    def test_gap_and_budget_on_hand_built_fields(self):
+        # the budget is the spectral tail bound over max |fd| plus twice the
+        # L1 error order (T/nt)^(2 - alpha) + (1/nx)^2
+        x, t = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 2.0, 5)
+        fd_vals = np.arange(15.0).reshape(3, 5) - 7.0
+        bump = np.zeros((3, 5))
+        bump[1, 2] = 0.35
+        fd = SpaceTimeField(x, t, fd_vals, "l1fd", resolution=(32, 64))
+        sp = SpaceTimeField(x, t, fd_vals + bump, "spectral", tail_bound=0.2)
+        diff, budget = cross_validation_gap(sp, fd, 0.5)
+        assert diff == pytest.approx(0.05, rel=1e-15)
+        assert budget == pytest.approx(0.2 / 7.0 + 2.0 * ((2.0 / 64) ** 1.5 + (1.0 / 32) ** 2),
+                                       rel=1e-15)
 
 
 class TestL1FD:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracspec import inverse
+from fracspec import forward, inverse
 from fracspec.cli import ExperimentConfig, run
 from fracspec.errors import DomainError
 from fracspec.forward import DriveSignal
@@ -12,7 +12,9 @@ from fracspec.inverse import (
     CandidateParam,
     InverseProblemSpec,
     ObservationSeries,
+    _jacobian,
     _observation,
+    _residual_vector,
     candidate_potential,
     distinguishability_scan,
     estimate_solver_floor,
@@ -71,6 +73,35 @@ def noisy_twin(twin, ramp_hold):
 
 def _no_solve(*args, **kwargs):
     raise AssertionError("a forward solve ran before the settings were checked")
+
+
+def twin_recon_task0():
+    """The spec of the benchmark's twin-recon task 0 at seed 0: a random
+    three-mode head, FD data on 256 x 512 steps, 25 modes on 512 cells."""
+    d, x0, alpha, H, T = 0.5, 0.6, 0.5, 1.0, 4.0
+    rng = np.random.default_rng([0, 0])
+    amps = rng.uniform(-0.6, 0.0, size=3)
+    h_true = float(rng.uniform(0.1, 1.0))
+    x = np.linspace(0.0, 1.0, 513)
+    head = sum(a * np.cos((m + 0.5) * np.pi * x / d) for m, a in enumerate(amps))
+    q_true = PotentialSpec(np.minimum(np.where(x <= d, head, 0.0), 0.0), 512)
+    eta = DriveSignal(np.array([0.0, 1.0, T]), np.array([0.0, 1.0, 1.0]))
+    t = np.linspace(0.0, T, 65)[1:]
+    data = synthesize_data(q_true, h_true, H, alpha, eta, x0, t, 0.0, 0, nx=256, nt=512)
+    tail = PotentialSpec(np.where(x >= d, q_true.samples, q_true(d)), 512)
+    return InverseProblemSpec(alpha=alpha, x0=x0, d=d, q_tail=tail, H=H, eta=eta,
+                              data=data, n_max=24, grid_size=512)
+
+
+def fd_jacobian(theta, spec, gamma, rel_step):
+    """Oracle: central differences of _residual_vector, step rel_step times
+    max(|theta_i|, 0.1) in each parameter."""
+    cols = []
+    for i, e in enumerate(np.eye(theta.size)):
+        step = rel_step * max(abs(theta[i]), 0.1)
+        cols.append((_residual_vector(theta + step * e, spec, gamma)
+                     - _residual_vector(theta - step * e, spec, gamma)) / (2.0 * step))
+    return np.array(cols).T
 
 
 class TestSynthesize:
@@ -165,6 +196,30 @@ class TestCandidate:
     def test_basis_cap(self):
         with pytest.raises(DomainError):
             CandidateParam(np.zeros(17), 0.1)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("case", ["twin", "twin-recon task 0"])
+    def test_matches_fd_oracle_within_its_own_error(self, twin, case):
+        # the FD oracle's own error is what halving its step moves it by
+        spec = twin[1] if case == "twin" else twin_recon_task0()
+        theta, gamma = np.array([0.0, 0.0, 0.0, 0.0, 0.1]), 1e-8
+        cache = {}
+        _residual_vector(theta, spec, gamma, cache)
+        J = _jacobian(spec, gamma, 4, cache)
+        fd, fd_half = (fd_jacobian(theta, spec, gamma, s) for s in (1e-3, 5e-4))
+        assert J.shape == fd.shape == (spec.data.t.size + 4, 5)
+        assert np.abs(J - fd_half).max() <= np.abs(fd - fd_half).max()
+        assert np.array_equal(J[-4:], np.sqrt(gamma) * np.eye(4, 5))
+
+    def test_needs_no_eigensolve_or_relaxation(self, twin, monkeypatch):
+        # J comes from the eigensystem and convolutions of theta's residual
+        _, spec = twin
+        cache = {}
+        _residual_vector(np.array([-0.3, 0.1, 0.2]), spec, 0.0, cache)
+        monkeypatch.setattr(inverse, "eigen_system", _no_solve)
+        monkeypatch.setattr(forward, "relax_antiderivative", _no_solve)
+        assert np.all(np.isfinite(_jacobian(spec, 0.0, 2, cache)))
 
 
 class TestReconstruct:

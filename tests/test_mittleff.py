@@ -15,6 +15,7 @@ from fracspec.mittleff import (
     Z_BIG,
     Z_SWITCH,
     L1Weights,
+    _antiderivative_dlam,
     _asymptotic,
     _asymptotic_coeffs,
     _integral,
@@ -571,6 +572,45 @@ class TestRelaxPrimitive:
                 fn(0.5, np.inf, 0.0)
             with pytest.raises(DomainError, match="lambda must be finite"):
                 fn(0.5, np.array([[1.0], [np.inf]]), np.ones(3))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.97, 1.0])
+    def test_antiderivative_dlam_matches_central_differences(self, alpha):
+        # y = lam t^a from 1e-5 to 1e3, on both sides of the series switch;
+        # a central difference at step d = 1e-5 lam carries the noise of S
+        # over d, about 1e-13 S / d where ml takes its spectral integral,
+        # which dominates where S barely depends on lam
+        lams = np.array([0.05, 0.7, 3.0, 40.0, 900.0])[:, None]
+        t = np.geomspace(1e-3, 4.0, 40)[None, :]
+        y = lams * t ** alpha
+        assert (y <= 0.5).any() and (y > 0.5).any()
+        d = 1e-5 * lams
+        num = (relax_antiderivative(alpha, lams + d, t)
+               - relax_antiderivative(alpha, lams - d, t)) / (2.0 * d)
+        ours = _antiderivative_dlam(alpha, lams, t)
+        assert np.all(ours < 0.0)
+        noise = 1e-12 * relax_antiderivative(alpha, lams, t) / d
+        assert np.all(np.abs(ours - num) <= 1e-9 * np.abs(num) + noise)
+
+    def test_antiderivative_dlam_exponential_case(self):
+        # alpha = 1: S = t/lam - (1 - e^{-lam t})/lam^2, so dS/dlam =
+        # -t/lam^2 + 2 (1 - e^{-lam t})/lam^3 - t e^{-lam t}/lam^2
+        lam = np.array([0.6, 2.0, 15.0, 300.0])[:, None]
+        t = np.geomspace(1.0, 4.0, 7)[None, :]
+        e = np.exp(-lam * t)
+        ref = -t / lam ** 2 + 2.0 * (-np.expm1(-lam * t)) / lam ** 3 - t * e / lam ** 2
+        assert np.all(np.abs(_antiderivative_dlam(1.0, lam, t) - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.97, 1.0])
+    def test_antiderivative_dlam_at_zero_lambda_and_the_switch(self, alpha):
+        # exact at lam = 0, -t^(1+2a)/Gamma(2a+2), and continuous where the
+        # series hands over to the Mittag-Leffler form at y = 0.5
+        t = np.geomspace(1e-3, 4.0, 9)
+        ref = -t ** (1.0 + 2.0 * alpha) / gamma(2.0 * alpha + 2.0)
+        assert np.all(np.abs(_antiderivative_dlam(alpha, 0.0, t) - ref) <= 4e-16 * np.abs(ref))
+        lam = 0.5 / t ** alpha
+        below = _antiderivative_dlam(alpha, lam * (1.0 - 1e-12), t)
+        above = _antiderivative_dlam(alpha, lam * (1.0 + 1e-12), t)
+        assert np.all(np.abs(above - below) <= 1e-11 * np.abs(below))
 
     def test_antiderivative_zero_lambda(self):
         assert abs(relax_antiderivative(0.5, 0.0, 1.0) - 1.0 / gamma(2.5)) < 1e-13
