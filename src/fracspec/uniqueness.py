@@ -8,6 +8,13 @@ retained set from below:
 
     N(s) >= (1 - min(1 - x0, x0)) sqrt(s) / pi     for large s.
 
+complement_inclusion_check tests that embedding on a computed spectrum.  It
+solves each split problem only up to the first eigenvalue above the largest
+complement eigenvalue (a winding count at that eigenvalue sizes the solve,
+never deeper than the system's own modes), since no higher split eigenvalue
+can be the nearest to a complement member, and on cells no wider than the
+system's.
+
 A sufficient density criterion (liminf N(s) s^{-1/2} > A/pi, admissible
 tail length d <= A/2) and the two uniqueness-region conditions
 
@@ -29,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .sl_core import EigenSystem, PotentialSpec, RobinPair, eval_modes_at, split_spectra
+from .sl_core import (MIN_GRID, EigenSystem, PotentialSpec, RobinPair, _split_index_above,
+                      eval_modes_at, split_spectra)
 
 TRACE_TAU = 1e-6  # mode n vanishes at x0 when |e_n(x0)| <= TRACE_TAU max_x |e_n(x)|
 MATCH_TOL = 1e-6  # relative distance at which a complement eigenvalue is matched
@@ -156,13 +164,27 @@ def complement_inclusion_check(es: EigenSystem, x0: float, robin: RobinPair,
     The complement is lambda_set's at tau = TRACE_TAU.  Each of its lambdas
     must lie within MATCH_TOL * (1 + lambda) of a member of the left
     (Robin-Dirichlet) and right (Dirichlet-Robin) spectra at x0.
+
+    Both split spectra run from mode 0 to mode k, the larger over the two
+    sides of the index of the first split eigenvalue above
+    lam_top = max(complement) (1 + MATCH_TOL) + MATCH_TOL, counted by one
+    winding march per side, and k is capped at es.n_max.  Any split
+    eigenvalue nearest to a complement lambda lies at or below lambda or is
+    the first one above it, so it has index <= k: the modes past k cannot
+    change an entry.  Each side gets ceil(max(x0, 1 - x0) es.grid_size)
+    cells, so the longer side has the system's cell width and the shorter a
+    finer one; for a grid node x0 the longer side's cells are the system's
+    own.  Against both sides solved to es.n_max on es.grid_size cells the
+    distances move only at rounding level.
     """
     split = lambda_set(es, x0)
     comp = split.complement.values
     entries, violations = [], []
     if comp.size:
-        mu_minus, mu_plus = split_spectra(q, x0, robin, es.n_max,
-                                          grid_size=es.grid_size,
+        lam_top = float(comp[-1]) * (1.0 + MATCH_TOL) + MATCH_TOL
+        grid = max(MIN_GRID, int(np.ceil(max(x0, 1.0 - x0) * es.grid_size)))
+        n_max = min(_split_index_above(q, x0, robin, lam_top, grid), es.n_max)
+        mu_minus, mu_plus = split_spectra(q, x0, robin, n_max, grid_size=grid,
                                           allow_inadmissible=True)
         for lam in comp:
             d_minus = float(np.min(np.abs(mu_minus - lam)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -681,6 +683,16 @@ class TestVerifyAsymptotics:
         es = eigen_system(Q0, FREE, 5)
         with pytest.raises(InsufficientModes):
             verify_asymptotics(es)
+
+    @pytest.mark.parametrize("c", [0.02, 0.05, 0.5])
+    def test_linear_growth_fails(self, c):
+        # r_n = c n grows without bound; kills the projected-growth mutant
+        # slope * (nn[-1] - nn[0]) -> slope / (...), which passes all three
+        es = eigen_system(Q0, FREE, 25)
+        n = np.arange(es.n_max + 1)
+        rep = verify_asymptotics(dataclasses.replace(es, lambdas=(n * np.pi + c) ** 2))
+        assert np.allclose(rep.r_values, c * rep.n_values, rtol=1e-12)
+        assert not rep.passed
 
 
 class TestPotentialSpec:

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracspec import uniqueness
 from fracspec.cli import ExperimentConfig, run
 from fracspec.errors import DomainError
-from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
+from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system, split_spectra
 from fracspec.uniqueness import (
     CountedSet,
     classify_region,
@@ -23,6 +26,17 @@ FREE = RobinPair(0.0, 0.0)
 def squares(n_count, factor=1.0):
     n = np.arange(n_count, dtype=float)
     return CountedSet(factor * (n * np.pi) ** 2, "full-spectrum")
+
+
+def record_split_calls(monkeypatch):
+    """Record (n_max, grid_size) of every split_spectra call the check makes."""
+    asked = []
+
+    def recorded(q, x0, robin, n_max, **kwargs):
+        asked.append((n_max, kwargs["grid_size"]))
+        return split_spectra(q, x0, robin, n_max, **kwargs)
+    monkeypatch.setattr(uniqueness, "split_spectra", recorded)
+    return asked
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +79,10 @@ class TestCounting:
         with pytest.raises(DomainError):
             CountedSet(np.array([1.0]), "bad-label")
 
+    def test_repeated_value_rejected(self):
+        with pytest.raises(DomainError):
+            CountedSet(np.array([1.0, 1.0]), "full-spectrum")
+
 
 class TestLambdaSet:
     def test_half_point_split(self, es_free):
@@ -105,6 +123,31 @@ class TestLambdaSet:
                                               r"split needs every lambda >= 0$"):
             lambda_set(es, 0.3)
 
+    def test_zero_tau_rejected(self, es_free):
+        with pytest.raises(DomainError):
+            lambda_set(es_free, 0.5, 0.0)
+
+    def test_threshold_and_audit_window_edges(self, es_free):
+        # traces set on the node x0 = 1/2 of every row of 2s, so the relative
+        # trace is the set value exactly: at tau (vanishing, flagged), at
+        # tau/10 and 10 tau (outside the open audit window), inside it
+        tau = 1e-6
+        rel = {1: tau, 2: tau / 10, 3: tau * 10, 4: 5e-6, 5: 5e-7}
+        efuncs = np.full_like(es_free.efuncs, 2.0)
+        for n, r in rel.items():
+            efuncs[n, 512] = 2.0 * r
+        split = lambda_set(dataclasses.replace(es_free, efuncs=efuncs), 0.5, tau)
+        assert split.relative_traces[1:6].tolist() == [rel[n] for n in range(1, 6)]
+        assert np.flatnonzero(~split.kept).tolist() == [1, 2, 5]
+        assert split.near_threshold == [1, 4, 5]
+
+    @pytest.mark.parametrize("x0", [0.5, 0.25])
+    def test_free_lambda_set_matches_the_computed_split(self, es_free, x0):
+        computed = lambda_set(es_free, x0).lambda_set.values
+        closed = free_lambda_set(es_free.n_max + 1, x0).values
+        assert computed.size == closed.size
+        assert np.allclose(computed, closed, rtol=1e-10, atol=1e-8)
+
 
 class TestInclusion:
     def test_reference_exact(self, es_free):
@@ -125,6 +168,66 @@ class TestInclusion:
         assert rep.passed
         assert all(max(dm, dp) < 1e-6 * (1 + lam) for lam, dm, dp in rep.entries)
 
+    @pytest.mark.parametrize("shift, passed", [(5e-7, True), (3e-6, False)])
+    def test_match_tolerance_is_relative_to_one_plus_lambda(self, es_free, monkeypatch,
+                                                            shift, passed):
+        # split spectra that miss each eigenvalue by shift * lambda: inside
+        # MATCH_TOL (1 + lambda) at 5e-7, outside it at 3e-6
+        def shifted(q, x0, robin, n_max, **kwargs):
+            return es_free.lambdas * (1 + shift), es_free.lambdas * (1 + shift)
+        monkeypatch.setattr(uniqueness, "split_spectra", shifted)
+        rep = complement_inclusion_check(es_free, 0.5, FREE, PotentialSpec.constant(0.0, 1024))
+        assert rep.passed is passed
+        assert len(rep.entries) == 15
+        assert rep.violations == ([] if passed else [e[0] for e in rep.entries])
+
+    @pytest.mark.parametrize("x0, n_modes, asked", [(0.25, 41, (29, 768)),
+                                                    (1.0 / 6.0, 31, (23, 854))])
+    def test_split_solve_stops_past_the_complement(self, monkeypatch, x0, n_modes, asked):
+        # the free split spectra are ((k + 1/2) pi / x0)^2 on the left and
+        # ((k + 1/2) pi / (1 - x0))^2 on the right.  x0 = 1/4: the complement
+        # n = 2 (mod 4) tops out at (38 pi)^2, first passed by right mode 29;
+        # x0 = 1/6 (off the grid): n = 3 (mod 6) up to (27 pi)^2, first
+        # passed by right mode 23.  ceil((1 - x0) 1024) cells give the longer
+        # side the system's cell width
+        q = PotentialSpec.constant(0.0, 1024)
+        es = eigen_system(q, FREE, n_modes - 1, grid_size=1024)
+        recorded = record_split_calls(monkeypatch)
+        rep = complement_inclusion_check(es, x0, FREE, q)
+        assert recorded == [asked]
+        assert rep.passed
+        n = np.arange(n_modes)
+        n = n[np.abs(np.cos(n * np.pi * x0)) <= 1e-6]
+        lam = np.array([e[0] for e in rep.entries])
+        assert np.allclose(lam, (n * np.pi) ** 2, rtol=1e-13, atol=0.0)
+        k = np.arange(60)
+        mu_minus, mu_plus = ((k + 0.5) * np.pi / x0) ** 2, ((k + 0.5) * np.pi / (1 - x0)) ** 2
+        for lam, dm, dp in rep.entries:
+            assert abs(dm - np.min(np.abs(mu_minus - lam))) <= 1e-12 * (1 + lam)
+            assert abs(dp - np.min(np.abs(mu_plus - lam))) <= 1e-12 * (1 + lam)
+
+    def test_entries_match_a_full_split_solve(self):
+        # reference: both split spectra to es.n_max on es.grid_size cells
+        x = np.linspace(0.0, 1.0, 1025)
+        q = PotentialSpec(-2.0 * np.cos(2.0 * np.pi * (x - 0.5)) ** 2, 1024)
+        robin = RobinPair(0.7, 0.7)
+        es = eigen_system(q, robin, 48, grid_size=1024)
+        rep = complement_inclusion_check(es, 0.5, robin, q)
+        assert rep.passed and len(rep.entries) == 24
+        mu_minus, mu_plus = split_spectra(q, 0.5, robin, es.n_max, grid_size=1024,
+                                          allow_inadmissible=True)
+        for lam, dm, dp in rep.entries:
+            assert abs(dm - np.min(np.abs(mu_minus - lam))) <= 1e-12 * (1 + lam)
+            assert abs(dp - np.min(np.abs(mu_plus - lam))) <= 1e-12 * (1 + lam)
+
+    def test_split_solve_never_deeper_than_the_system(self, es_free, monkeypatch):
+        # nine times the free eigenvalues put the complement's top at
+        # (87 pi)^2, whose first split eigenvalue above is mode 44 of each side
+        asked = record_split_calls(monkeypatch)
+        fake = dataclasses.replace(es_free, lambdas=9.0 * es_free.lambdas)
+        complement_inclusion_check(fake, 0.5, FREE, PotentialSpec.constant(0.0, 1024))
+        assert asked == [(es_free.n_max, 512)]
+
 
 class TestCountingBound:
     @pytest.mark.parametrize("x0", [0.5, 1.0 / 3.0, 1.0 / np.sqrt(2.0)])
@@ -137,6 +240,33 @@ class TestCountingBound:
         s_grid = np.geomspace(1.0, 1e5, 21)  # lower half below first member
         rep = counting_bound_check(lam, 0.5, s_grid)
         assert rep.s_values[0] >= s_grid[10]
+
+    def test_upper_half_starts_at_the_middle_point(self):
+        s_grid = np.geomspace(1.0, 1e5, 21)
+        rep = counting_bound_check(free_lambda_set(200, 0.5), 0.5, s_grid)
+        assert rep.s_values.tolist() == s_grid[10:].tolist()
+
+    def test_sparse_set_fails_the_bound(self):
+        # N(s) ~ sqrt(s)/(2 pi) against the bound 0.75 sqrt(s)/pi at x0 = 3/4
+        lam = CountedSet((np.arange(1, 400) * 2 * np.pi) ** 2, "lambda-set")
+        assert not counting_bound_check(lam, 0.75, np.geomspace(1e2, 1e6, 21)).passed
+
+    def test_count_equal_to_the_bound_passes(self):
+        # at s = (2 pi k)^2 with x0 = 1/2 both N(s) and the bound are k; keep
+        # the k whose bound rounds to k exactly
+        k = np.arange(1, 40)
+        s = (2 * np.pi * k) ** 2
+        s_grid = s[0.5 * np.sqrt(s) / np.pi == k]
+        rep = counting_bound_check(CountedSet(s, "lambda-set"), 0.5, s_grid)
+        assert rep.counts.tolist() == rep.bounds.tolist()
+        assert rep.passed
+
+    def test_s_grid_validated(self):
+        lam = free_lambda_set(100, 0.5)
+        assert counting_bound_check(lam, 0.5, [1.0, 2.0, 3.0, 4.0]).s_values.size == 2
+        for bad in ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(DomainError):
+                counting_bound_check(lam, 0.5, bad)
 
     def test_window_matches_pointwise_counting(self):
         # the batched window counts as counting() does one s at a time,
@@ -171,6 +301,17 @@ class TestDensity:
         rep = density_criterion(lam, 0.6, np.geomspace(1e3, 1e6, 31))
         assert not rep.passed
 
+    def test_estimate_at_the_threshold_fails(self):
+        # N(m^2) / m = 1 exactly, and A = pi puts the threshold A/pi at 1
+        lam = CountedSet(np.arange(1.0, 100.0) ** 2, "lambda-set")
+        rep = density_criterion(lam, np.pi, np.arange(1.0, 11.0) ** 2)
+        assert rep.liminf_estimate == 1.0 and rep.threshold == 1.0
+        assert not rep.passed
+
+    def test_zero_A_rejected(self):
+        with pytest.raises(DomainError):
+            density_criterion(free_lambda_set(100, 0.5), 0.0, np.geomspace(1.0, 1e4, 8))
+
 
 class TestClassify:
     def test_case_i(self):
@@ -191,11 +332,27 @@ class TestClassify:
         assert classify_region(0.4, 0.3, certificate=(0.7, 0.2)).verdict == "unknown"
         assert classify_region(0.4, 0.3, certificate=(0.9, 0.05)).verdict == "unknown"
 
+    def test_certificate_at_its_bounds(self):
+        # A = 2d and B = 1/2 - d exactly (d = 3/8)
+        v = classify_region(0.375, 0.3, certificate=(0.75, 0.125))
+        assert v.verdict == "theorem2-conditional"
+        assert "2d=0.75," in v.condition_note and "-1/4-d=-0.625)" in v.condition_note
+
+    def test_region_edges_are_open(self):
+        # x0 = 1 - 2d (d = 3/8) lies in neither case ii nor the conditional
+        # region, and d = 1/2 leaves the conditional region
+        assert classify_region(0.375, 0.25, certificate=(1.0, 1.0)).verdict == "unknown"
+        assert classify_region(0.5, 0.25, certificate=(2.0, 1.0)).verdict == "unknown"
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             classify_region(0.0, 0.5)
         with pytest.raises(DomainError):
             classify_region(0.5, 1.5)
+
+    def test_d_of_one_rejected(self):
+        with pytest.raises(DomainError):
+            classify_region(1.0, 0.5)
 
     @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
            st.floats(min_value=0.0, max_value=1.0))
