@@ -616,36 +616,17 @@ def split_spectra(q: PotentialSpec, x0: float, robin: RobinPair, n_max: int,
     Robin at 1, on (x0, 1).  Each subinterval is rescaled to unit length, which
     maps lambda -> len^2 lambda, h -> len*h.
     """
-    return tuple(problem.solve(n_max)[0] / length ** 2 for problem, length
-                 in _split_problems(q, x0, robin, grid_size, allow_inadmissible))
-
-
-def _split_problems(q, x0, robin, grid_size, allow_inadmissible):
-    """The left and right split problems at x0, each rescaled to unit length,
-    as pairs (_ShootingProblem, length)."""
     if not (0.0 < x0 < 1.0):
         raise DomainError("x0 must lie strictly inside (0, 1)")
     x = _validate_ivp_args(q, grid_size, allow_inadmissible).x_grid
 
-    def side(a, length, v0, d0, cv, cd):
-        return _ShootingProblem(length ** 2 * q(a + length * x), v0, d0, cv, cd), length
+    def spectrum(a, length, v0, d0, cv, cd):
+        mu, _ = _ShootingProblem(length ** 2 * q(a + length * x), v0, d0, cv, cd).solve(n_max)
+        return mu / length ** 2
 
     len_r = 1.0 - x0
-    return (side(0.0, x0, 1.0, x0 * robin.h, 1.0, 0.0),
-            side(x0, len_r, 0.0, 1.0, len_r * robin.H, 1.0))
-
-
-def _split_index_above(q, x0, robin, lam, grid_size) -> int:
-    """Index of the first split eigenvalue above lam, the larger of the two sides.
-
-    One traced march per side at len^2 lam: mode n solves G_0 = n pi and G_0
-    increases, so the modes at or below lam are those with n pi <= G_0(lam).
-    """
-    k = 0
-    for problem, length in _split_problems(q, x0, robin, grid_size, True):
-        g, _ = problem.angle_excess([length ** 2 * lam])
-        k = max(k, int(np.floor(g[0] / np.pi)) + 1)
-    return k
+    return (spectrum(0.0, x0, 1.0, x0 * robin.h, 1.0, 0.0),
+            spectrum(x0, len_r, 0.0, 1.0, len_r * robin.H, 1.0))
 
 
 def neumann_reference_error(lambdas) -> float:
@@ -679,7 +660,7 @@ def verify_asymptotics(es: EigenSystem) -> AsymptoticsReport:
     # growth it projects across the window relative to the sequence level
     projected = slope * (nn[-1] - nn[0])
     level = float(np.mean(abs_r)) + 1e-12
-    passed = (slope <= 2.0 * stderr + 1e-12) or (projected <= 0.25 * level)
+    passed = bool(slope <= 2.0 * stderr + 1e-12 or projected <= 0.25 * level)
     return AsymptoticsReport(n_values=n, r_values=r,
                              max_upper_half=float(abs_r.max()),
                              slope=slope, slope_stderr=stderr, passed=passed)

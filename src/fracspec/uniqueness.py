@@ -10,10 +10,10 @@ retained set from below:
 
 complement_inclusion_check tests that embedding on a computed spectrum.  It
 solves each split problem only up to the first eigenvalue above the largest
-complement eigenvalue (a winding count at that eigenvalue sizes the solve,
-never deeper than the system's own modes), since no higher split eigenvalue
-can be the nearest to a complement member, and on cells no wider than the
-system's.
+complement eigenvalue (a Sturm comparison with the constant potential
+max(q) sizes the solve, never deeper than the system's own modes), since no
+higher split eigenvalue can be the nearest to a complement member, and on
+cells no wider than the system's.
 
 A sufficient density criterion (liminf N(s) s^{-1/2} > A/pi, admissible
 tail length d <= A/2) and the two uniqueness-region conditions
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .sl_core import (MIN_GRID, EigenSystem, PotentialSpec, RobinPair, _split_index_above,
-                      eval_modes_at, split_spectra)
+from .sl_core import (MIN_GRID, EigenSystem, PotentialSpec, RobinPair, eval_modes_at,
+                      split_spectra)
 
 TRACE_TAU = 1e-6  # mode n vanishes at x0 when |e_n(x0)| <= TRACE_TAU max_x |e_n(x)|
 MATCH_TOL = 1e-6  # relative distance at which a complement eigenvalue is matched
@@ -165,25 +165,36 @@ def complement_inclusion_check(es: EigenSystem, x0: float, robin: RobinPair,
     must lie within MATCH_TOL * (1 + lambda) of a member of the left
     (Robin-Dirichlet) and right (Dirichlet-Robin) spectra at x0.
 
-    Both split spectra run from mode 0 to mode k, the larger over the two
-    sides of the index of the first split eigenvalue above
-    lam_top = max(complement) (1 + MATCH_TOL) + MATCH_TOL, counted by one
-    winding march per side, and k is capped at es.n_max.  Any split
-    eigenvalue nearest to a complement lambda lies at or below lambda or is
-    the first one above it, so it has index <= k: the modes past k cannot
-    change an entry.  Each side gets ceil(max(x0, 1 - x0) es.grid_size)
-    cells, so the longer side has the system's cell width and the shorter a
-    finer one; for a grid node x0 the longer side's cells are the system's
-    own.  Against both sides solved to es.n_max on es.grid_size cells the
-    distances move only at rounding level.
+    Both split spectra run from mode 0 to mode k, capped at es.n_max, with
+    k = floor(l sqrt(max(lam_top + q_max, 0)) / pi - 1/2) + 1, where
+    lam_top = max(complement) (1 + MATCH_TOL) + MATCH_TOL, l = max(x0, 1 - x0)
+    and q_max = max(q.samples).  By Sturm comparison (Zettl, Sturm-Liouville
+    Theory, 2005) k is at least the number of split eigenvalues at or below
+    lam_top: each side has a Robin coefficient >= 0 at its outer end and
+    Dirichlet at x0, and its mu_j does not fall as that coefficient grows or
+    as q falls, so mu_j >= ((j + 1/2) pi / l_side)^2 - q_max, the
+    Neumann-Dirichlet value for the constant q_max, which the side's linear
+    resampling of q never exceeds; the longer side gives the larger count.
+    Any split eigenvalue nearest to a complement lambda lies at or below
+    lambda or is the first one above it, so it has index <= k: the modes
+    past k cannot change an entry.  The march's mu_k can sit below the
+    continuous bound by its discretisation error; should lam_top fall in
+    that gap, mu_k lies within that error of lam_top and is still solved,
+    while mode k + 1 lies a whole spacing higher and is never the nearest.
+    Each side gets ceil(l es.grid_size) cells, so the longer side has the
+    system's cell width and the shorter a finer one; for a grid node x0 the
+    longer side's cells are the system's own.  Against both sides solved to
+    es.n_max on es.grid_size cells the distances move only at rounding level.
     """
     split = lambda_set(es, x0)
     comp = split.complement.values
     entries, violations = [], []
     if comp.size:
         lam_top = float(comp[-1]) * (1.0 + MATCH_TOL) + MATCH_TOL
-        grid = max(MIN_GRID, int(np.ceil(max(x0, 1.0 - x0) * es.grid_size)))
-        n_max = min(_split_index_above(q, x0, robin, lam_top, grid), es.n_max)
+        length = max(x0, 1.0 - x0)
+        grid = max(MIN_GRID, int(np.ceil(length * es.grid_size)))
+        reach = length * np.sqrt(max(lam_top + q.samples.max(), 0.0)) / np.pi
+        n_max = min(int(np.floor(reach - 0.5)) + 1, es.n_max)
         mu_minus, mu_plus = split_spectra(q, x0, robin, n_max, grid_size=grid,
                                           allow_inadmissible=True)
         for lam in comp:

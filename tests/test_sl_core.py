@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fracspec.errors import (
     NonFiniteBlowup,
     ResidualTooLarge,
 )
+from fracspec.inverse import random_head
 from fracspec.sl_core import (
     PotentialSpec,
     RobinPair,
@@ -660,6 +662,17 @@ class TestSplitSpectra:
         assert np.abs(res_m[10:]).max() < 2.0
         assert np.abs(res_p[10:]).max() < 2.0
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.floats(0.1, 1.0), h=st.floats(0.0, 3.0),
+           H=st.floats(0.0, 3.0), x0=st.floats(0.05, 0.95))
+    def test_merged_split_spectra_interlace_the_full_spectrum(self, seed, d, h, H, x0):
+        # Dirichlet at x0 is one constraint on the form, so the k-th smallest
+        # of both sides' eigenvalues lies in [lambda_k, lambda_{k+1}]
+        q, robin = random_head(np.random.default_rng(seed), d, 512), RobinPair(h, H)
+        lam = eigen_system(q, robin, 20).lambdas
+        mu = np.sort(np.concatenate(split_spectra(q, x0, robin, 20)))[:21]
+        assert np.all(lam <= mu) and np.all(mu[:-1] <= lam[1:])
+
 
 class TestVerifyAsymptotics:
     def test_reference_exact(self):
@@ -693,6 +706,20 @@ class TestVerifyAsymptotics:
         rep = verify_asymptotics(dataclasses.replace(es, lambdas=(n * np.pi + c) ** 2))
         assert np.allclose(rep.r_values, c * rep.n_values, rtol=1e-12)
         assert not rep.passed
+
+    @pytest.mark.parametrize("creeps", [False, True])
+    def test_projected_growth_verdict_is_a_plain_bool(self, creeps):
+        # the slope clause fails on both and the projected growth decides:
+        # r_n = 0.05 n grows, r_n = 1 - 1/n creeps to its limit.  The report
+        # must serialise, so passed is a bool, not numpy's
+        es = eigen_system(Q0, FREE, 25)
+        n = np.arange(1, es.n_max + 1)
+        r = 1.0 - 1.0 / n if creeps else 0.05 * n
+        rep = verify_asymptotics(dataclasses.replace(
+            es, lambdas=np.r_[0.0, (n * np.pi + r / n) ** 2]))
+        assert rep.slope > 2.0 * rep.slope_stderr
+        assert type(rep.passed) is bool and rep.passed is creeps
+        assert json.dumps(rep.passed) == json.dumps(creeps)
 
 
 class TestPotentialSpec:

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from fracspec import uniqueness
 from fracspec.cli import ExperimentConfig, run
 from fracspec.errors import DomainError
+from fracspec.inverse import random_head
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system, split_spectra
 from fracspec.uniqueness import (
+    MATCH_TOL,
     CountedSet,
     classify_region,
     complement_inclusion_check,
@@ -37,6 +40,27 @@ def record_split_calls(monkeypatch):
         return split_spectra(q, x0, robin, n_max, **kwargs)
     monkeypatch.setattr(uniqueness, "split_spectra", recorded)
     return asked
+
+
+def split_depth(q, x0, robin, lam_top, n_cells):
+    """(n_max, split spectra) of the check's split solve when lam_top is the
+    complement's top plus its match margin; the spectra run one mode past n_max.
+
+    lambda_set is replaced, so the system needs only its grid_size and an
+    n_max that never caps the depth."""
+    asked, top = [], (lam_top - MATCH_TOL) / (1.0 + MATCH_TOL)
+
+    def deeper(q, x0, robin, n_max, **kwargs):
+        asked.append((n_max, split_spectra(q, x0, robin, n_max + 1, **kwargs)))
+        return asked[-1][1]
+    split = SimpleNamespace(complement=SimpleNamespace(values=np.array([top])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniqueness, "lambda_set", lambda es, x0: split)
+        mp.setattr(uniqueness, "split_spectra", deeper)
+        complement_inclusion_check(SimpleNamespace(grid_size=n_cells, n_max=10 ** 6),
+                                   x0, robin, q)
+    [(n_max, spectra)] = asked
+    return n_max, spectra
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +251,44 @@ class TestInclusion:
         fake = dataclasses.replace(es_free, lambdas=9.0 * es_free.lambdas)
         complement_inclusion_check(fake, 0.5, FREE, PotentialSpec.constant(0.0, 1024))
         assert asked == [(es_free.n_max, 512)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["head", "well", "bump"]), seed=st.integers(0, 2 ** 32 - 1),
+           depth=st.floats(0.0, 50.0), h=st.floats(0.0, 5.0), H=st.floats(0.0, 5.0),
+           x0=st.one_of(st.integers(7, 121).map(lambda i: i / 128), st.floats(0.05, 0.95)),
+           reach=st.floats(0.0, 1.0))
+    def test_split_solve_depth_is_never_too_shallow(self, kind, seed, depth, h, H, x0,
+                                                    reach):
+        # the depth must cover every split eigenvalue at or below lam_top on
+        # both sides; lam_top runs from below mu_0 up to 100 modes of a unit
+        # interval, within the 128-cell grid's reach.  Kills the depth's
+        # - 1/2 -> - 3/2 and every mutant that shrinks it
+        rng = np.random.default_rng(seed)
+        x = np.linspace(0.0, 1.0, 129)
+        if kind == "head":
+            q = random_head(rng, rng.uniform(0.1, 1.0), 128)
+        else:  # cos^2 wells, or the same shape as an inadmissible q > 0
+            shape = depth * np.cos(2.0 * np.pi * (x - rng.uniform())) ** 2
+            q = PotentialSpec(-shape if kind == "well" else shape, 128)
+        lam_top = (100.0 * np.pi * reach) ** 2
+        n_max, spectra = split_depth(q, x0, RobinPair(h, H), lam_top, 128)
+        assert all(np.count_nonzero(mu <= lam_top) <= n_max for mu in spectra)
+
+    @pytest.mark.parametrize("x0, k, c", [(0.3, 7, 2.0), (0.5, 0, -1.0), (0.8125, 20, 0.0),
+                                          (0.1, 3, 25.0)])
+    def test_split_solve_depth_is_tight_for_a_constant_potential(self, x0, k, c):
+        # q = c, h = H = 0: the longer side's mu_k = ((k + 1/2) pi / l)^2 - c
+        # exactly, so lam_top just below it needs modes 0..k - 1 and the
+        # first above (depth k), just above it one more.  Kills the depth's
+        # - 1/2 -> + 1/2, and + q_max -> - q_max
+        q, length = PotentialSpec.constant(c, 128), max(x0, 1.0 - x0)
+        exact = ((k + 0.5) * np.pi / length) ** 2
+        for shift, depth in ((-1e-9, k), (1e-9, k + 1)):
+            lam_top = exact * (1.0 + shift) - c
+            n_max, (mu_minus, mu_plus) = split_depth(q, x0, FREE, lam_top, 128)
+            assert n_max == depth
+            mu_long = mu_minus if x0 > 0.5 else mu_plus
+            assert abs(mu_long[k] - (exact - c)) <= 1e-11 * exact
 
 
 class TestCountingBound:
