@@ -276,11 +276,12 @@ def reconstruct(spec: InverseProblemSpec, init: CandidateParam,
     The Jacobian J = J_spec S is exact for the discrete model, from the
     eigensystem and convolutions of the current point (module docstring);
     Tikhonov term gamma |coeffs|^2, step-halving line search, projection of
-    h onto h >= 0.
+    h onto h >= 0.  A step solves (J^T J + (g + mu s_0^2) I) delta = -J^T r by
+    one SVD of J: g = gamma, or max(10 gamma, 1e-8) with a rank warning when
+    s_0 / s_min > 1e12, and mu is lm_damping's adaptive Levenberg factor (else 0).
     Terminates on gradient norm (GRAD_TOL), relative step size (STEP_TOL),
     the iteration cap, or -- when floor_stop is given -- on reaching the
     solver-disagreement floor below which the data carry no information.
-    lm_damping adds adaptive Levenberg damping on top of the line search;
     gamma_path runs warm-started stages ending at gamma, max_iter split
     across them; misfit_history is the final stage's, and iterations,
     jacobian_condition and rank_warnings cover every stage.  Supplies error
@@ -318,10 +319,10 @@ def reconstruct_morozov(spec: InverseProblemSpec, init: CandidateParam,
     misfit_history is the final stage's, and iterations, jacobian_condition
     and rank_warnings cover every stage."""
     if not (np.isfinite(gamma0) and gamma0 >= 0.0 and gamma_min > 0.0
-            and max_iter >= 1):
+            and max_iter >= 1 and np.isfinite(noise_norm2) and noise_norm2 >= 0.0):
         raise DomainError(f"reconstruct_morozov needs a finite gamma0 >= 0, "
-                          f"gamma_min > 0 and max_iter >= 1 (got {gamma0}, "
-                          f"{gamma_min}, {max_iter})")
+                          f"gamma_min > 0, max_iter >= 1 and a finite noise_norm2 >= 0 "
+                          f"(got {gamma0}, {gamma_min}, {max_iter}, {noise_norm2})")
     gammas = [gamma0]
     while gammas[-1] > gamma_min:
         gammas.append(gammas[-1] / 10.0)
@@ -355,20 +356,18 @@ def _continuation(spec, init, gammas, stage_iters, lm_damping, floor_stop,
             # the cache holds theta's eigensystem: the last residual computed
             # was theta's, at the stage start or as the accepted trial
             J = _jacobian(spec, gamma_now, n_par - 1, cache)
-            cond = float(np.linalg.cond(J))
+            U, s, Vt = np.linalg.svd(J, full_matrices=False)  # J = U diag(s) V^T
+            cond = float(s[0] / s[-1]) if s[-1] > 0.0 else np.inf  # as np.linalg.cond
             cond_max = max(cond_max, cond)
             gamma_eff = gamma_now
             if cond > 1e12:
                 rank_warnings += 1
                 gamma_eff = max(gamma_now * 10.0, 1e-8)
-            damping = mu * np.linalg.norm(J, 2) ** 2 if lm_damping else 0.0
-            delta, *_ = np.linalg.lstsq(
-                np.vstack([J, np.sqrt(gamma_eff + damping) * np.eye(n_par)]),
-                np.concatenate([-r, np.zeros(n_par)]), rcond=None)
-            grad = 2.0 * J.T @ r
-            if np.linalg.norm(grad) < GRAD_TOL:
+            g = s * (U.T @ r)  # J^T r = V g
+            if 2.0 * np.linalg.norm(g) < GRAD_TOL:
                 termination = "gradient"
                 break
+            delta = -Vt.T @ (g / (s ** 2 + gamma_eff + mu * s[0] ** 2))
 
             # step-halving line search; only non-increasing steps accepted,
             # and trials that break the eigensolver count as rejected

@@ -6,7 +6,7 @@ import pytest
 
 from fracspec import forward, inverse
 from fracspec.cli import ExperimentConfig, run
-from fracspec.errors import DomainError
+from fracspec.errors import DomainError, ResidualTooLarge
 from fracspec.forward import DriveSignal
 from fracspec.inverse import (
     CandidateParam,
@@ -104,6 +104,50 @@ def fd_jacobian(theta, spec, gamma, rel_step):
     return np.array(cols).T
 
 
+def lstsq_step(J, r, gamma, mu):
+    """Reference step: the augmented least-squares solve
+    [J; sqrt(g + mu |J|_2^2) I] delta ~ [-r; 0], g = gamma raised to
+    max(10 gamma, 1e-8) when cond(J) > 1e12."""
+    n = J.shape[1]
+    g = max(gamma * 10.0, 1e-8) if np.linalg.cond(J) > 1e12 else gamma
+    delta, *_ = np.linalg.lstsq(
+        np.vstack([J, np.sqrt(g + mu * np.linalg.norm(J, 2) ** 2) * np.eye(n)]),
+        np.concatenate([-r, np.zeros(n)]), rcond=None)
+    return delta
+
+
+def scripted_steps(monkeypatch, spec, jacobians, r0, rejected, gamma, lm_damping):
+    """Run reconstruct on scripted Jacobians: iteration k sees jacobians[k]
+    and the residual accepted last; its first trial is turned down (10 times
+    the residual) when rejected[k], and each accepted trial's residual is 0.9
+    times the last.  _project_h returns zeros, so theta stays 0 and each
+    trial point is its scaled step exactly.  Returns the result and, per
+    iteration, its residual and the step of its first trial."""
+    responses, residuals, r = [r0], [], r0
+    for turned_down in rejected:
+        residuals.append(r)
+        r = 0.9 * r
+        responses += [10.0 * residuals[-1], r] if turned_down else [r]
+    replies, jac, points = iter(responses), iter(jacobians), []
+    monkeypatch.setattr(inverse, "_residual_vector", lambda *a, **k: next(replies))
+    monkeypatch.setattr(inverse, "_jacobian", lambda *a: next(jac))
+    monkeypatch.setattr(inverse, "_project_h",
+                        lambda v: (points.append(v), np.zeros_like(v))[1])
+    n_par = jacobians[0].shape[1]
+    res = reconstruct(spec, CandidateParam(np.zeros(n_par - 1), 0.0), gamma=gamma,
+                      max_iter=len(jacobians), lm_damping=lm_damping)
+    firsts = np.cumsum([1] + [2 if t else 1 for t in rejected[:-1]])
+    return res, residuals, [points[i] for i in firsts]
+
+
+def constant_loop(monkeypatch, J, r, theta):
+    """Every Jacobian is J, every residual r and every projected point theta,
+    so each line-search trial ties with the current misfit |r|^2."""
+    monkeypatch.setattr(inverse, "_jacobian", lambda *a: J)
+    monkeypatch.setattr(inverse, "_residual_vector", lambda *a, **k: r)
+    monkeypatch.setattr(inverse, "_project_h", lambda v: np.array(theta, dtype=float))
+
+
 class TestSynthesize:
     def test_noiseless_matches_fd(self, ramp_hold):
         from fracspec.forward import solve_l1_fd
@@ -173,6 +217,15 @@ class TestMisfit:
         m2 = misfit(cand, spec, gamma=1e-4)
         assert m2 > m1
 
+    def test_floor_is_the_misfit_against_fd_data_of_the_candidate(self, twin):
+        # kills pred - u_fd -> + in estimate_solver_floor
+        _, spec = twin
+        cand = CandidateParam(np.array([-0.3, 0.1]), 0.4)
+        own = synthesize_data(candidate_potential(spec, cand), cand.h, HBIG, ALPHA,
+                              spec.eta, X0, spec.data.t, 0.0, 0, nx=128, nt=256)
+        floor = estimate_solver_floor(spec, cand, nx=128, nt=256)
+        assert floor == pytest.approx(misfit(cand, replace(spec, data=own)), rel=1e-12)
+
     def test_reorder_invariance(self, twin):
         _, spec = twin
         perm = np.random.default_rng(0).permutation(spec.data.t.size)
@@ -196,6 +249,10 @@ class TestCandidate:
     def test_basis_cap(self):
         with pytest.raises(DomainError):
             CandidateParam(np.zeros(17), 0.1)
+
+    def test_basis_cap_admits_max_basis(self):
+        # kills size > MAX_BASIS -> >=
+        assert CandidateParam(np.zeros(16), 0.1).coeffs.size == 16
 
 
 class TestJacobian:
@@ -335,17 +392,20 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma0": np.inf}, {"gamma0": np.nan}, {"gamma0": -1e-4},
-        {"gamma_min": -1.0}, {"gamma_min": 0.0}, {"max_iter": 0}])
+        {"gamma_min": -1.0}, {"gamma_min": 0.0}, {"max_iter": 0},
+        {"noise_norm2": np.nan}, {"noise_norm2": -1.0}, {"noise_norm2": np.inf}])
     def test_morozov_rejects_a_ladder_it_cannot_run(self, twin, monkeypatch,
                                                     kwargs):
         # gamma0 = inf or gamma_min <= 0 never reaches gamma_min by tenfold
         # steps (gamma_min = 0 only after 321 stages, at gamma = 0); a NaN or
-        # negative gamma0 would run its stage at that gamma
+        # negative gamma0 would run its stage at that gamma; a NaN or negative
+        # noise_norm2 gives a target no stage meets, and inf one that the
+        # first stage meets whatever its fit
         _, spec = twin
         monkeypatch.setattr(inverse, "_residual_vector", _no_solve)
         with pytest.raises(DomainError, match="gamma0 >= 0, gamma_min > 0"):
-            reconstruct_morozov(spec, CandidateParam(np.zeros(2), 0.1), 1.0,
-                                **kwargs)
+            reconstruct_morozov(spec, CandidateParam(np.zeros(2), 0.1),
+                                **{"noise_norm2": 1.0, **kwargs})
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma": -1e-8}, {"gamma": np.nan}, {"gamma_path": [1e-4, np.inf]},
@@ -365,6 +425,147 @@ class TestReconstruct:
         with pytest.raises(DomainError, match=r"number of gamma stages \(3\)"):
             reconstruct(spec, CandidateParam(np.zeros(2), 0.1), gamma=1e-8,
                         gamma_path=[1e-4, 1e-6], max_iter=2)
+
+    @pytest.mark.parametrize("case", ["gauss-newton", "tikhonov", "levenberg ladder",
+                                      "gamma bump", "gamma bump from 0"])
+    def test_step_matches_the_augmented_least_squares_solve(self, twin, monkeypatch,
+                                                            case):
+        # one SVD of J gives the step of the augmented lstsq solve for every
+        # gamma and mu; the ladder turns its first trial down eleven times,
+        # so mu climbs from 1e-3 to its cap 1e3, then falls to its floor 1e-14
+        rng = np.random.default_rng(7)
+        gamma = {"gauss-newton": 0.0, "gamma bump": 1e-4, "gamma bump from 0": 0.0}.get(
+            case, 1e-8)
+        rejected = [False]
+        if case == "levenberg ladder":
+            rejected = [True] * 11 + [False] * 37
+        jacobians = [rng.standard_normal((36, 5)) for _ in rejected]
+        if case.startswith("gamma bump"):
+            q1, _ = np.linalg.qr(rng.standard_normal((36, 5)))
+            q2, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            jacobians = [q1 @ np.diag([1e-2, 3e-3, 1e-3, 1e-4, 1e-15]) @ q2.T]
+        lm_damping = case == "levenberg ladder"
+        res, residuals, steps = scripted_steps(monkeypatch, twin[1], jacobians,
+                                               rng.standard_normal(36), rejected,
+                                               gamma, lm_damping)
+        assert res.iterations == len(jacobians) and res.termination == "max_iterations"
+        mu, mus = (1e-3 if lm_damping else 0.0), []
+        for J, r, step, turned_down in zip(jacobians, residuals, steps, rejected):
+            mus.append(mu)
+            ref = lstsq_step(J, r, gamma, mu)
+            assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+            if lm_damping:
+                mu = min(mu * 4.0, 1e3) if turned_down else max(mu / 3.0, 1e-14)
+        if lm_damping:
+            assert max(mus) == 1e3 and min(mus) == 1e-14
+        conds = [np.linalg.cond(J) for J in jacobians]
+        assert res.jacobian_condition == pytest.approx(max(conds), rel=1e-12)
+        assert res.rank_warnings == sum(c > 1e12 for c in conds)
+
+    def test_a_trial_that_breaks_the_eigensolve_halves_the_step(self, twin,
+                                                                monkeypatch):
+        # the first line-search trial raises as a failed eigensolve does; it
+        # counts as rejected, the next trial sits at half the step, and the
+        # accepted misfits still never increase
+        _, spec = twin
+        points, real = [], inverse._residual_vector
+
+        def residual(theta, *args):
+            points.append(theta)
+            if len(points) == 2:
+                raise ResidualTooLarge("scripted eigensolve failure")
+            return real(theta, *args)
+
+        monkeypatch.setattr(inverse, "_residual_vector", residual)
+        init = CandidateParam(np.zeros(3), H_TRUE)
+        res = reconstruct(spec, init, gamma=1e-8, max_iter=3)
+        start, first, second = points[:3]
+        assert first[-1] > 0.0 and second[-1] > 0.0  # h not projected
+        assert np.allclose(second - start, 0.5 * (first - start), rtol=1e-12,
+                           atol=1e-15)
+        hist = np.asarray(res.misfit_history)
+        assert hist.size >= 2 and np.all(np.diff(hist) <= 0.0)
+
+    def test_a_converged_scaled_fit_ends_on_step_size(self, twin):
+        # the gradient test is absolute: with drive and data scaled by 100 the
+        # h-only fit converges with a gradient too large for it (unscaled it
+        # ends on "gradient"), and the relative step test stops it
+        _, spec = twin
+        scaled = replace(spec, eta=DriveSignal(spec.eta.t_grid, 100.0 * spec.eta.values),
+                         data=ObservationSeries(spec.data.t, 100.0 * spec.data.u))
+        init = CandidateParam(np.zeros(0), 0.1)
+        res = reconstruct(scaled, init, gamma=0.0, max_iter=12)
+        assert res.termination == "step_size" and res.iterations < 12
+        assert reconstruct(spec, init, gamma=0.0, max_iter=12).termination == "gradient"
+
+    def test_a_tie_is_accepted_and_meets_the_floor(self, twin, monkeypatch):
+        # a trial whose misfit equals the current one is accepted (the line
+        # search takes non-increasing steps), and a misfit equal to floor_stop
+        # stops on the floor; kills phi_trial <= phi -> <, phi <= floor_stop
+        # -> < and abs_err_h's h - h_truth -> +
+        q_true, spec = twin
+        r = np.zeros(32)
+        r[0] = 1.2
+        constant_loop(monkeypatch, np.ones((32, 1)), r, [0.5])
+        init = CandidateParam(np.zeros(0), 0.5)
+        res = reconstruct(spec, init, gamma=0.0, max_iter=3, q_truth=q_true, h_truth=0.2)
+        assert res.termination == "max_iterations" and res.iterations == 3
+        assert res.misfit_history == [float(r @ r)] * 4
+        assert res.error_metrics["abs_err_h"] == pytest.approx(0.3, rel=1e-15)
+        res = reconstruct(spec, init, gamma=0.0, max_iter=3, floor_stop=float(r @ r))
+        assert res.termination == "solver_floor" and res.iterations == 1
+
+    def test_step_test_is_relative_to_one_plus_theta(self, twin, monkeypatch):
+        # a step of 1.5e-10 at |theta| = 1 lies below STEP_TOL (1 + |theta|);
+        # the gradient 2 |J^T r| = 3e-4 is far above GRAD_TOL; kills
+        # STEP_TOL * (1 + |theta|) -> / and 1 + |theta| -> -
+        _, spec = twin
+        col = np.ones((32, 1)) / np.sqrt(32.0)
+        constant_loop(monkeypatch, 1e3 * col, 1.5e-7 * col[:, 0], [1.0])
+        res = reconstruct(spec, CandidateParam(np.zeros(0), 1.0), gamma=0.0, max_iter=3)
+        assert res.termination == "step_size" and res.iterations == 1
+
+    @pytest.mark.parametrize("c0", [0.0, 1.0])
+    def test_morozov_target_is_met_by_the_data_misfit(self, twin, monkeypatch, c0):
+        # target 1.2 * 1.2 and misfit |r|^2 = 1.2^2 plus the penalty 0.1 c0^2:
+        # the data misfit meets the target at a tie (c0 = 0) and once the
+        # penalty is taken off (c0 = 1), so the first stage ends the ladder;
+        # kills the stop test's <= target -> < and phi - penalty -> +
+        _, spec = twin
+        r = np.zeros(33)
+        r[0] = 1.2
+        constant_loop(monkeypatch, np.eye(33, 2), r, [c0, 0.5])
+        res = reconstruct_morozov(spec, CandidateParam(np.zeros(1), 0.5), 1.2,
+                                  gamma0=0.1, gamma_min=0.01, max_iter=1)
+        assert res.regularization["gamma"] == 0.1 and res.iterations == 1
+
+    @pytest.mark.parametrize("gamma0, gamma_min, stages", [(0.0, 1e-12, 1), (1e-4, 1e-5, 2)])
+    def test_morozov_ladder_ends_at_the_first_gamma_at_or_below_gamma_min(
+            self, twin, monkeypatch, gamma0, gamma_min, stages):
+        # gamma0 = 0 and max_iter = 1 are legal; 1e-4 / 10 is exactly 1e-5, so
+        # that ladder has two stages; a zero target is never met; kills
+        # gamma0 >= 0 -> >, max_iter >= 1 -> > and the ladder's > gamma_min -> >=
+        _, spec = twin
+        r = np.zeros(32)
+        r[0] = 1.0
+        constant_loop(monkeypatch, np.ones((32, 1)), r, [0.5])
+        res = reconstruct_morozov(spec, CandidateParam(np.zeros(0), 0.5), 0.0,
+                                  gamma0=gamma0, gamma_min=gamma_min, max_iter=1)
+        assert res.iterations == stages
+        assert res.regularization["gamma"] == (gamma_min if stages == 2 else gamma0)
+
+    def test_a_jacobian_of_zeros_has_infinite_condition(self, ramp_hold):
+        # data at t = 0 alone do not depend on theta, so with gamma = 0 J is
+        # exactly 0: its condition is inf, as np.linalg.cond gives, the
+        # iteration counts a rank warning, and the zero gradient stops it
+        spec = InverseProblemSpec(alpha=ALPHA, x0=X0, d=D,
+                                  q_tail=PotentialSpec.constant(0.0, 64), H=HBIG,
+                                  eta=ramp_hold,
+                                  data=ObservationSeries(np.array([0.0]), np.array([0.3])),
+                                  n_max=6, grid_size=64)
+        res = reconstruct(spec, CandidateParam(np.zeros(2), 0.3), gamma=0.0, max_iter=3)
+        assert res.jacobian_condition == np.inf and res.rank_warnings == 1
+        assert res.termination == "gradient" and res.iterations == 1
 
     def test_start_at_spectral_data_truth_ends_on_gradient(self, twin):
         # data made by the spectral solver at the start itself leave no
@@ -470,6 +671,24 @@ class TestAudit:
         rep = spectral_match_audit(es1, es2, X0, tol=1e-3)
         assert rep.n_matched == 0
 
+    def test_identical_systems_match_at_zero_tolerance(self):
+        # kills the match test's dlam <= tol -> < and dtrace <= tol -> <
+        es = eigen_system(truth_potential(), RobinPair(0.5, 1.0), 10, grid_size=512)
+        assert spectral_match_audit(es, es, X0, tol=0.0).all_matched
+
+    def test_trace_gaps_are_gaps_of_the_observation_weights(self, ramp_hold):
+        # the audited products e_n(1) e_n(x0) are the weights a_n of the
+        # forward series; kills efuncs[:, -1] * eval_modes_at -> /
+        q, robin, t = truth_potential(1024), RobinPair(0.5, 1.0), np.array([1.0])
+        caches = [{}, {}]
+        for cache, grid in zip(caches, (1024, 768)):
+            _observation(q, robin, ALPHA, ramp_hold, X0, t, 10, grid, cache)
+        rep = spectral_match_audit(caches[0]["es"], caches[1]["es"], X0, tol=1e-4)
+        a1, a2 = caches[0]["weights"], caches[1]["weights"]
+        assert rep.all_matched and rep.n_audited > 0
+        for e in rep.entries:
+            assert e.trace_gap == pytest.approx(abs(a1[e.n] - a2[e.m]), rel=1e-9, abs=1e-15)
+
     def test_nmax_mismatch_rejected(self):
         q = truth_potential()
         es1 = eigen_system(q, RobinPair(0.5, 1.0), 8, grid_size=512)
@@ -508,6 +727,21 @@ class TestSpecSerialization:
         values[field][3] = np.nan
         with pytest.raises(DomainError, match="finite"):
             ObservationSeries(**values)
+
+    @pytest.mark.parametrize("d, x0, ok", [(0.0, 0.5, False), (1.0, 0.5, False),
+                                           (0.4, 0.0, True), (0.4, 1.0, True)])
+    def test_d_open_and_x0_closed_in_the_unit_interval(self, ramp_hold, d, x0, ok):
+        # kills 0 < d < 1 -> <= (both) and 0 <= x0 <= 1 -> < (both)
+        def make():
+            return InverseProblemSpec(alpha=0.5, x0=x0, d=d,
+                                      q_tail=PotentialSpec.constant(0.0, 64), H=1.0,
+                                      eta=ramp_hold,
+                                      data=ObservationSeries(np.array([1.0]), np.zeros(1)))
+        if ok:
+            assert make().x0 == x0
+        else:
+            with pytest.raises(DomainError, match="unit interval"):
+                make()
 
     def test_data_inside_drive_support(self, ramp_hold):
         with pytest.raises(DomainError):
