@@ -431,37 +431,36 @@ class _ShootingProblem:
     def solve(self, n_max, guesses=None):
         """Eigenvalues 0..n_max by winding isolation then a secant polish.
 
-        When guesses (previous eigenvalues of a nearby problem) are supplied,
-        small brackets around them are tried first; unless every one of them
-        isolates its root, the global brackets are split at the points where
-        the line through their windings in sqrt(lambda) crosses (k + 1/2) pi,
-        and bisected where that left a root unisolated.  Raises DomainError
-        when the grid is too coarse to count the windings of n_max + 1 modes.
+        The global Rayleigh brackets are split at separator points, and each
+        mode's bracket is bisected where that left its root unisolated.  The
+        separators are guess -+ 0.5 (1 + 1e-3 |guess|) clipped into the
+        brackets when guesses (eigenvalues of a nearby problem) are supplied,
+        else the points where the line through the ends' windings in
+        sqrt(lambda) crosses (k + 1/2) pi.  Raises DomainError when the grid
+        is too coarse to count the windings of n_max + 1 modes.
         """
         n_modes = n_max + 1
         targets = np.arange(n_modes) * np.pi
         lam_lo, lam_hi = winding_bracket(self.q, n_max)
-        if guesses is not None and len(guesses) == n_modes:
+        warm = guesses is not None and len(guesses) == n_modes
+        if warm:
             guesses = np.asarray(guesses, dtype=float)
-            for widen in (0.5, 8.0):
-                half = widen * (1.0 + 1e-3 * np.abs(guesses))
-                lo, hi = guesses - half, guesses + half
-                g, f = self.angle_excess(np.concatenate([lo, hi]))
-                g_lo, g_hi = g[:n_modes] - targets, g[n_modes:] - targets
-                f_lo, f_hi = f[:n_modes], f[n_modes:]
-                if _isolated(g_lo, g_hi, f_lo, f_hi).all():
-                    return self._polish(lo, hi, g_lo, g_hi, f_lo, f_hi)
-
-        g, f = self.angle_excess([lam_lo, lam_hi])
-        if not (g[0] < 0.0 and g[1] > targets[-1]):
+            half = 0.5 * (1.0 + 1e-3 * np.abs(guesses))
+            lams = np.sort(np.clip(np.concatenate([[lam_lo, lam_hi], guesses - half,
+                                                   guesses + half]), lam_lo, lam_hi))
+        else:
+            lams = np.array([lam_lo, lam_hi])
+        g, f = self.angle_excess(lams)
+        if not (g[0] < 0.0 and g[-1] > targets[-1]):
             raise BracketFailure("could not establish winding brackets")
-        # the winding is nearly linear in w = sqrt(lambda - lam_lo): split the
-        # global bracket where that line crosses (k + 1/2) pi, then give mode n
-        # the first point above n pi and the one before it
-        w = np.sqrt(lam_hi - lam_lo) * (targets[1:] - 0.5 * np.pi - g[0]) / (g[1] - g[0])
-        lams = np.concatenate([[lam_lo], lam_lo + w * w, [lam_hi]])
-        g_sep, f_sep = self.angle_excess(lams[1:-1])
-        g, f = np.r_[g[0], g_sep, g[1]], np.r_[f[0], f_sep, f[1]]
+        if not warm:
+            # the winding is nearly linear in w = sqrt(lambda - lam_lo): split
+            # the global bracket where that line crosses (k + 1/2) pi
+            w = np.sqrt(lam_hi - lam_lo) * (targets[1:] - 0.5 * np.pi - g[0]) / (g[1] - g[0])
+            lams = np.concatenate([[lam_lo], lam_lo + w * w, [lam_hi]])
+            g_sep, f_sep = self.angle_excess(lams[1:-1])
+            g, f = np.r_[g[0], g_sep, g[1]], np.r_[f[0], f_sep, f[1]]
+        # mode n gets the first point above n pi and the one before it
         i = np.argmax(g > targets[:, None], axis=1)
         lo, hi, f_lo, f_hi = lams[i - 1], lams[i], f[i - 1], f[i]
         g_lo, g_hi = g[i - 1] - targets, g[i] - targets
@@ -564,8 +563,8 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
     indices cannot be skipped, then polished by secant steps on the Pruefer
     phase, with residual |Delta(lambda_n)|.  e_n = phi_n/sqrt(beta_n)
     with e_n(0) > 0; k_n = 1/phi_n(1); beta_n by endpoint-corrected trapezoid
-    on the solver grid.  lambda_guess (eigenvalues of a nearby problem) seeds
-    warm brackets, used when every one of them isolates its root.
+    on the solver grid.  lambda_guess (eigenvalues of a nearby problem) gives
+    the separator points that split the global winding bracket.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")

@@ -73,6 +73,11 @@ class TestDriveSignal:
         with pytest.raises(DomainError):
             DriveSignal(np.array([0.1, 0.5]), np.zeros(2))
 
+    def test_repeated_time_rejected(self):
+        # t_grid must increase strictly: a repeated node is no step at all
+        with pytest.raises(DomainError, match="t_grid must increase from 0"):
+            DriveSignal(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
+
     def test_non_finite_values_rejected(self):
         with pytest.raises(DomainError, match="drive values must be finite"):
             DriveSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, np.nan, 1.0]))
@@ -140,6 +145,14 @@ class TestSolveSpectral:
         f1 = solve_spectral(es_free, 0.5, ramp, x, ramp.t_grid, n_modes=24, trunc_tol=1.0)
         f2 = solve_spectral(es_free, 0.5, ramp, x, ramp.t_grid, n_modes=48, trunc_tol=1.0)
         assert np.abs(f1.values - f2.values).max() <= f1.tail_bound
+
+    def test_default_sums_every_computed_mode(self, es_free, ramp):
+        # n_modes=None takes all n_max + 1 = 49 modes, not two fewer
+        x = np.array([0.3, 1.0])
+        f = solve_spectral(es_free, 0.5, ramp, x, ramp.t_grid)
+        f49 = solve_spectral(es_free, 0.5, ramp, x, ramp.t_grid, n_modes=49)
+        assert f.n_modes_used == 49
+        assert np.array_equal(f.values, f49.values)
 
     def test_nonuniform_time_grid_path(self, es_free, ramp):
         # non-Toeplitz path must agree with the uniform fast path
@@ -294,6 +307,17 @@ class TestDuhamel:
             rhs = (dt[:i] / 6.0 * (2 * ka * ea + ka * eb + kb * ea + 2 * kb * eb)).sum()
             ref = max(ref, abs(lhs[i] - rhs))
         assert abs(duhamel_residual(f, ker, eta) - ref) <= 1e-14 * np.abs(lhs).max()
+
+    def test_scale_is_the_left_point_sum(self, es_free):
+        # max_t |int_0^t u(0.3, s) ds| by the running sum of u(t_j) dt
+        eta = DriveSignal.from_callable(lambda t: t * t, 1.0, 128)
+        _, scale = duhamel_identity(es_free, 0.5, eta, 0.3, 49)
+        u = solve_spectral(es_free, 0.5, eta, np.array([0.3]), eta.t_grid, 49).values[0]
+        running, ref = 0.0, 0.0
+        for u_j in u:
+            running += u_j / 128.0  # the drive's uniform step
+            ref = max(ref, abs(running))
+        assert abs(scale - ref) <= 1e-12 * ref
 
     def test_grid_mismatch_rejected(self, es_free, ramp):
         f = solve_spectral(es_free, 0.5, ramp, np.array([0.3]), ramp.t_grid)

@@ -390,6 +390,15 @@ class TestML:
         with pytest.raises(DomainError, match="beta must be 1, alpha or 2"):
             ml(0.5, 1.5, -20.0)
 
+    def test_alpha_one_other_beta_by_its_series(self):
+        # E_{1,3}(-x) = (e^-x - 1 + x)/x^2 where the series holds, and the
+        # alpha = 1 branch names its limit past it
+        x = np.linspace(0.0, 5.0, 101)[1:]
+        ref = (np.expm1(-x) + x) / x ** 2
+        assert np.max(np.abs(ml(1.0, 3.0, -x) - ref) / ref) <= 1e-13
+        with pytest.raises(DomainError, match="alpha = 1 supports only beta in"):
+            ml(1.0, 3.0, -60.0)
+
     def test_complete_monotonicity_samples(self):
         x = np.linspace(0.0, 100.0, 401)
         for alpha in (0.3, 0.5, 0.7, 0.9):
@@ -539,6 +548,12 @@ class TestRelaxPrimitive:
             relax_antiderivative(0.5, np.array([[1.0], [-2.0]]), np.ones(3))
         with pytest.raises(DomainError, match="t must be nonnegative"):
             relax_primitive(0.5, np.array([[1.0], [2.0]]), np.array([0.5, -1.0]))
+
+    def test_alpha_outside_the_unit_interval_rejected(self):
+        # without the check, relax_primitive(1.5, 1.0, 0.1) returns 0.0236
+        for fn in (relax_primitive, relax_antiderivative):
+            with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\]"):
+                fn(1.5, 1.0, 0.1)
 
     def test_nan_rejected(self):
         for fn in (relax_primitive, relax_antiderivative):

@@ -576,6 +576,20 @@ class TestEigenSystem:
         es = eigen_system(PotentialSpec.constant(0.0, 128), FREE, 124)
         assert neumann_reference_error(es.lambdas) < 1e-12
 
+    def test_grid_limit_is_exact(self):
+        # 128 free cells (q.size - 1 of them) hold modes 0..125 but not 126
+        q = PotentialSpec.constant(0.0, 128)
+        assert neumann_reference_error(eigen_system(q, FREE, 125).lambdas) < 1e-12
+        with pytest.raises(DomainError, match=r"127 modes need grid_size >= 129 \(got 128\)"):
+            eigen_system(q, FREE, 126)
+
+    def test_solves_on_the_fewest_cells(self):
+        q = PotentialSpec.constant(0.0, 32)
+        es = eigen_system(q, FREE, 13, grid_size=sl_core.MIN_GRID)
+        assert es.grid_size == 16 and neumann_reference_error(es.lambdas) < 1e-12
+        with pytest.raises(DomainError, match="at least 16"):
+            eigen_system(q, FREE, 13, grid_size=sl_core.MIN_GRID - 1)
+
     def test_polish_stops_on_its_residual_test(self, monkeypatch):
         # every mode leaves the batch on its own stopping test after a few
         # secant passes, far below the 40-pass cap
@@ -624,24 +638,43 @@ class TestEigenSystem:
         shift = np.where(np.arange(25) % 2 == 0, 0.3, -0.3)
         sizes = count_calls(monkeypatch, "angle_excess")
         warm = eigen_system(q, robin, 24, lambda_guess=cold.lambdas + shift)
-        assert sizes == [50]  # one winding pass over both ends of the warm brackets
+        assert sizes == [52]  # one winding pass: the global ends and both separators per guess
         rel = np.abs(warm.lambdas - cold.lambdas) / np.abs(cold.lambdas)
         assert rel.max() <= 1e-13
 
-    def test_warm_bracket_holding_a_neighbour_falls_back(self, monkeypatch):
-        # lambda_0 = 0 and lambda_1 = pi^2: a guess of 3 for mode 0 misses at
-        # the small width, and the wide bracket [-5.0, 11.0] holds both roots
+    def test_lam_lo_splits_a_warm_bracket_holding_a_neighbour(self, monkeypatch):
+        # lambda_0 = 0 and lambda_1 = pi^2: a guess of 3 for mode 0 puts both
+        # of its separators between the two roots, and the global end lam_lo
+        # below them gives mode 0 its own bracket in the same march
         exact = (np.arange(13) * np.pi) ** 2
         guess = exact.copy()
         guess[0] = 3.0
         sizes = count_calls(monkeypatch, "angle_excess")
         es = eigen_system(Q0, FREE, 12, lambda_guess=guess)
-        assert sizes[:3] == [26, 26, 2]  # two warm tries, then the global brackets
+        assert sizes == [28]  # the two ends and 26 separators, no second try
         assert neumann_reference_error(es.lambdas) < 1e-10
         assert np.max(np.abs(es.efuncs[0] - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("case", ["below_rayleigh_bound", "reversed", "zeros"])
+    def test_adversarial_guesses_give_the_cold_eigenvalues(self, case):
+        # the separators are clipped into the Rayleigh bracket and sorted, so a
+        # guess far below lambda_0 is never marched, and guesses in the wrong
+        # order or all at one point only leave more brackets to bisect
+        exact = (np.arange(13) * np.pi) ** 2
+        guess = {"below_rayleigh_bound": np.r_[-1e6, exact[1:]],
+                 "reversed": exact[::-1].copy(), "zeros": np.zeros(13)}[case]
+        cold = eigen_system(Q0, FREE, 12).lambdas
+        warm = eigen_system(Q0, FREE, 12, lambda_guess=guess).lambdas
+        assert np.max(np.abs(warm - cold) / np.maximum(cold, 1.0)) <= 1e-14
+        assert neumann_reference_error(warm) <= 1e-14
+
 
 class TestSplitSpectra:
+    def test_x0_strictly_inside(self):
+        for x0 in (0.0, 1.0):
+            with pytest.raises(DomainError, match="strictly inside"):
+                split_spectra(Q0, x0, FREE, 4)
+
     def test_reference_left(self):
         mm, _ = split_spectra(Q0, 0.5, FREE, 4)
         exact = ((2 * np.arange(5) + 1) ** 2) * np.pi ** 2
@@ -696,6 +729,11 @@ class TestVerifyAsymptotics:
         es = eigen_system(Q0, FREE, 5)
         with pytest.raises(InsufficientModes):
             verify_asymptotics(es)
+
+    def test_twenty_modes_suffice(self):
+        assert verify_asymptotics(eigen_system(Q0, FREE, 19)).passed
+        with pytest.raises(InsufficientModes, match="at least 20 modes"):
+            verify_asymptotics(eigen_system(Q0, FREE, 18))
 
     @pytest.mark.parametrize("c", [0.02, 0.05, 0.5])
     def test_linear_growth_fails(self, c):

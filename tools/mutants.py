@@ -8,7 +8,11 @@ into that copy, which then runs the test selection with ``pytest -x``, so the
 working tree is never touched.  A mutant is ``killed`` when pytest fails,
 ``timeout`` when it runs past ten times the unmutated selection's time (a
 mutated loop bound may never end), and ``survived`` when every test passes.
-A mutant that raises before the tests run (an import error) counts as killed.
+A mutant that raises before the tests run (an import error) counts as killed,
+and so does one that runs out of memory: each pytest run is capped at
+``MEMORY_CAP`` bytes of address space (``RLIMIT_AS``, Linux), so a mutant that
+grows a list without end meets ``MemoryError`` instead of filling the machine
+until the timeout, and is stopped once it reaches the cap.
 
 Usage, from the repository root:
 
@@ -24,6 +28,7 @@ import argparse
 import ast
 import json
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -38,6 +43,12 @@ SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
           ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", "*.pyc", ".pytest_cache",
                                 ".hypothesis", "BENCH_*.json")
+MEMORY_CAP = 2 * 1024 ** 3  # RLIMIT_AS of each pytest run; every census baseline fits
+
+
+def _cap_memory():
+    """Run in the pytest child before it starts: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def sites(tree):
@@ -68,16 +79,39 @@ def mutate(source, k):
 
 
 def run_tests(copy, tests, timeout):
-    """('passed' | 'killed' | 'timeout', seconds) of one pytest run in copy."""
+    """('passed' | 'killed' | 'timeout', seconds) of one pytest run in copy.
+
+    A run whose address space comes within 1 MiB of MEMORY_CAP is stopped and
+    counted as killed: an allocation has been or is about to be refused, and
+    CPython can then spin in pytest's own error report instead of exiting."""
     start = time.perf_counter()
-    try:
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
-                               "-p", "no:cacheprovider", *tests], cwd=copy,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timeout", time.perf_counter() - start
+    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q",
+                             "-p", "no:cacheprovider", *tests], cwd=copy,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            preexec_fn=_cap_memory)
+    while proc.poll() is None:
+        seconds = time.perf_counter() - start
+        if timeout is not None and seconds > timeout:
+            outcome = "timeout"
+        elif _address_space(proc.pid) > MEMORY_CAP - 2 ** 20:
+            outcome = "killed"
+        else:
+            time.sleep(0.05)
+            continue
+        proc.kill()
+        proc.wait()
+        return outcome, seconds
     return ("passed" if proc.returncode == 0 else "killed"), time.perf_counter() - start
+
+
+def _address_space(pid):
+    """Bytes of address space of a running process (Linux /proc), 0 once it is gone."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            line = next((ln for ln in fh if ln.startswith("VmSize:")), "VmSize: 0 kB")
+    except OSError:
+        return 0
+    return 1024 * int(line.split()[1])
 
 
 def main(argv=None) -> int:
@@ -98,7 +132,8 @@ def main(argv=None) -> int:
         target = copy / args.module
         status, base_s = run_tests(copy, args.tests, None)
         if status != "passed":
-            raise SystemExit("the unmutated tree fails the test selection")
+            raise SystemExit("the unmutated tree fails the test selection "
+                             f"(within MEMORY_CAP = {MEMORY_CAP} bytes)")
         results = []
         for k in chosen:
             mutated, info = mutate(source, k)
