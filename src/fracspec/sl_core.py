@@ -9,7 +9,10 @@ with a continuous potential q represented by piecewise-linear samples on a
 uniform grid.  Initial-value solutions are propagated by a Magnus transfer
 matrix per grid interval (fourth-order, lambda-uniform), which keeps the phase
 error bounded uniformly in lambda and vectorizes over batches of spectral
-parameters.  A march to x multiplies the n cell matrices by pairwise halving,
+parameters.  Where |mu^2| <= 1/4 its cell functions sinh(mu)/mu and cosh(mu)
+come from the Taylor polynomial of degree 7 in mu^2 (tail under 2^-56
+relative) and det T = cosh^2 - mu^2 (sinh(mu)/mu)^2 = 1; from libm past it.
+A march to x multiplies the n cell matrices by pairwise halving,
 ceil(log2 n) vectorized levels, and applies the product to the start vector
 once.  A node trace takes B blocks of K ~ sqrt(n) cells: every block product
 is formed the same way, the start vector crosses the B block products, and
@@ -28,6 +31,7 @@ wrapped Pruefer phase, nearly linear there, until it meets a residual test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,9 @@ DEFAULT_GRID_SIZE = 2048
 MIN_GRID = 16  # fewest cells of a solver grid
 _OVERFLOW_GUARD = 1e250
 _RESIDUAL_TOL = 1e-9  # relative |Delta| that accepts a root whose bracket stayed wide
+_SERIES_RADIUS = 0.25  # R: |mu^2| up to which _cosh_sinhc sums its Taylor table
+_SERIES_TERMS = 8  # K: the table's terms, the fewest that R's tail bound admits
+_SINHC_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(_SERIES_TERMS)]
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +111,9 @@ class RobinPair:
     H: float
 
     def __post_init__(self):
-        if not (self.h >= 0.0 and self.H >= 0.0):
-            raise DomainError("Robin coefficients must be nonnegative")
+        for name, value in (("h", self.h), ("H", self.H)):
+            if not 0.0 <= value < np.inf:
+                raise DomainError(f"Robin coefficient {name} must be in [0, inf), got {value}")
 
 
 @dataclass
@@ -163,33 +171,37 @@ class AsymptoticsReport:
 # Magnus transfer-matrix propagation
 # ---------------------------------------------------------------------------
 
+def _horner(z, coefs):
+    """sum_k coefs[k] z^k by in-place Horner steps, elementwise in z."""
+    out = z * coefs[-1] + coefs[-2]
+    for coef in coefs[-3::-1]:
+        out *= z
+        out += coef
+    return out
+
+
 def _cosh_sinhc(musq):
-    """cosh(mu) and sinh(mu)/mu for mu = sqrt(musq), stable for either sign."""
-    if np.iscomplexobj(musq):
-        mu = np.sqrt(musq)
-        c = np.cosh(mu)
-        small = np.abs(mu) < 1e-8
-        mu_safe = np.where(small, 1.0, mu)
-        s = np.where(small, 1.0 + musq / 6.0, np.sinh(mu_safe) / mu_safe)
-        return c, s
-    if musq.size and musq.max() <= 0.0:
-        # one sign (zero-width cells give mu = 0): the masked path's cos and
-        # sin(rho)/rho without its gathers, and the same bits, 1 at rho = 0
-        rho = np.sqrt(-musq)
-        return np.cos(rho), np.divide(np.sin(rho), rho, out=np.ones_like(rho),
-                                      where=rho > 0.0)
-    c = np.empty_like(musq)
-    s = np.empty_like(musq)
-    rho = np.sqrt(np.abs(musq))
-    neg = musq < 0
-    c[neg] = np.cos(rho[neg])
-    s[neg] = np.sin(rho[neg]) / rho[neg]
-    pos = ~neg
-    small = pos & (rho < 1e-8)
-    c[pos] = np.cosh(rho[pos])
-    s[small] = 1.0 + musq[small] / 6.0
-    big = pos & ~small
-    s[big] = np.sinh(rho[big]) / rho[big]
+    """cosh(mu) and sinh(mu)/mu for mu = sqrt(musq), real of either sign or complex.
+
+    Where |musq| <= R, s = sum_{k<K} musq^k/(2k+1)!, whose tail is at most
+    R^K/(2K+1)!/(1 - R/((2K+2)(2K+3))) <= 2^-56 sin(sqrt R)/sqrt R <= 2^-56 |s|
+    (|sinh z/z| >= sin|z|/|z|), and c = sqrt(1 + musq s^2) from the cell
+    matrix's det = c^2 - musq s^2 = 1, the principal root as Re cosh(mu) > 0
+    for |mu| < pi/2.  libm past R.  Each value depends on its own musq alone,
+    so a real batch gives the bits of its elements taken one by one.
+    """
+    far = np.abs(musq) > _SERIES_RADIUS
+    mixed = far.any()
+    z = np.where(far, 0.0, musq) if mixed else musq
+    s = _horner(z, _SINHC_TAYLOR)
+    c = z * s * s + 1.0
+    np.sqrt(c, out=c)
+    if mixed:
+        # cos and sin(rho)/rho where a real musq = -rho^2 < 0, else cosh and sinh(mu)/mu
+        osc = far & (musq < 0.0) if musq.dtype.kind == "f" else np.zeros_like(far)
+        for side, sign, f, g in ((osc, -1.0, np.cos, np.sin), (far & ~osc, 1.0, np.cosh, np.sinh)):
+            mu = np.sqrt(sign * musq[side])
+            c[side], s[side] = f(mu), g(mu) / mu
     return c, s
 
 
@@ -202,13 +214,13 @@ def _cell_factors(qmid, slope, width, lams):
     """
     w2 = np.add.outer(lams, qmid)
     a = slope * width ** 3 / 12.0
-    musq = a ** 2 - (width * width) * w2
+    musq = w2 * -(width * width) + a * a
     c, s = _cosh_sinhc(musq)
-    sa = s * a
+    sa = np.multiply(s, a, out=musq)
     t = np.empty((4,) + musq.shape, dtype=musq.dtype)
     np.add(c, sa, out=t[0])
     np.multiply(s, width, out=t[1])
-    np.multiply(t[1], -w2, out=t[2])
+    np.negative(np.multiply(t[1], w2, out=t[2]), out=t[2])
     np.subtract(c, sa, out=t[3])
     return t
 
@@ -252,9 +264,11 @@ def _propagate(q_samples, v0, d0, lams, keep_trace=False, x=1.0):
     Returns the pair at x of shape (n_lam,), or with keep_trace the values
     and derivatives at every marched node, shape (n_lam, n_cells + 1).
     Whatever it returns has passed the overflow guard, so no caller checks
-    again.
+    again.  A NaN or infinite lambda raises DomainError before the march.
     """
     lams = np.atleast_1d(np.asarray(lams))
+    if not np.all(np.isfinite(lams)):
+        raise DomainError(f"lambda must be finite, got {lams[~np.isfinite(lams)][0]}")
     if not np.iscomplexobj(lams):
         lams = lams.astype(float)
     h = 1.0 / (q_samples.size - 1)
@@ -568,6 +582,8 @@ def eigen_system(q: PotentialSpec, robin: RobinPair, n_max: int,
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
+    if lambda_guess is not None and not np.all(np.isfinite(lambda_guess)):
+        raise DomainError("lambda_guess must be finite")
     q = _validate_ivp_args(q, grid_size, allow_inadmissible)
     problem = _ShootingProblem(q.samples, 1.0, robin.h, robin.H, 1.0)
     lambdas, residuals = problem.solve(n_max, guesses=lambda_guess)

@@ -18,29 +18,27 @@ which then reads and compiles none of it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
-from .sl_core import EigenSystem, _cell_factors, _cosh_sinhc, _part_cell, _propagate
+from .sl_core import (_SERIES_RADIUS, _SINHC_TAYLOR, EigenSystem, _cell_factors, _cosh_sinhc,
+                      _horner, _part_cell, _propagate)
 
 
 def _cell_tangents(qmid, slope, width, lams):
     """Derivatives of _cell_factors' entries in the cell mean w = lambda + qmid
     and in a = slope width^3 / 12, each stacked like _cell_factors.
 
-    From dc/dmu^2 = s/2 and ds/dmu^2 = (c - s)/(2 mu^2), the latter by its
-    Taylor series sum_j (j + 1) mu^2j / (2j + 3)! where |mu^2| < 0.1.
+    From dc/dmu^2 = s/2 and ds/dmu^2 = (c - s)/(2 mu^2), the latter by the
+    derivative of _cosh_sinhc's Taylor table where |mu^2| <= its radius.
     """
     w2 = np.add.outer(lams, qmid)
     a = slope * width ** 3 / 12.0
     musq = a ** 2 - (width * width) * w2
     c, s = _cosh_sinhc(musq)
-    small = np.abs(musq) < 0.1
-    ds = np.polynomial.polynomial.polyval(
-        np.where(small, musq, 0.0), [(j + 1) / math.factorial(2 * j + 3) for j in range(8)])
-    ds = np.divide(c - s, 2.0 * musq, out=ds, where=~small)
+    near = np.abs(musq) <= _SERIES_RADIUS
+    ds = _horner(np.where(near, musq, 0.0), [k * t for k, t in enumerate(_SINHC_TAYLOR)][1:])
+    ds = np.divide(c - s, 2.0 * musq, out=ds, where=~near)
     dc = 0.5 * s
     up, dn, sw = dc + ds * a, dc - ds * a, ds * width
     # mu^2 moves by -width^2 per unit of w and by 2a per unit of a; t10 =
