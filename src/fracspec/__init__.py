@@ -9,8 +9,6 @@ from .sl_core import (  # noqa: F401
     RobinPair,
     char_delta,
     eigen_system,
-    solve_ivp_left,
-    solve_ivp_right,
     split_spectra,
     verify_asymptotics,
 )
@@ -32,11 +30,8 @@ from .forward import (  # noqa: F401
 )
 from .weyl_toolkit import (  # noqa: F401
     ComplexRay,
-    F_eval,
     ProductSpec,
     f_decay_scan,
-    m_asymptotic_scan,
-    product_eval,
     weyl_m_minus,
     wronskian_U,
 )
@@ -57,6 +52,5 @@ from .inverse import (  # noqa: F401
     distinguishability_scan,
     misfit,
     reconstruct,
-    spectral_match_audit,
     synthesize_data,
 )

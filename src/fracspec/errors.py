@@ -49,10 +49,6 @@ class ZeroEigenvalue(FracspecError):
     """Spectral product requested over a set containing a zero eigenvalue."""
 
 
-class NearZeroDenominator(FracspecError):
-    """Evaluation point within guard distance of a retained eigenvalue."""
-
-
 class FitFailure(FracspecError):
     """Least-squares fit on degenerate data."""
 

@@ -28,7 +28,7 @@ from .errors import (
     LinearSolveFailure,
     TruncationTooCoarse,
 )
-from .mittleff import l1_weights, relax_antiderivative, relax_primitive
+from .mittleff import _check_alpha, l1_weights, relax_antiderivative, relax_primitive
 from .sl_core import EigenSystem, PotentialSpec, RobinPair, eval_modes_at
 
 
@@ -51,6 +51,8 @@ class DriveSignal:
         self.values = np.asarray(self.values, dtype=float)
         if self.t_grid.size != self.values.size:
             raise DomainError("t_grid and values must have the same length")
+        if not np.all(np.isfinite(self.t_grid)):
+            raise DomainError("t_grid must be finite")
         if self.t_grid[0] != 0.0 or not np.all(np.diff(self.t_grid) > 0):
             raise DomainError("t_grid must increase from 0")
         if not np.all(np.isfinite(self.values)):
@@ -242,7 +244,8 @@ def solve_spectral(es: EigenSystem, alpha: float, eta: DriveSignal,
 def _series_terms(es, alpha, eta, xs, t_grid, n_modes, trunc_tol):
     """solve_spectral's checks, then its mode weights e_n(x) e_n(1) (n_used,
     xs.size), convolutions (n_used, t_grid.size) and tail bound."""
-    if t_grid[0] < 0 or t_grid[-1] > eta.T * (1 + 1e-12) + 1e-15:
+    _check_alpha(alpha)
+    if not np.all((t_grid >= 0) & (t_grid <= eta.T * (1 + 1e-12) + 1e-15)):
         raise IncompatibleGrids("t_grid must lie inside the drive support")
     weights = _mode_weights(es, xs, n_modes)
     n_used = weights.shape[0]

@@ -25,7 +25,6 @@ No eigensolve or relaxation of a perturbed theta is needed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,8 @@ import numpy as np
 from .errors import DomainError, FracspecError
 from .forward import DriveSignal, _exact_convolutions, _series_sum, _series_terms, solve_l1_fd
 from .mittleff import _antiderivative_dlam
-from .sl_core import EigenSystem, PotentialSpec, RobinPair, eigen_system, eval_modes_at
-from .uniqueness import classify_region, lambda_set
+from .sl_core import PotentialSpec, RobinPair, eigen_system
+from .uniqueness import classify_region
 
 DEFAULT_INV_GRID = 512
 DEFAULT_INV_MODES = 32
@@ -101,31 +100,6 @@ class InverseProblemSpec:
             raise DomainError("d and x0 must lie inside the unit interval")
         if np.any(self.data.t > self.eta.T * (1 + 1e-12)):
             raise DomainError("data times must lie within the drive support")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "alpha": self.alpha, "x0": self.x0, "d": self.d, "H": self.H,
-            "noise_level": self.noise_level, "n_max": self.n_max,
-            "grid_size": self.grid_size,
-            "q_tail": {"grid_size": self.q_tail.grid_size,
-                       "samples": self.q_tail.samples.tolist()},
-            "eta": {"t": self.eta.t_grid.tolist(),
-                    "values": self.eta.values.tolist()},
-            "data": {"t": self.data.t.tolist(), "u": self.data.u.tolist(),
-                     "noise_level": self.data.noise_level, "seed": self.data.seed},
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "InverseProblemSpec":
-        o = json.loads(text)
-        return cls(alpha=o["alpha"], x0=o["x0"], d=o["d"], H=o["H"],
-                   noise_level=o["noise_level"], n_max=int(o["n_max"]),
-                   grid_size=int(o["grid_size"]),
-                   q_tail=PotentialSpec(o["q_tail"]["samples"],
-                                        int(o["q_tail"]["grid_size"])),
-                   eta=DriveSignal(o["eta"]["t"], o["eta"]["values"]),
-                   data=ObservationSeries(o["data"]["t"], o["data"]["u"],
-                                          o["data"]["noise_level"], o["data"]["seed"]))
 
 
 @dataclass
@@ -448,49 +422,3 @@ def distinguishability_scan(pairs, x0: float, alpha: float, eta: DriveSignal,
                                n_max, grid_size) for q, h in ((q1, h1), (q2, h2)))
         out.append({"pair": idx, "gap": float(np.abs(u1 - u2).max())})
     return out
-
-
-@dataclass
-class MatchAuditEntry:
-    n: int
-    m: int | None
-    lambda_gap: float
-    trace_gap: float
-    matched: bool
-
-
-@dataclass
-class MatchAuditReport:
-    entries: list
-    tol: float
-    all_matched: bool
-    n_audited: int
-    n_matched: int
-
-
-def spectral_match_audit(es1: EigenSystem, es2: EigenSystem, x0: float,
-                         tol: float) -> MatchAuditReport:
-    """Pair up eigenvalues and boundary-observation trace products.
-
-    For every mode n of es1 in lambda_set(es1, x0), a match m requires
-    |lam_1n - lam_2m| <= tol and agreement of the sign-convention-free
-    products e(1) e(x0) to tol; the report diagnoses why two parameter sets
-    produce (nearly) identical observations.
-    """
-    if es1.n_max != es2.n_max:
-        raise DomainError("both systems must be computed to the same n_max")
-    p1, p2 = (es.efuncs[:, -1] * eval_modes_at(es, x0)[0] for es in (es1, es2))
-    entries = []
-    for n in np.flatnonzero(lambda_set(es1, x0).kept):
-        lam_gap = np.abs(es2.lambdas - es1.lambdas[n])
-        m = int(np.argmin(lam_gap))
-        dlam = float(lam_gap[m])
-        dtrace = float(abs(p1[n] - p2[m]))
-        ok = dlam <= tol and dtrace <= tol
-        entries.append(MatchAuditEntry(n=int(n), m=m if ok else None,
-                                       lambda_gap=dlam, trace_gap=dtrace,
-                                       matched=ok))
-    n_matched = sum(1 for e in entries if e.matched)
-    return MatchAuditReport(entries=entries, tol=tol,
-                            all_matched=n_matched == len(entries),
-                            n_audited=len(entries), n_matched=n_matched)

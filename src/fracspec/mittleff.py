@@ -421,6 +421,12 @@ def _check_positive(name, value):
         raise DomainError(f"{name} must be positive and finite")
 
 
+def _check_alpha(alpha):
+    """DomainError unless 0 < alpha <= 1 (not NaN)."""
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError("alpha must lie in (0, 1]")
+
+
 def ml(alpha: float, beta: float, z):
     """E_{alpha,beta}(z) for z <= 0, alpha in (0, 1], relative error <= 1e-10.
 
@@ -429,8 +435,7 @@ def ml(alpha: float, beta: float, z):
     DomainError in between.  At alpha = 1 the exponential closed forms are
     used for beta in {1, 2}.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     if beta <= 0.0:
         raise DomainError("beta must be positive")
     z_arr = np.asarray(z, dtype=float)
@@ -520,8 +525,7 @@ def _relax(alpha, order, lam, t):
     points.  Powers of t are taken before broadcasting against lam.  A value
     past the double range at a finite t raises DomainError naming t and lam.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     lam = np.asarray(lam, dtype=float)
     if np.isnan(lam).any():
         raise DomainError("lambda must not be NaN")
@@ -654,8 +658,7 @@ def l1_weights(alpha: float, tau: float, count: int) -> L1Weights:
     At alpha -> 1 this degenerates to the backward difference (b_0 = 1/tau,
     b_j = 0 otherwise).
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     _check_positive("tau", tau)
     if count < 1:
         raise DomainError("count must be at least 1")

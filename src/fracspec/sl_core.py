@@ -117,20 +117,6 @@ class RobinPair:
 
 
 @dataclass
-class SolutionTrace:
-    """Dense IVP output on the uniform grid; side marks the shooting origin."""
-
-    lam: complex
-    values: np.ndarray
-    derivs: np.ndarray
-    side: str  # "left" | "right"
-
-    @property
-    def x_grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.values.size)
-
-
-@dataclass
 class EigenSystem:
     """Sorted eigenvalues with normalized eigenfunction traces and norming data.
 
@@ -326,7 +312,7 @@ def _check_finite(*arrays):
 
 
 # ---------------------------------------------------------------------------
-# public IVP surface
+# solver grid and characteristic function
 # ---------------------------------------------------------------------------
 
 def _validate_ivp_args(q: PotentialSpec, grid_size: int | None, allow_inadmissible=True):
@@ -339,28 +325,6 @@ def _validate_ivp_args(q: PotentialSpec, grid_size: int | None, allow_inadmissib
     if grid_size < MIN_GRID:
         raise DomainError(f"grid_size must be at least {MIN_GRID}")
     return q.resampled(grid_size)
-
-
-def solve_ivp_left(q: PotentialSpec, h: float, lam, grid_size: int | None = None) -> SolutionTrace:
-    """Left solution phi(.; lambda): phi(0) = 1, phi'(0) = h."""
-    if h < 0:
-        raise DomainError("left Robin coefficient must be nonnegative")
-    qs = _validate_ivp_args(q, grid_size).samples
-    vals, ders = _propagate(qs, 1.0, h, [lam], keep_trace=True)
-    return SolutionTrace(lam=lam, values=vals[0], derivs=ders[0], side="left")
-
-
-def solve_ivp_right(q: PotentialSpec, H: float, lam, grid_size: int | None = None) -> SolutionTrace:
-    """Right solution psi(.; lambda): psi(1) = 1, psi'(1) = -H.
-
-    Integrated by reflecting x -> 1 - x onto a left IVP.
-    """
-    if H < 0:
-        raise DomainError("right Robin coefficient must be nonnegative")
-    qs = _validate_ivp_args(q, grid_size).samples[::-1].copy()
-    vals, ders = _propagate(qs, 1.0, H, [lam], keep_trace=True)
-    return SolutionTrace(lam=lam, values=vals[0, ::-1].copy(),
-                         derivs=-ders[0, ::-1].copy(), side="right")
 
 
 def char_delta(q: PotentialSpec, robin: RobinPair, lam, grid_size: int | None = None):

@@ -1,4 +1,4 @@
-"""Weyl function, two-potential Wronskian, spectral products, and their quotient.
+"""Weyl function, two-potential Wronskian, and the decay of their quotient F.
 
 For left solutions phi_j(x; lambda) of -u'' - q_j u = lambda u with
 phi_j(0) = 1, phi_j'(0) = h_j:
@@ -10,7 +10,9 @@ phi_j(0) = 1, phi_j'(0) = h_j:
 
 U is constant in x wherever q_1 = q_2 (dU/dx = (q_1 - q_2) phi_1 phi_2), and
 F(iy) decays along the imaginary axis when the retained spectrum is dense
-enough; both are scanned numerically here.  Ray scans are capped at
+enough.  weyl_m_minus and m_exponent_fit give m_- and its power law along a
+ray, wronskian_U gives U, and f_decay_scan gives |F(iy)| with g summed in the
+log domain, so no product leaves double range.  Ray scans are capped at
 sqrt(|lambda|) <= 40 so the exp(|Im sqrt(lambda)|) solution growth stays
 inside double range.
 """
@@ -21,20 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FitFailure,
-    NearPole,
-    NearZeroDenominator,
-    NonFiniteBlowup,
-    ZeroEigenvalue,
-)
+from .errors import DomainError, FitFailure, NearPole, ZeroEigenvalue
 from .sl_core import PotentialSpec, _propagate
 
 RAY_SQRT_CAP = 40.0
 POLE_GUARD = 1e-10
-EIG_GUARD = 1e-8
-_LOG_MAX = float(np.log(np.finfo(float).max))
 MIN_FIT_POINTS = 3  # fewest ray points of a power-law fit
 
 
@@ -106,6 +99,8 @@ class ExponentFit:
 def _left_terminal(q: PotentialSpec, h: float, lams, x: float):
     if not (0.0 < x <= 1.0):
         raise DomainError("x must lie in (0, 1]")
+    if not np.isfinite(h):
+        raise DomainError(f"Robin coefficient h must be finite, got {h}")
     return _propagate(q.samples, 1.0, h, lams, x=x)
 
 
@@ -157,13 +152,6 @@ def m_exponent_fit(lams: np.ndarray, m_values) -> ExponentFit:
                        residual=resid)
 
 
-def m_asymptotic_scan(q: PotentialSpec, h: float, x: float,
-                      ray: ComplexRay) -> ExponentFit:
-    """m_exponent_fit of m_-(x, lambda) along the ray, marched in one batch."""
-    lams = ray.points()
-    return m_exponent_fit(lams, weyl_m_minus(q, h, lams, x))
-
-
 def wronskian_U(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,
                 lam, x: float):
     """U(x; lambda) = phi_1 phi_2' - phi_2 phi_1' for the two left solutions.
@@ -197,21 +185,6 @@ def _log_product(retained: np.ndarray, lams: np.ndarray) -> np.ndarray:
         return np.log1p(lams[:, None] / -retained + 0j).sum(axis=1)
 
 
-def product_eval(spec: ProductSpec, lam):
-    """Truncated product prod (1 - lambda/lambda_n) at a scalar or array lambda.
-
-    Summed in the log domain; a real lambda gives a real value whose sign comes
-    from the factors.  Raises NonFiniteBlowup when |g| exceeds double range and
-    ZeroEigenvalue when the retained set contains 0.
-    """
-    log_g = _log_product(spec.retained(), np.ravel(lam))
-    if np.any(log_g.real > _LOG_MAX):
-        raise NonFiniteBlowup(f"spectral product overflow: log|g| = "
-                              f"{log_g.real.max():.4g} exceeds {_LOG_MAX:.4g}")
-    g = np.exp(log_g)
-    return _shaped(g if np.iscomplexobj(lam) else g.real, lam)
-
-
 def _check_matched_tail(q1: PotentialSpec, q2: PotentialSpec, d: float):
     # skip the grid cell straddling d: a kink there leaks O(h) past d in the
     # piecewise-linear representation without breaking the matched tail
@@ -222,38 +195,6 @@ def _check_matched_tail(q1: PotentialSpec, q2: PotentialSpec, d: float):
         raise DomainError("potentials differ on [d, 1]; F requires matched tails")
     if abs(q1(d) - q2(d)) > 0.05 * scale:
         raise DomainError("potentials discontinuously mismatched at d")
-
-
-def F_eval(q1: PotentialSpec, q2: PotentialSpec, h1: float, h2: float,
-           d: float, lambda_set, product: ProductSpec,
-           near_eigenvalue: str = "raise") -> np.ndarray:
-    """F(lambda) = U(d; lambda) / g^2(lambda) at each requested lambda.
-
-    Points within guard distance of a retained eigenvalue raise
-    NearZeroDenominator before any point is marched, or with
-    near_eigenvalue="fit" are evaluated by a local quadratic fit of F off the
-    eigenvalue (removable-singularity path).
-    """
-    _check_matched_tail(q1, q2, d)
-    retained = product.retained()
-    lams = np.atleast_1d(np.asarray(lambda_set, dtype=complex))
-    dist = np.abs(lams[:, None] - retained) / (1.0 + retained)
-    near = (dist < EIG_GUARD).any(axis=1)
-    if near.any() and near_eigenvalue != "fit":
-        raise NearZeroDenominator(f"lambda = {lams[near][0]} within guard "
-                                  "distance of a retained eigenvalue")
-    out = np.empty(lams.size, dtype=complex)
-    far = lams[~near]
-    out[~near] = (wronskian_U(q1, q2, h1, h2, far, d)
-                  * np.exp(-2.0 * _log_product(retained, far)))
-    for i in np.flatnonzero(near):
-        lam_star = retained[np.argmin(dist[i])]
-        delta = 1e-3 * (1.0 + abs(lam_star))
-        stencil = lam_star + delta * np.array([-3, -2, -1, 1, 2, 3])
-        fvals = F_eval(q1, q2, h1, h2, d, stencil, product)
-        coef = np.polyfit(stencil - lam_star, fvals, 2)
-        out[i] = np.polyval(coef, lams[i] - lam_star)
-    return out
 
 
 @dataclass

@@ -84,6 +84,11 @@ class TestDriveSignal:
         with pytest.raises(DomainError, match="drive values must be finite"):
             DriveSignal(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, np.inf]))
 
+    def test_non_finite_times_rejected(self):
+        for t in ([0.0, np.inf], [0.0, 1.0, np.inf], [0.0, np.nan, 1.0]):
+            with pytest.raises(DomainError, match="t_grid must be finite"):
+                DriveSignal(np.array(t), np.zeros(len(t)))
+
     def test_from_callable_keeps_the_start_value(self):
         # a drive that does not start at zero is refused, not zeroed
         with pytest.raises(DomainError, match="start at zero"):
@@ -139,6 +144,16 @@ class TestSolveSpectral:
     def test_drive_support_checked(self, es_free, ramp):
         with pytest.raises(IncompatibleGrids):
             solve_spectral(es_free, 0.5, ramp, np.array([0.5]), np.array([0.0, 1.5]))
+        # every time is checked, not only the ends; NaN lies nowhere in [0, T]
+        for t in ([0.0, np.nan, 1.0], [0.0, 1.5, 1.0], [0.0, -0.5, 1.0]):
+            with pytest.raises(IncompatibleGrids, match="inside the drive support"):
+                solve_spectral(es_free, 0.5, ramp, 0.5, np.array(t), trunc_tol=np.inf)
+
+    def test_nan_alpha_named_before_the_tail_bound(self, ramp):
+        # six modes fail the default tail bound, which must not speak first
+        es_small = eigen_system(Q0, FREE, 6, grid_size=256)
+        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\]"):
+            solve_spectral(es_small, np.nan, ramp, np.array([0.5]), ramp.t_grid)
 
     def test_mode_truncation_convergence(self, es_free, ramp):
         x = np.array([0.3, 1.0])

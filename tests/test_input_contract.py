@@ -38,6 +38,17 @@ def test_robin_pair_names_a_non_finite_coefficient(h, H, name):
         RobinPair(h, H)
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+def test_bare_robin_coefficient_is_named(h):
+    # the Weyl toolkit takes h as a float, not a RobinPair; no sign check
+    with pytest.raises(DomainError, match="Robin coefficient h must be finite"):
+        wronskian_U(Q, Q, h, 0.2, 3.0, 1.0)
+    with pytest.raises(DomainError, match="Robin coefficient h must be finite"):
+        wronskian_U(Q, Q, 0.2, h, 3.0, 1.0)
+    with pytest.raises(DomainError, match="Robin coefficient h must be finite"):
+        weyl_m_minus(Q, h, 3.0, 0.5)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_eigen_system_names_a_non_finite_guess(bad):
     guess = (np.arange(9) * np.pi) ** 2

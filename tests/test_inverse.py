@@ -21,7 +21,6 @@ from fracspec.inverse import (
     misfit,
     reconstruct,
     reconstruct_morozov,
-    spectral_match_audit,
     synthesize_data,
 )
 from fracspec.sl_core import PotentialSpec, RobinPair, eigen_system
@@ -648,75 +647,7 @@ class TestDistinguishability:
         assert out[0]["gap"] > 1e-3
 
 
-class TestAudit:
-    def test_identical_systems_match(self):
-        q = truth_potential()
-        es = eigen_system(q, RobinPair(0.5, 1.0), 10, grid_size=512)
-        rep = spectral_match_audit(es, es, X0, tol=1e-10)
-        assert rep.all_matched and rep.n_audited > 0
-
-    def test_same_potential_different_grid_matches(self):
-        q = truth_potential(1024)
-        es1 = eigen_system(q, RobinPair(0.5, 1.0), 10, grid_size=1024)
-        es2 = eigen_system(q, RobinPair(0.5, 1.0), 10, grid_size=768)
-        rep = spectral_match_audit(es1, es2, X0, tol=1e-4)
-        assert rep.all_matched
-
-    def test_constant_shift_no_match(self):
-        q1 = PotentialSpec.constant(-0.5, 512)
-        q2 = PotentialSpec.constant(-0.6, 512)
-        rb = RobinPair(0.3, 0.8)
-        es1 = eigen_system(q1, rb, 8, grid_size=512)
-        es2 = eigen_system(q2, rb, 8, grid_size=512)
-        rep = spectral_match_audit(es1, es2, X0, tol=1e-3)
-        assert rep.n_matched == 0
-
-    def test_identical_systems_match_at_zero_tolerance(self):
-        # kills the match test's dlam <= tol -> < and dtrace <= tol -> <
-        es = eigen_system(truth_potential(), RobinPair(0.5, 1.0), 10, grid_size=512)
-        assert spectral_match_audit(es, es, X0, tol=0.0).all_matched
-
-    def test_trace_gaps_are_gaps_of_the_observation_weights(self, ramp_hold):
-        # the audited products e_n(1) e_n(x0) are the weights a_n of the
-        # forward series; kills efuncs[:, -1] * eval_modes_at -> /
-        q, robin, t = truth_potential(1024), RobinPair(0.5, 1.0), np.array([1.0])
-        caches = [{}, {}]
-        for cache, grid in zip(caches, (1024, 768)):
-            _observation(q, robin, ALPHA, ramp_hold, X0, t, 10, grid, cache)
-        rep = spectral_match_audit(caches[0]["es"], caches[1]["es"], X0, tol=1e-4)
-        a1, a2 = caches[0]["weights"], caches[1]["weights"]
-        assert rep.all_matched and rep.n_audited > 0
-        for e in rep.entries:
-            assert e.trace_gap == pytest.approx(abs(a1[e.n] - a2[e.m]), rel=1e-9, abs=1e-15)
-
-    def test_nmax_mismatch_rejected(self):
-        q = truth_potential()
-        es1 = eigen_system(q, RobinPair(0.5, 1.0), 8, grid_size=512)
-        es2 = eigen_system(q, RobinPair(0.5, 1.0), 6, grid_size=512)
-        with pytest.raises(DomainError):
-            spectral_match_audit(es1, es2, X0, tol=1e-4)
-
-
 class TestSpecSerialization:
-    def test_json_roundtrip(self, twin):
-        _, spec = twin
-        text = spec.to_json()
-        assert list(json.loads(text)["q_tail"]) == ["grid_size", "samples"]
-        spec2 = InverseProblemSpec.from_json(text)
-        assert spec2.alpha == spec.alpha
-        assert np.allclose(spec2.data.u, spec.data.u)
-        assert spec2.q_tail.grid_size == spec.q_tail.grid_size
-        assert np.array_equal(spec2.q_tail.samples, spec.q_tail.samples)
-        assert spec2.n_max == spec.n_max == 20
-        assert spec2.grid_size == spec.grid_size == 256
-
-    def test_json_roundtrip_keeps_noise_provenance(self, twin):
-        _, spec = twin
-        noisy = replace(spec, data=replace(spec.data, noise_level=0.01, seed=7))
-        spec2 = InverseProblemSpec.from_json(noisy.to_json())
-        assert spec2.data.noise_level == 0.01
-        assert spec2.data.seed == 7
-
     def test_observations_need_equal_lengths(self):
         with pytest.raises(DomainError, match="same length"):
             ObservationSeries(np.linspace(0.25, 2.0, 8), np.zeros(7))

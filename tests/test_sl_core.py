@@ -26,8 +26,6 @@ from fracspec.sl_core import (
     eigen_system,
     eval_modes_at,
     neumann_reference_error,
-    solve_ivp_left,
-    solve_ivp_right,
     split_spectra,
     verify_asymptotics,
 )
@@ -102,55 +100,69 @@ def sequential_march(q_samples, v0, d0, lams, x=1.0):
     return vals, ders
 
 
+def left_trace(q, h, lam):
+    """Traced left solution phi(.; lambda): phi(0) = 1, phi'(0) = h."""
+    vals, ders = _propagate(q.samples, 1.0, h, [lam], keep_trace=True)
+    return vals[0], ders[0]
+
+
+def right_trace(q, H, lam):
+    """Traced right solution psi(.; lambda): psi(1) = 1, psi'(1) = -H, by
+    reflecting x -> 1 - x onto a left march."""
+    vals, ders = _propagate(q.samples[::-1].copy(), 1.0, H, [lam], keep_trace=True)
+    return vals[0, ::-1], -ders[0, ::-1]
+
+
 class TestIVP:
+    """The traced march against closed-form solutions on q's grid nodes."""
+
+    X = Q0.x_grid
+
     def test_left_cosine(self):
-        tr = solve_ivp_left(Q0, 0.0, np.pi ** 2)
-        x = tr.x_grid
-        assert np.max(np.abs(tr.values - np.cos(np.pi * x))) < 1e-11
-        assert np.max(np.abs(tr.derivs + np.pi * np.sin(np.pi * x))) < 1e-10
-        assert abs(tr.values[-1] + 1.0) < 1e-11
+        vals, ders = left_trace(Q0, 0.0, np.pi ** 2)
+        assert np.max(np.abs(vals - np.cos(np.pi * self.X))) < 1e-11
+        assert np.max(np.abs(ders + np.pi * np.sin(np.pi * self.X))) < 1e-10
+        assert abs(vals[-1] + 1.0) < 1e-11
 
     def test_left_linear(self):
-        tr = solve_ivp_left(Q0, 1.0, 0.0)
-        assert np.max(np.abs(tr.values - (1.0 + tr.x_grid))) < 1e-13
+        vals, _ = left_trace(Q0, 1.0, 0.0)
+        assert np.max(np.abs(vals - (1.0 + self.X))) < 1e-13
 
     def test_left_cosh(self):
-        tr = solve_ivp_left(QM1, 0.0, 0.0)
-        assert abs(tr.values[-1] - 1.5430806348152437) < 1e-9
-        assert np.max(np.abs(tr.values - np.cosh(tr.x_grid))) < 1e-9
+        vals, _ = left_trace(QM1, 0.0, 0.0)
+        assert abs(vals[-1] - 1.5430806348152437) < 1e-9
+        assert np.max(np.abs(vals - np.cosh(self.X))) < 1e-9
 
     def test_left_initial_conditions(self):
-        tr = solve_ivp_left(QM1, 0.7, 3.3)
-        assert tr.values[0] == 1.0 and tr.derivs[0] == 0.7
-        assert tr.side == "left"
+        vals, ders = left_trace(QM1, 0.7, 3.3)
+        assert vals[0] == 1.0 and ders[0] == 0.7
 
     def test_right_cosine(self):
-        tr = solve_ivp_right(Q0, 0.0, np.pi ** 2)
-        assert np.max(np.abs(tr.values + np.cos(np.pi * tr.x_grid))) < 1e-11
+        vals, _ = right_trace(Q0, 0.0, np.pi ** 2)
+        assert np.max(np.abs(vals + np.cos(np.pi * self.X))) < 1e-11
 
     def test_right_constant(self):
-        tr = solve_ivp_right(Q0, 0.0, 0.0)
-        assert np.max(np.abs(tr.values - 1.0)) == 0.0
+        vals, _ = right_trace(Q0, 0.0, 0.0)
+        assert np.max(np.abs(vals - 1.0)) == 0.0
 
     def test_right_linear(self):
-        tr = solve_ivp_right(Q0, 2.0, 0.0)
-        assert np.max(np.abs(tr.values - (1.0 + 2.0 * (1.0 - tr.x_grid)))) < 1e-13
-        assert abs(tr.values[0] - 3.0) < 1e-13
-        assert tr.values[-1] == 1.0 and tr.derivs[-1] == -2.0
+        vals, ders = right_trace(Q0, 2.0, 0.0)
+        assert np.max(np.abs(vals - (1.0 + 2.0 * (1.0 - self.X)))) < 1e-13
+        assert abs(vals[0] - 3.0) < 1e-13
+        assert vals[-1] == 1.0 and ders[-1] == -2.0
 
     def test_complex_lambda(self):
         lam = 4.0 + 3.0j
-        tr = solve_ivp_left(Q0, 0.0, lam)
-        s = np.sqrt(lam)
-        assert np.max(np.abs(tr.values - np.cos(s * tr.x_grid))) < 1e-11
+        vals, _ = left_trace(Q0, 0.0, lam)
+        assert np.max(np.abs(vals - np.cos(np.sqrt(lam) * self.X))) < 1e-11
 
     def test_blowup_guard(self):
         with pytest.raises(NonFiniteBlowup):
-            solve_ivp_left(Q0, 0.0, -4.0e6)
+            left_trace(Q0, 0.0, -4.0e6)
 
     def test_grid_size_validation(self):
         with pytest.raises(DomainError):
-            solve_ivp_left(Q0, 0.0, 1.0, grid_size=8)
+            char_delta(Q0, FREE, 1.0, grid_size=8)
 
 
 def march_potential(grid_size):
@@ -207,7 +219,7 @@ class TestBlockedMarch:
         trips = not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ders))
                      and max(np.abs(vals).max(), np.abs(ders).max()) <= 1e250)
         assert trips == (lam < -3.25e5)
-        for call in (lambda: solve_ivp_left(Q0, 0.0, lam),
+        for call in (lambda: left_trace(Q0, 0.0, lam),
                      lambda: char_delta(Q0, FREE, lam)):
             if trips:
                 with pytest.raises(NonFiniteBlowup):
@@ -451,10 +463,10 @@ class TestEigenSystem:
         es = eigen_system(q, rb, 5)
         for n in (0, 2, 5):
             lam = es.lambdas[n]
-            phi = solve_ivp_left(q, rb.h, lam)
-            psi = solve_ivp_right(q, rb.H, lam)
-            W = phi.values * psi.derivs - phi.derivs * psi.values
-            scale = max(np.abs(phi.values).max() * np.abs(psi.derivs).max(), 1.0)
+            phi, dphi = left_trace(q, rb.h, lam)
+            psi, dpsi = right_trace(q, rb.H, lam)
+            W = phi * dpsi - dphi * psi
+            scale = max(np.abs(phi).max() * np.abs(dpsi).max(), 1.0)
             assert np.abs(W).max() < 1e-8 * scale
             assert np.std(W) < 1e-9 * scale
 

@@ -5,15 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import polygamma
 
-from fracspec import weyl_toolkit
 from fracspec.cli import ExperimentConfig, run
-from fracspec.errors import (
-    DomainError,
-    NearPole,
-    NearZeroDenominator,
-    NonFiniteBlowup,
-    ZeroEigenvalue,
-)
+from fracspec.errors import DomainError, NearPole, ZeroEigenvalue
 from fracspec.sl_core import (
     PotentialSpec,
     RobinPair,
@@ -24,11 +17,10 @@ from fracspec.sl_core import (
 from fracspec.weyl_toolkit import (
     ComplexRay,
     DecayScan,
-    F_eval,
     ProductSpec,
+    _log_product,
     f_decay_scan,
-    m_asymptotic_scan,
-    product_eval,
+    m_exponent_fit,
     weyl_m_minus,
     wronskian_U,
     wronskian_deviation,
@@ -44,8 +36,8 @@ def bump_potential(depth, d, grid=1024):
 
 
 def rescaled_product(spec, lam):
-    """Oracle for product_eval: the ascending product of the factors, with
-    decimal-exponent rescaling so no partial product overflows."""
+    """Oracle for the spectral product g: the ascending product of the
+    factors, with decimal-exponent rescaling so no partial product overflows."""
     prod = complex(1.0)
     exp10 = 0
     for lam_n in spec.retained():
@@ -61,26 +53,16 @@ def rescaled_product(spec, lam):
     return prod if isinstance(lam, complex) else prod.real
 
 
-def per_lambda_F(q1, q2, h1, h2, d, lambda_set, product, near_eigenvalue="raise"):
-    """Oracle for F_eval: one scalar U and one rescaled product per lambda,
-    and the same removable-singularity fit."""
-    retained = product.retained()
-    lams = np.atleast_1d(np.asarray(lambda_set, dtype=complex))
-    out = np.empty(lams.size, dtype=complex)
-    for i, lam in enumerate(lams):
-        dist = np.abs(lam - retained) / (1.0 + retained)
-        if dist.min() < weyl_toolkit.EIG_GUARD:
-            assert near_eigenvalue == "fit"
-            lam_star = retained[np.argmin(dist)]
-            delta = 1e-3 * (1.0 + abs(lam_star))
-            stencil = lam_star + delta * np.array([-3, -2, -1, 1, 2, 3])
-            fvals = per_lambda_F(q1, q2, h1, h2, d, stencil, product)
-            coef = np.polyfit(stencil - lam_star, fvals, 2)
-            out[i] = np.polyval(coef, lam - lam_star)
-        else:
-            U = wronskian_U(q1, q2, h1, h2, complex(lam), d)
-            out[i] = U / rescaled_product(product, complex(lam)) ** 2
-    return out
+def per_lambda_F(q1, q2, h1, h2, d, lambda_set, product):
+    """Oracle for F = U/g^2: one scalar U and one rescaled product per lambda."""
+    return np.array([wronskian_U(q1, q2, h1, h2, complex(lam), d)
+                     / rescaled_product(product, complex(lam)) ** 2
+                     for lam in lambda_set])
+
+
+def spectral_product(spec, lam):
+    """g(lambda) = exp(_log_product) at one lambda, on the retained set."""
+    return complex(np.exp(_log_product(spec.retained(), np.array([lam]))[0]))
 
 
 def cancellation_scale(q1, q2, h1, h2, lams, x):
@@ -105,6 +87,13 @@ class TestWeylM:
         with pytest.raises(NearPole):
             weyl_m_minus(Q0, 0.0, np.pi ** 2, 0.5)
 
+    def test_pole_guard_scales_with_the_derivative(self):
+        # |phi(0.5)| = 1e-9 and |phi'(0.5)| = 311: inside the guard
+        # 1e-10 * |phi'|; kills POLE_GUARD * max(1, |phi'|) -> /
+        lam = (2.0 * (99.0 * np.pi / 2.0 - 1e-9)) ** 2
+        with pytest.raises(NearPole):
+            weyl_m_minus(Q0, 0.0, lam, 0.5)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             weyl_m_minus(Q0, 0.0, 1.0, 0.0)
@@ -112,16 +101,16 @@ class TestWeylM:
 
 class TestMScan:
     def test_reference_exponent_fit(self):
-        ray = ComplexRay(np.geomspace(100.0, 1500.0, 12))
-        fit = m_asymptotic_scan(Q0, 0.0, 0.5, ray)
+        lams = ComplexRay(np.geomspace(100.0, 1500.0, 12)).points()
+        fit = m_exponent_fit(lams, weyl_m_minus(Q0, 0.0, lams, 0.5))
         assert abs(fit.exponent - 0.5) < 0.02
         assert abs(fit.coefficient - 1.0) < 0.05
         assert fit.reference_exponent == -0.5
 
     def test_sector_direction(self):
-        ray = ComplexRay(np.geomspace(50.0, 800.0, 10),
-                         direction="sector", angle=np.pi / 3)
-        fit = m_asymptotic_scan(Q0, 0.3, 0.5, ray)
+        lams = ComplexRay(np.geomspace(50.0, 800.0, 10),
+                          direction="sector", angle=np.pi / 3).points()
+        fit = m_exponent_fit(lams, weyl_m_minus(Q0, 0.3, lams, 0.5))
         assert abs(fit.exponent - 0.5) < 0.05
 
     def test_json_fields(self, tmp_path):
@@ -150,9 +139,30 @@ class TestMScan:
 
     def test_fit_failure_on_degenerate_ray(self):
         from fracspec.errors import FitFailure
-        ray = ComplexRay(np.array([100.0, 200.0]))
+        lams = ComplexRay(np.array([100.0, 200.0])).points()
         with pytest.raises(FitFailure):
-            m_asymptotic_scan(Q0, 0.0, 0.5, ray)
+            m_exponent_fit(lams, weyl_m_minus(Q0, 0.0, lams, 0.5))
+        # a vanishing |m| has no logarithm; kills mags <= 0 -> < 0
+        lams = ComplexRay(np.array([100.0, 200.0, 400.0])).points()
+        with pytest.raises(FitFailure):
+            m_exponent_fit(lams, np.array([1.0, 0.0, 2.0]))
+
+    def test_fewest_fit_points(self):
+        # MIN_FIT_POINTS = 3 points are enough; kills lams.size < 3 -> <=
+        lams = ComplexRay(np.array([100.0, 200.0, 400.0])).points()
+        fit = m_exponent_fit(lams, np.abs(lams) ** 0.5)
+        assert fit.exponent == pytest.approx(0.5, abs=1e-12)
+
+    def test_sector_ray_points(self):
+        # lambda = |lambda| e^{i angle}, and a sector ray's default angle is
+        # the imaginary axis; kills magnitudes * exp -> /, 1j * angle -> /
+        # and the default pi / 2 -> pi * 2
+        mags = np.array([100.0, 400.0])
+        ray = ComplexRay(mags, direction="sector", angle=np.pi / 3)
+        assert np.allclose(ray.points(), mags * (0.5 + 0.5j * np.sqrt(3.0)),
+                           rtol=1e-14, atol=0.0)
+        assert np.allclose(ComplexRay(mags, direction="sector").points(), 1j * mags,
+                           rtol=0.0, atol=1e-12)
 
 
 class TestWronskian:
@@ -179,19 +189,18 @@ class TestWronskian:
 
     def test_derivative_law(self):
         # dU/dx = (q1 - q2) phi_1 phi_2, checked by centered differences
-        from fracspec.sl_core import solve_ivp_left
         q1 = bump_potential(0.8, 0.6)
         q2 = PotentialSpec.constant(-0.2, 1024)
         lam = 11.0
-        tr1 = solve_ivp_left(q1, 0.0, lam)
-        tr2 = solve_ivp_left(q2, 0.0, lam)
-        xg = tr1.x_grid
+        (phi1,), _ = _propagate(q1.samples, 1.0, 0.0, [lam], keep_trace=True)
+        (phi2,), _ = _propagate(q2.samples, 1.0, 0.0, [lam], keep_trace=True)
+        xg = q1.x_grid
         for x in (0.2, 0.35, 0.5):
             dx = 1e-4
             du = (wronskian_U(q1, q2, 0.0, 0.0, lam, x + dx)
                   - wronskian_U(q1, q2, 0.0, 0.0, lam, x - dx)) / (2 * dx)
-            p1 = np.interp(x, xg, tr1.values.real)
-            p2 = np.interp(x, xg, tr2.values.real)
+            p1 = np.interp(x, xg, phi1)
+            p2 = np.interp(x, xg, phi2)
             ref = (q1(x) - q2(x)) * p1 * p2
             assert abs(du - ref) < 1e-6 * (1.0 + abs(ref))
 
@@ -271,11 +280,8 @@ class TestXRange:
     @pytest.mark.parametrize("x", [1.5, -0.1, -0.2])
     def test_every_entry_point(self, x, spec):
         q2 = bump_potential(0.5, 0.4)
-        ray = ComplexRay(np.geomspace(100.0, 900.0, 6))
         calls = (lambda: wronskian_U(Q0, q2, 0.0, 0.0, 5.0, x),
                  lambda: weyl_m_minus(Q0, 0.0, 5.0, x),
-                 lambda: m_asymptotic_scan(Q0, 0.0, x, ray),
-                 lambda: F_eval(Q0, Q0, 0.0, 0.0, x, [30.0], spec),
                  lambda: f_decay_scan(Q0, Q0, 0.0, 0.0, x, spec, [100.0, 400.0]))
         for call in calls:
             with pytest.raises(DomainError):
@@ -283,15 +289,17 @@ class TestXRange:
 
 
 class TestProducts:
+    """g(lambda) = prod (1 - lambda/lambda_n) from _log_product on the retained set."""
+
     def test_unit_at_zero(self):
         spec = ProductSpec(np.array([1.0, 4.0, 9.0]), 3)
-        assert product_eval(spec, 0.0) == 1.0
+        assert spectral_product(spec, 0.0) == 1.0
 
     def test_sine_product_identity(self):
         n = np.arange(1, 200001, dtype=float)
         spec = ProductSpec((n * np.pi) ** 2, n.size)
         lam = np.pi ** 2 / 4.0
-        raw = product_eval(spec, lam)
+        raw = spectral_product(spec, lam)
         tail = float(polygamma(1, n.size + 1)) / np.pi ** 2
         corrected = raw * np.exp(-lam * tail)
         assert abs(corrected - 2.0 / np.pi) < 1e-9
@@ -299,21 +307,22 @@ class TestProducts:
     def test_zero_eigenvalue_rejected(self):
         spec = ProductSpec(np.array([0.0, np.pi ** 2]), 2)
         with pytest.raises(ZeroEigenvalue):
-            product_eval(spec, 1.0)
+            spec.retained()
 
     def test_exclusion_set(self):
         spec = ProductSpec(np.array([1.0, 2.0, 3.0]), 3, exclusion=frozenset({1}))
-        val = product_eval(spec, 0.5)
+        assert np.array_equal(spec.retained(), [1.0, 3.0])
+        val = spectral_product(spec, 0.5)
         assert abs(val - (1 - 0.5) * (1 - 0.5 / 3.0)) < 1e-14
 
     def test_truncation_stability(self):
         n = np.arange(1, 4001, dtype=float)
         spectrum = (n * np.pi) ** 2
-        lam = 30.0 + 10.0j
-        p1 = product_eval(ProductSpec(spectrum, 2000), lam)
-        p2 = product_eval(ProductSpec(spectrum, 4000), lam)
-        analytic_tail = abs(lam) * np.sum(1.0 / spectrum[2000:])
-        assert abs(np.log(abs(p2)) - np.log(abs(p1))) <= analytic_tail
+        lam = np.array([30.0 + 10.0j])
+        p1, p2 = (_log_product(ProductSpec(spectrum, m).retained(), lam)[0].real
+                  for m in (2000, 4000))
+        analytic_tail = abs(lam[0]) * np.sum(1.0 / spectrum[2000:])
+        assert abs(p2 - p1) <= analytic_tail
 
     def test_hadamard_proportionality(self):
         q = PotentialSpec.constant(-0.5, 1024)
@@ -326,12 +335,11 @@ class TestProducts:
         tail_sum = np.sum(1.0 / ((n_tail * np.pi) ** 2 + c))
         ratios = []
         for lam in np.linspace(-40.0, -5.0, 8):
-            g = product_eval(spec, lam) * np.exp(-lam * tail_sum)
+            g = spectral_product(spec, lam).real * np.exp(-lam * tail_sum)
             ratios.append(g / char_delta(q, rb, lam))
         ratios = np.asarray(ratios)
         spread = (ratios.max() - ratios.min()) / abs(ratios.mean())
         assert spread < 0.01
-
 
     @staticmethod
     def _existing_inputs():
@@ -354,31 +362,23 @@ class TestProducts:
 
     def test_matches_rescaled_product(self):
         for spec, lam in self._existing_inputs():
-            val = product_eval(spec, lam)
             ref = rescaled_product(spec, lam)
-            assert type(val) is type(ref)
-            assert abs(val - ref) <= 1e-12 * abs(ref)
+            assert abs(spectral_product(spec, lam) - ref) <= 1e-12 * abs(ref)
 
     def test_array_matches_scalars(self):
-        spec = ProductSpec((np.arange(1, 101) * np.pi) ** 2, 100)
-        lams = np.array([-40.0, 5.0, 50.0, 300.0, 1e4])
-        vals = product_eval(spec, lams)
-        assert vals.dtype == float
-        assert np.array_equal(vals, [product_eval(spec, lam) for lam in lams])
+        retained = ProductSpec((np.arange(1, 101) * np.pi) ** 2, 100).retained()
+        for lams in (np.array([-40.0, 5.0, 50.0, 300.0, 1e4]),
+                     np.array([30.0 + 10.0j, 100.0j, 1600.0j])):
+            vals = _log_product(retained, lams)
+            assert np.array_equal(vals, [_log_product(retained, lams[i:i + 1])[0]
+                                         for i in range(lams.size)])
 
     def test_exact_eigenvalue_is_zero_without_warning(self):
         spec = ProductSpec(np.array([1.0, 4.0, 9.0]), 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert product_eval(spec, 4.0) == 0.0
-            assert product_eval(spec, 4.0 + 0.0j) == 0.0
-
-    def test_overflow_raises_without_warning(self):
-        spec = ProductSpec(np.full(60, 1e-3), 60)  # |g| ~ 1e360
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteBlowup):
-                product_eval(spec, 1e3)
+            assert spectral_product(spec, 4.0) == 0.0
+            assert spectral_product(spec, 4.0 + 0.0j) == 0.0
 
 
 class TestF:
@@ -391,27 +391,43 @@ class TestF:
         self.spec = ProductSpec(self.es.lambdas, 61)
 
     def test_identical_pair_zero(self):
-        vals = F_eval(self.q1, self.q1, 0.0, 0.0, self.d,
-                      [3.3, 17.0 + 2.0j], self.spec)
-        assert np.max(np.abs(vals)) < 1e-12
+        scan = f_decay_scan(self.q1, self.q1, 0.0, 0.0, self.d, self.spec,
+                            [100.0, 400.0, 1600.0])
+        assert np.max(scan.f_magnitudes) < 1e-12
 
     def test_mismatched_tail_rejected(self):
         q_bad = PotentialSpec.constant(-0.1, 1024)
-        with pytest.raises(DomainError):
-            F_eval(self.q1, q_bad, 0.0, 0.0, self.d, [1.0], self.spec)
+        with pytest.raises(DomainError, match="matched tails"):
+            f_decay_scan(self.q1, q_bad, 0.0, 0.0, self.d, self.spec, [100.0, 400.0])
 
-    def test_near_eigenvalue_guard(self):
-        lam_star = self.es.lambdas[3]
-        with pytest.raises(NearZeroDenominator):
-            F_eval(self.q1, self.q2, 0.0, 0.0, self.d,
-                   [lam_star * (1 + 1e-12)], self.spec)
+    @staticmethod
+    def _deep_pair(grid=256, d=0.375):
+        """A deep common tail base = -20 (1 + x), max|q| near 40, and q2 =
+        base minus a head bump, 0.1 below base at d and 1e-8 above it on
+        (d, 1]: both gaps are inside the tolerances 0.05 (1 + max|q|) at d and
+        1e-9 (1 + max|q|) on the tail, and outside them without the 1 +."""
+        x = np.linspace(0.0, 1.0, grid + 1)
+        base = -20.0 * (1.0 + x)
+        q2 = base - 0.5 * np.maximum(0.0, 1.0 - x / d) ** 2 + 1e-8 * (x > d)
+        q2[np.isclose(x, d)] -= 0.1
+        return PotentialSpec(base, grid), PotentialSpec(q2, grid), x
 
-    def test_removable_singularity_fit(self):
-        lam_star = self.es.lambdas[3]
-        vals = F_eval(self.q1, self.q2, 0.0, 0.0, self.d,
-                      [lam_star * (1 + 1e-12)], self.spec,
-                      near_eigenvalue="fit")
-        assert np.all(np.isfinite(vals))
+    def test_matched_tail_tolerance_scales_with_q(self):
+        # kills scale = 1 + max|q| -> 1 - max|q|, 1e-9 * scale -> /,
+        # 0.05 * scale -> /, q1(x) - q2(x) -> + and q1(d) - q2(d) -> +
+        q1, q2, _ = self._deep_pair()
+        spec = ProductSpec((np.arange(1, 21) * np.pi) ** 2, 20)
+        scan = f_decay_scan(q1, q2, 0.0, 0.0, 0.375, spec, [100.0, 200.0, 400.0])
+        assert np.all(np.isfinite(scan.f_magnitudes))
+
+    def test_tail_mismatch_between_its_ends_rejected(self):
+        # equal at d and at 1, apart in between; kills 1.0 / grid_size -> *
+        q1, _, x = self._deep_pair()
+        q2 = q1.samples + 0.1 * np.sin(np.pi * (x - 0.375) / 0.625) * (x > 0.375)
+        spec = ProductSpec((np.arange(1, 21) * np.pi) ** 2, 20)
+        with pytest.raises(DomainError, match="matched tails"):
+            f_decay_scan(q1, PotentialSpec(q2, 256), 0.0, 0.0, 0.375, spec,
+                         [100.0, 200.0])
 
     def test_decay_scan_negative_slope(self):
         scan = f_decay_scan(self.q1, self.q2, 0.0, 0.0, self.d,
@@ -427,35 +443,12 @@ class TestF:
         scale = cancellation_scale(self.q1, self.q2, 0.0, 0.0, lams, self.d)
         return 1e-12 * np.abs(ref) + 1e-15 * scale / np.abs(g) ** 2
 
-    def test_matches_per_lambda_oracle(self):
-        lams = [3.3, 17.0 + 2.0j, 100.0j, 50.0 + 5.0j, 1600.0j, 200.0, -20.0,
-                1000.0 + 1000.0j]
-        vals = F_eval(self.q1, self.q2, 0.0, 0.0, self.d, lams, self.spec)
-        ref = per_lambda_F(self.q1, self.q2, 0.0, 0.0, self.d, lams, self.spec)
-        assert np.all(np.abs(vals - ref) <= self._tolerance(lams, ref))
-        lams = [self.es.lambdas[3] * (1 + 1e-12), 30.0, self.es.lambdas[7]]
-        vals = F_eval(self.q1, self.q2, 0.0, 0.0, self.d, lams, self.spec,
-                      near_eigenvalue="fit")
-        ref = per_lambda_F(self.q1, self.q2, 0.0, 0.0, self.d, lams, self.spec,
-                           near_eigenvalue="fit")
-        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
-
     def test_empty_product_is_one(self):
-        lams = np.array([30.0, 5.0j])
-        vals = F_eval(self.q1, self.q2, 0.0, 0.0, self.d, lams,
-                      ProductSpec(self.es.lambdas, 0))
-        assert np.array_equal(vals, wronskian_U(self.q1, self.q2, 0.0, 0.0,
-                                                lams, self.d))
-
-    def test_guard_raises_before_any_march(self, monkeypatch):
-        def no_march(*args, **kwargs):
-            raise AssertionError("marched before the eigenvalue guard")
-
-        monkeypatch.setattr(weyl_toolkit, "_propagate", no_march)
-        lam_star = self.es.lambdas[3] * (1 + 1e-12)
-        with pytest.raises(NearZeroDenominator, match="lambda = "):
-            F_eval(self.q1, self.q2, 0.0, 0.0, self.d,
-                   np.array([30.0, lam_star, 50.0]), self.spec)
+        y = np.array([30.0, 500.0])
+        scan = f_decay_scan(self.q1, self.q2, 0.0, 0.0, self.d,
+                            ProductSpec(self.es.lambdas, 0), y)
+        U = wronskian_U(self.q1, self.q2, 0.0, 0.0, 1j * y, self.d)
+        assert np.allclose(scan.f_magnitudes, np.abs(U), rtol=1e-13, atol=0.0)
 
     def test_decay_scan_matches_per_lambda_oracle(self):
         y = np.geomspace(100.0, 1600.0, 25)
@@ -465,7 +458,7 @@ class TestF:
         assert np.all(np.abs(scan.f_magnitudes - ref) <= self._tolerance(1j * y, ref))
 
     @pytest.mark.parametrize("y", [[100.0], [400.0, 100.0], [0.0, 100.0],
-                                   [100.0, 1e4]])
+                                   [100.0, 1e4], [100.0, 100.0, 400.0]])
     def test_decay_scan_rejects_bad_y_values(self, y):
         with pytest.raises(DomainError):
             f_decay_scan(self.q1, self.q2, 0.0, 0.0, self.d, self.spec, y)
